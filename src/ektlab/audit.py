@@ -16,8 +16,9 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from . import curves, graphs, helicoid, lifts, solver
-from .spaces import (BasePoint, SpaceParams, build_triangle, conformal_factor,
-                     interior_angle_at_p2, law_of_cosines)
+from .spaces import (BasePoint, SpaceParams, conformal_factor,
+                     interior_angle_at_p2, interior_angle_threshold_b,
+                     law_of_cosines)
 
 __all__ = ["AuditRow", "run_audit", "format_table"]
 
@@ -113,10 +114,9 @@ def _densify(path, n_per_side):
 def _check_angle_threshold() -> Tuple[float, bool]:
     worst = 0.0
     for H in (0.1, 0.4):
-        delta = math.sqrt(1.0 - 4.0 * H * H)
         kappa = 4.0 * H * H - 1.0
         for k in (2, 3, 4, 6):
-            b_star = math.acosh(1.0 / math.sin(math.pi / k)) / delta
+            b_star = interior_angle_threshold_b(k, H)
             beta = interior_angle_at_p2(b_star, k, kappa)
             worst = max(worst, abs(beta - math.pi / 2.0))
     return worst, worst < 1e-10

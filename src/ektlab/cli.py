@@ -34,9 +34,10 @@ from .helicoid import (QuadratureError, c_of_mu, first_integral_residual,
                        invert_profile, minimality_residual, model_height,
                        profile_csv_lines, residual_grid, sigma, t_mu)
 from .solver import (SolverError, boundary_theta_prime, distance_d,
-                     distance_d_single, rho_estimate, solution_csv_lines,
-                     solution_report_dict, solve_jenkins_serrin)
-from .spaces import GeometryError
+                     distance_d_single, rho_estimate, richardson_extrapolate,
+                     solution_csv_lines, solution_report_dict,
+                     solve_jenkins_serrin)
+from .spaces import GeometryError, interior_angle_threshold_b
 
 __all__ = ["main"]
 
@@ -299,7 +300,8 @@ def _figure_catenoid_domains(args: argparse.Namespace, out: str) -> int:
 def _sweep_point(task):
     a, b, k, H, M, h = task
     sols = solve_jenkins_serrin(a, b, k, H, list(M), h)
-    return a, b, distance_d(sols), [distance_d_single(s) for s in sols]
+    per_m = [distance_d_single(s) for s in sols]
+    return a, b, richardson_extrapolate(per_m), per_m
 
 
 def _figure_sweep_d(args: argparse.Namespace, out: str) -> int:
@@ -388,14 +390,6 @@ def _figure_noid_domain(args: argparse.Namespace, out: str) -> int:
           f"threshold b*={b_star:.6f} predicts "
           f"{'embedded' if args.b >= b_star else 'non-embedded'}  wrote {svg}")
     return 0
-
-
-def interior_angle_threshold_b(k: int, H: float) -> float:
-    """The b value where the p2 interior angle reaches pi/2."""
-    if not 0.0 <= H < 0.5:
-        raise UsageError("threshold needs H in [0, 1/2)")
-    delta = math.sqrt(1.0 - 4.0 * H * H)
-    return math.acosh(1.0 / math.sin(math.pi / k)) / delta
 
 
 def cmd_figure(args: argparse.Namespace) -> int:

@@ -20,8 +20,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
-from .spaces import GeometryError
+from .spaces import GeometryError, min_metric_distance
 
 __all__ = [
     "PlanarCurve",
@@ -45,14 +46,8 @@ _DEFAULT_S_CAP = 60.0
 
 def disk_distance(p, q) -> float:
     """Hyperbolic distance between two points of the unit Poincare disk."""
-    pz = complex(p[0], p[1])
-    qz = complex(q[0], q[1])
-    num = abs(qz - pz)
-    den = abs(1.0 - pz.conjugate() * qz)
-    t = num / den
-    if t >= 1.0:
-        return math.inf
-    return 2.0 * math.atanh(t)
+    return float(min_metric_distance([[2.0 * p[0], 2.0 * p[1]]],
+                                     [[2.0 * q[0], 2.0 * q[1]]], -1.0)[0])
 
 
 def distance_to_geodesic_diameter(x, y, axis_angle: float = 0.0):
@@ -73,7 +68,7 @@ def distance_to_geodesic_diameter(x, y, axis_angle: float = 0.0):
 class PlanarCurve:
     """Unit-speed sampled curve in the unit disk.
 
-    samples view the arrays as (point, tangent angle, arclength) rows;
+    The arrays hold arclength, point and tangent angle per sample;
     kg_samples holds the prescribed curvature at each sample.
     """
 
@@ -87,32 +82,8 @@ class PlanarCurve:
     theta_prime_samples: Optional[np.ndarray] = None
 
     @property
-    def samples(self):
-        return [((xi, yi), pi, si) for xi, yi, pi, si in
-                zip(self.x.tolist(), self.y.tolist(), self.phi.tolist(), self.s.tolist())]
-
-    @property
     def points(self) -> np.ndarray:
         return np.column_stack([self.x, self.y])
-
-    def endpoint(self) -> Tuple[float, float]:
-        return float(self.x[-1]), float(self.y[-1])
-
-    def max_unit_speed_defect(self) -> float:
-        """Largest |measured segment length - delta s| over the samples."""
-        z = self.x + 1j * self.y
-        num = np.abs(np.diff(z))
-        den = np.abs(1.0 - np.conj(z[:-1]) * z[1:])
-        d = 2.0 * np.arctanh(np.minimum(num / den, 1.0 - 1e-16))
-        return float(np.max(np.abs(d - np.diff(self.s))))
-
-    def mirrored_x(self) -> "PlanarCurve":
-        """Reflection across the x-axis (flips the curvature sign)."""
-        return replace(
-            self, y=-self.y, phi=-self.phi, kg_samples=-self.kg_samples,
-            total_turning=None if self.total_turning is None else -self.total_turning,
-            theta_prime_samples=None if self.theta_prime_samples is None
-            else -self.theta_prime_samples)
 
 
 @dataclass(frozen=True)
@@ -122,19 +93,6 @@ class HeightProfile:
     s: np.ndarray
     base_arclength: np.ndarray
     height: np.ndarray
-
-    @property
-    def samples(self):
-        return list(zip(self.s.tolist(), self.base_arclength.tolist(),
-                        self.height.tolist()))
-
-    @property
-    def total_base_length(self) -> float:
-        return float(self.base_arclength[-1])
-
-    @property
-    def total_height_drop(self) -> float:
-        return float(abs(self.height[-1] - self.height[0]))
 
 
 def curve_csv_lines(curve: PlanarCurve) -> List[str]:
@@ -429,30 +387,15 @@ def _merge_chains(images: List[np.ndarray], tol: float = 1e-8) -> List[np.ndarra
     Endpoints are clustered by chart distance <= tol, so integrator-level
     jitter between symmetric images cannot split a junction.
     """
-    ends = []
-    for idx, p in enumerate(images):
-        ends.append(((idx, 0), p[0]))
-        ends.append(((idx, -1), p[-1]))
-    parent = list(range(len(ends)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(ends)):
-        for j in range(i + 1, len(ends)):
-            if float(np.hypot(*(ends[i][1] - ends[j][1]))) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    cluster_of = {}
+    idents = [(idx, end) for idx in range(len(images)) for end in (0, -1)]
+    pts = np.array([images[idx][end] for idx, end in idents])
+    diff = pts[:, None, :] - pts[None, :, :]
+    _, labels = connected_components(np.hypot(diff[..., 0], diff[..., 1]) <= tol,
+                                     directed=False)
+    cluster_of = dict(zip(idents, labels.tolist()))
     members: dict = {}
-    for i, (ident, _) in enumerate(ends):
-        r = find(i)
-        cluster_of[ident] = r
-        members.setdefault(r, []).append(ident)
+    for ident, label in cluster_of.items():
+        members.setdefault(label, []).append(ident)
 
     def endpoint_id(piece_idx, orient, which):
         if orient == +1:

@@ -1,8 +1,8 @@
 """Self-intersection detection and coverage multiplicity for disk curves.
 
 Crossings are found by a vectorized sweep over candidate segment pairs from
-a uniform spatial hash (cell size tied to the longest segment, so any two
-intersecting segments land in neighboring cells).  Covered-twice regions are
+a k-d tree over segment midpoints (two intersecting segments have midpoints
+no farther apart than the longest segment).  Covered-twice regions are
 measured by winding-number rasterization: open chains are closed through
 arcs just inside the ideal circle, each scanline accumulates signed
 crossings, and pixels with |winding| >= 2 are summed with the hyperbolic
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .spaces import GeometryError
 from .curves import AssembledBoundary, PlanarCurve
@@ -52,10 +53,10 @@ def _thin(points: np.ndarray, params: np.ndarray, min_seg: float):
     """Drop samples closer than min_seg in cumulative chart length.
 
     Curves integrated in the hyperbolic metric cluster exponentially near
-    the ideal circle; without thinning, one hash cell can hold thousands of
-    segments and the pair sweep degenerates.  Chords of length min_seg are
-    far below any feature scale of the symmetry curves, so crossings and
-    their parameters survive the thinning.
+    the ideal circle; without thinning, one midpoint neighborhood can hold
+    thousands of segments and the pair sweep degenerates.  Chords of length
+    min_seg are far below any feature scale of the symmetry curves, so
+    crossings and their parameters survive the thinning.
     """
     if min_seg <= 0 or points.shape[0] < 3:
         return points, params
@@ -100,45 +101,6 @@ def _as_pieces(obj, min_seg: float = 0.0) -> Tuple[List[np.ndarray], List[np.nda
     return [t[0] for t in thinned], [t[1] for t in thinned], k
 
 
-def _candidate_pairs(mid: np.ndarray, cell: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Index pairs of segments whose midpoints fall in neighboring hash cells."""
-    ij = np.floor(mid / cell).astype(np.int64)
-    key = ij[:, 0] * 2_000_003 + ij[:, 1]
-    order = np.argsort(key, kind="stable")
-    sk = key[order]
-    uniq, starts = np.unique(sk, return_index=True)
-    counts = np.diff(np.concatenate([starts, [sk.size]]))
-    pairs_i, pairs_j = [], []
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            off = dx * 2_000_003 + dy
-            if off < 0:
-                continue  # unordered cell pairs visited once
-            if off == 0:
-                # all pairs within each cell
-                for s, c in zip(starts, counts):
-                    if c < 2:
-                        continue
-                    members = order[s:s + c]
-                    iu, ju = np.triu_indices(c, k=1)
-                    pairs_i.append(members[iu])
-                    pairs_j.append(members[ju])
-                continue
-            tgt = uniq + off
-            pos = np.searchsorted(uniq, tgt)
-            ok = (pos < uniq.size) & (uniq[np.minimum(pos, uniq.size - 1)] == tgt)
-            for a in np.nonzero(ok)[0]:
-                mem_a = order[starts[a]:starts[a] + counts[a]]
-                b = pos[a]
-                mem_b = order[starts[b]:starts[b] + counts[b]]
-                gi, gj = np.meshgrid(mem_a, mem_b, indexing="ij")
-                pairs_i.append(gi.ravel())
-                pairs_j.append(gj.ravel())
-    if not pairs_i:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(pairs_i), np.concatenate(pairs_j)
-
-
 def self_intersections(obj: Union[PlanarCurve, AssembledBoundary, Sequence[np.ndarray]],
                        eps_geom: float = _EPS_GEOM,
                        grid: int = 1024,
@@ -160,8 +122,11 @@ def self_intersections(obj: Union[PlanarCurve, AssembledBoundary, Sequence[np.nd
     max_len = float(np.max(lens)) if lens.size else 0.0
     if max_len == 0.0:
         raise GeometryError("degenerate polyline (zero-length segments only)")
-    cell = 2.05 * max_len
-    pi_, pj_ = _candidate_pairs((A + B) / 2.0, cell)
+    # crossing segments have midpoints within (L1 + L2)/2 <= max_len; the
+    # slack keeps the near-parallel end-to-end pairs read by the gap test
+    pairs = cKDTree((A + B) / 2.0).query_pairs(r=max_len + 10 * eps_geom,
+                                               output_type="ndarray")
+    pi_, pj_ = pairs[:, 0], pairs[:, 1]
     # drop self pairs and chain neighbors within the same piece
     keep = ~((piece_id[pi_] == piece_id[pj_]) & (np.abs(seg_idx[pi_] - seg_idx[pj_]) <= 1))
     pi_, pj_ = pi_[keep], pj_[keep]
@@ -180,6 +145,10 @@ def self_intersections(obj: Union[PlanarCurve, AssembledBoundary, Sequence[np.nd
         margin = np.minimum.reduce([t, 1.0 - t, u, 1.0 - u])
         para_t = np.clip((rhs * d1).sum(axis=1) / np.maximum(lens[pi_] ** 2, 1e-300), 0, 1)
         gap = np.hypot(*(a1 + para_t[:, None] * d1 - a2).T)
+        # t and u divide by denom ~ 0 there: report a near-parallel pair at
+        # the projection on the first segment and the start of the second
+        t = np.where(near_par, para_t, t)
+        u = np.where(near_par, 0.0, u)
         for idx in np.nonzero(inside | (near_par & (gap < 10 * eps_geom)))[0]:
             s1 = sA[pi_[idx]] + t[idx] * (sB[pi_[idx]] - sA[pi_[idx]])
             s2 = sA[pj_[idx]] + u[idx] * (sB[pj_[idx]] - sA[pj_[idx]])
@@ -258,16 +227,16 @@ def _ideal_arc(p_from: np.ndarray, p_to: np.ndarray, gap: float, arc_step: float
     return np.column_stack([rr * np.cos(th), rr * np.sin(th)])
 
 
-def multiplicity_two_area(pieces: Sequence[np.ndarray], grid: int = 1024,
-                          r_cut: float = 1.0 - 2e-6) -> float:
-    """Hyperbolic area covered with |winding| >= 2 by the closed-up chains."""
-    loops = _close_chains([np.asarray(p, dtype=float) for p in pieces])
-    if not loops:
-        return 0.0
+def _winding_grid(loops: Sequence[np.ndarray], grid: int):
+    """Winding number of the loops at every pixel center of a grid x grid
+    raster of [-1, 1]^2 (rows are y), and the pixel-center coordinates.
+
+    A loop segment crosses the scanlines with lo <= y < hi; each crossing
+    event (row, x, +-1) counts for the pixels at or right of x.
+    """
     px = 2.0 / grid
     centers = -1.0 + (np.arange(grid) + 0.5) * px
-    # crossing events (row, x, direction) for all loop segments
-    rows_all, xs_all, dir_all = [], [], []
+    wind = np.zeros((grid, grid + 1), dtype=np.int64)
     for loop in loops:
         a, b = loop[:-1], loop[1:]
         y0, y1 = a[:, 1], b[:, 1]
@@ -287,35 +256,23 @@ def multiplicity_two_area(pieces: Sequence[np.ndarray], grid: int = 1024,
         yr = centers[row]
         tt = (yr - y0[seg_of]) / (y1[seg_of] - y0[seg_of])
         xc = a[seg_of, 0] + tt * (b[seg_of, 0] - a[seg_of, 0])
-        rows_all.append(row)
-        xs_all.append(xc)
-        dir_all.append(np.where(y1[seg_of] > y0[seg_of], 1, -1))
-    if not rows_all:
+        col = np.searchsorted(centers, xc, side="left")
+        np.add.at(wind, (row, col), np.where(y1[seg_of] > y0[seg_of], 1, -1))
+    return np.cumsum(wind[:, :-1], axis=1), centers
+
+
+def multiplicity_two_area(pieces: Sequence[np.ndarray], grid: int = 1024,
+                          r_cut: float = 1.0 - 2e-6) -> float:
+    """Hyperbolic area covered with |winding| >= 2 by the closed-up chains."""
+    loops = _close_chains([np.asarray(p, dtype=float) for p in pieces])
+    if not loops:
         return 0.0
-    rows = np.concatenate(rows_all)
-    xs = np.concatenate(xs_all)
-    dirs = np.concatenate(dir_all)
-    order = np.lexsort((xs, rows))
-    rows, xs, dirs = rows[order], xs[order], dirs[order]
-    # hyperbolic pixel mass, cumulative along each row
-    X, Y = np.meshgrid(centers, centers, indexing="xy")
-    r2 = X * X + Y * Y
+    wind, centers = _winding_grid(loops, grid)
+    px = 2.0 / grid
+    c2 = centers * centers
+    r2 = c2[None, :] + c2[:, None]
     lam2 = np.where(np.sqrt(r2) <= r_cut, 4.0 / (1.0 - r2) ** 2, 0.0) * px * px
-    cum = np.concatenate([np.zeros((grid, 1)), np.cumsum(lam2, axis=1)], axis=1)
-    area = 0.0
-    boundaries = np.concatenate([[0], np.nonzero(np.diff(rows))[0] + 1, [rows.size]])
-    for bi in range(boundaries.size - 1):
-        s0, s1 = boundaries[bi], boundaries[bi + 1]
-        row = rows[s0]
-        w = np.cumsum(dirs[s0:s1])
-        xrow = xs[s0:s1]
-        hot = np.abs(w[:-1]) >= 2
-        if not np.any(hot):
-            continue
-        cl = np.searchsorted(centers, xrow[:-1][hot], side="left")
-        cr = np.searchsorted(centers, xrow[1:][hot], side="left")
-        area += float(np.sum(cum[row, cr] - cum[row, cl]))
-    return area
+    return float(np.sum(lam2[np.abs(wind) >= 2]))
 
 
 def rotation_lemma_check(curve: PlanarCurve,
@@ -359,24 +316,7 @@ def _panel_markup(pieces: Sequence[np.ndarray], size: int, fill_grid: int,
     # covered-twice fill from a coarse winding pass
     loops = _close_chains(pieces)
     if loops:
-        px = 2.0 / fill_grid
-        centers = -1.0 + (np.arange(fill_grid) + 0.5) * px
-        wind = np.zeros((fill_grid, fill_grid), dtype=int)
-        for loop in loops:
-            a, b = loop[:-1], loop[1:]
-            for i in range(fill_grid):
-                yc = centers[i]
-                m = ((np.minimum(a[:, 1], b[:, 1]) < yc)
-                     & (np.maximum(a[:, 1], b[:, 1]) >= yc))
-                if not np.any(m):
-                    continue
-                tt = (yc - a[m, 1]) / (b[m, 1] - a[m, 1])
-                xc = a[m, 0] + tt * (b[m, 0] - a[m, 0])
-                dd = np.where(b[m, 1] > a[m, 1], 1, -1)
-                o = np.argsort(xc)
-                cols = np.searchsorted(xc[o], centers)
-                w = np.concatenate([[0], np.cumsum(dd[o])])
-                wind[i] += w[cols]
+        wind, centers = _winding_grid(loops, fill_grid)
         hot = np.argwhere(np.abs(wind) >= 2)
         cell_px = 0.95 * size / fill_grid
         for i, j in hot:

@@ -18,7 +18,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .spaces import SpaceParams
+from .spaces import SpaceParams, conformal_factor_xy
 
 __all__ = [
     "graph_gradient",
@@ -36,9 +36,11 @@ ClosedFormGraph = Callable[[np.ndarray, np.ndarray], PartialStack]
 
 def graph_gradient(x, y, u_x, u_y, params: SpaceParams):
     """Frame components (alpha, beta) and W of a graph's tilt at (x, y)."""
-    lam = 1.0 / (1.0 + params.kappa * (np.asarray(x) ** 2 + np.asarray(y) ** 2) / 4.0)
-    alpha = u_x / lam + params.tau * np.asarray(y)
-    beta = u_y / lam - params.tau * np.asarray(x)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    lam = conformal_factor_xy(x, y, params.kappa)
+    alpha = u_x / lam + params.tau * y
+    beta = u_y / lam - params.tau * x
     w = np.sqrt(1.0 + alpha * alpha + beta * beta)
     return alpha, beta, w
 
@@ -53,7 +55,7 @@ def mean_curvature_from_partials(x, y, u_x, u_y, u_xx, u_xy, u_yy,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     kappa, tau = params.kappa, params.tau
-    lam = 1.0 / (1.0 + kappa * (x * x + y * y) / 4.0)
+    lam = conformal_factor_xy(x, y, kappa)
     lam_x = -lam * lam * kappa * x / 2.0
     lam_y = -lam * lam * kappa * y / 2.0
 

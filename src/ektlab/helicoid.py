@@ -15,15 +15,15 @@ Sign conventions in this chart: the sampled profile column h = (v - f)/2
 follows the published parametrization and feeds sigma = lim h'/(1+h^2)
 = (1+2mu)^2/(4mu), while the height field that actually satisfies the
 minimal-graph equation is z = u * (f(v) - v)/2 = -u h(v); the latter is
-exposed as model_slope/model_height and backs every cross check against the
-graph operator, the strip solver, and the exported meshes.
+exposed as model_height and backs every cross check against the graph
+operator, the strip solver, and the exported meshes.
 """
 from __future__ import annotations
 
 import contextlib
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,7 +33,6 @@ from .spaces import GeometryError
 
 __all__ = [
     "QuadratureError",
-    "HelicoidParams",
     "HelicoidProfile",
     "c_of_mu",
     "g_mu",
@@ -47,7 +46,6 @@ __all__ = [
     "angle_function",
     "sigma",
     "theta_prime",
-    "model_slope",
     "model_height",
     "model_angle_function",
     "vertex_base_distance",
@@ -69,19 +67,6 @@ def c_of_mu(mu: float) -> float:
     if mu == 0.5:
         raise GeometryError("c is undefined at mu = 1/2 (constant profile)")
     return (1.0 + 2.0 * mu) / (1.0 - 2.0 * mu)
-
-
-@dataclass(frozen=True)
-class HelicoidParams:
-    mu: float
-
-    @property
-    def c(self) -> float:
-        return c_of_mu(self.mu)
-
-    @property
-    def classification(self) -> str:
-        return "entire graph" if abs(self.mu) <= 0.5 else "helicoid"
 
 
 # additive perturbation of the slope integrand; nonzero only inside the
@@ -251,20 +236,30 @@ class _ProfileInverter:
                 f"profile inversion stalled at v={v!r} (mu={self.mu})")
         return math.copysign(self._xi, v * self.s0)
 
-    def march(self, v_sorted: np.ndarray) -> np.ndarray:
-        """Invert a batch ordered by increasing |v| (warm-started)."""
-        out = np.empty_like(v_sorted)
-        for i, v in enumerate(v_sorted):
-            out[i] = self.solve(float(v))
-        return out
+
+def _profile_values(mu: float, v: np.ndarray) -> np.ndarray:
+    """f on a batch: closed forms at mu in {0, +-1/2}, otherwise one
+    inversion march outward in |v| so each solve warm-starts from its
+    neighbor."""
+    if mu == 0.0:
+        return v.copy()
+    if mu == 0.5:
+        return np.zeros_like(v)
+    if mu == -0.5:
+        return 2.0 * v
+    inv = _ProfileInverter(mu)
+    order = np.argsort(np.abs(v), kind="stable")
+    f = np.empty_like(v)
+    f[order] = [inv.solve(float(x)) for x in v[order]]
+    return f
 
 
 @dataclass(frozen=True)
 class HelicoidProfile:
     """Sampled profile of one family member.
 
-    ``samples`` view the stored arrays as (v, f(v), h(v)) rows with
-    h = (v - f)/2.  ``sigma`` is None at mu = 0 (the umbrella, no fiber).
+    The stored arrays hold v, f(v) and h(v) = (v - f)/2 per sample.
+    ``sigma`` is None at mu = 0 (the umbrella, no fiber).
     """
 
     mu: float
@@ -273,15 +268,6 @@ class HelicoidProfile:
     f: np.ndarray
     h: np.ndarray
     sigma: Optional[float] = None
-    _inverter: Optional[_ProfileInverter] = field(default=None, repr=False, compare=False)
-
-    @property
-    def samples(self):
-        return list(zip(self.v.tolist(), self.f.tolist(), self.h.tolist()))
-
-    @property
-    def classification(self) -> str:
-        return HelicoidParams(self.mu).classification
 
     def f_at(self, v: float) -> float:
         """Profile value at an arbitrary |v| < t_mu (fresh inversion)."""
@@ -294,17 +280,7 @@ class HelicoidProfile:
             worst = float(np.max(np.abs(v)))
             raise GeometryError(
                 f"|v|={worst} outside the open domain (t_mu={self.t_mu})")
-        if self.mu == 0.0:
-            return v.copy()
-        if self.mu == 0.5:
-            return np.zeros_like(v)
-        if self.mu == -0.5:
-            return 2.0 * v
-        inv = _ProfileInverter(self.mu)
-        order = np.argsort(np.abs(v), kind="stable")
-        f = np.empty_like(v)
-        f[order] = inv.march(v[order])
-        return f
+        return _profile_values(self.mu, v)
 
     def f_prime_at(self, v: float) -> float:
         if self.mu == 0.5:
@@ -325,22 +301,9 @@ def invert_profile(mu: float, v_grid: Sequence[float]) -> HelicoidProfile:
         raise GeometryError(
             f"{bad.size} sample(s) outside the open domain |v| < t_mu = {t}")
     sig = None if mu == 0.0 else sigma(mu)
-    inverter = None
-    if mu == 0.0:
-        f = v.copy()
-    elif mu == 0.5:
-        f = np.zeros_like(v)
-    elif mu == -0.5:
-        f = 2.0 * v
-    else:
-        inverter = _ProfileInverter(mu)
-        order = np.argsort(np.abs(v), kind="stable")
-        f = np.empty_like(v)
-        # march outward in |v| so each solve warm-starts from its neighbor
-        f[order] = inverter.march(v[order])
+    f = _profile_values(mu, v)
     h = (v - f) / 2.0
-    return HelicoidProfile(mu=mu, t_mu=t, v=v, f=f, h=h, sigma=sig,
-                           _inverter=inverter)
+    return HelicoidProfile(mu=mu, t_mu=t, v=v, f=f, h=h, sigma=sig)
 
 
 def residual_grid(mu: float, spacing: float = 1e-3, fraction: float = 0.9,
@@ -415,11 +378,6 @@ def angle_function(u: float, v: float, profile: HelicoidProfile) -> float:
 
 
 # -- the minimal model graph --------------------------------------------------
-
-def model_slope(v: float, profile: HelicoidProfile) -> float:
-    """Slope (f(v) - v)/2 of the ruled minimal graph z = u * model_slope(v)."""
-    return (profile.f_at(v) - v) / 2.0
-
 
 def model_height(u, v, profile: HelicoidProfile):
     """Height field u * (f(v) - v)/2 of the minimal member over the (u, v) chart."""

@@ -55,7 +55,7 @@ def _lambda_line_integral(p: np.ndarray, q: np.ndarray, params: SpaceParams,
     def gl(nodes, weights):
         xs = p[0] + nodes * (q[0] - p[0])
         ys = p[1] + nodes * (q[1] - p[1])
-        return float(np.dot(weights, conformal_factor_xy(xs, ys, params)))
+        return float(np.dot(weights, conformal_factor_xy(xs, ys, params.kappa)))
 
     fine = gl(_GL5_X, _GL5_W)
     if abs(fine - gl(_GL3_X, _GL3_W)) <= _LOCAL_TOL or depth >= _MAX_DEPTH:
@@ -88,10 +88,10 @@ def horizontal_lift(path: Sequence[BasePoint], z0: float,
         # vectorized GL5 first, adaptive fallback where the GL3 check fails
         xs = pts[:-1, 0][:, None] + _GL5_X[None, :] * seg[:, 0][:, None]
         ys = pts[:-1, 1][:, None] + _GL5_X[None, :] * seg[:, 1][:, None]
-        fine = conformal_factor_xy(xs, ys, params) @ _GL5_W
+        fine = conformal_factor_xy(xs, ys, params.kappa) @ _GL5_W
         xs3 = pts[:-1, 0][:, None] + _GL3_X[None, :] * seg[:, 0][:, None]
         ys3 = pts[:-1, 1][:, None] + _GL3_X[None, :] * seg[:, 1][:, None]
-        coarse = conformal_factor_xy(xs3, ys3, params) @ _GL3_W
+        coarse = conformal_factor_xy(xs3, ys3, params.kappa) @ _GL3_W
         lam_int = fine
         bad = np.abs(fine - coarse) > _LOCAL_TOL
         for i in np.nonzero(bad)[0]:
@@ -129,7 +129,7 @@ def enclosed_area(path: Sequence[BasePoint], params: SpaceParams,
         ys = p[1] + t * (q[1] - p[1])
         xm = (xs[:-1] + xs[1:]) / 2.0
         ym = (ys[:-1] + ys[1:]) / 2.0
-        lam = conformal_factor_xy(xm, ym, params)
+        lam = conformal_factor_xy(xm, ym, params.kappa)
         cross = xs[:-1] * ys[1:] - xs[1:] * ys[:-1]
         total += float(np.sum(lam * cross)) / 2.0
     return total

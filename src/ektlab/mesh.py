@@ -24,7 +24,8 @@ import numpy as np
 from scipy.spatial import Delaunay
 
 from .spaces import (GeometryError, GeodesicTriangle, SpaceParams,
-                     chart_radius, build_triangle)
+                     build_triangle, chart_radius, conformal_factor_xy,
+                     metric_radius, min_metric_distance)
 
 __all__ = ["TriangulatedDomain", "triangulate", "TAGS"]
 
@@ -45,7 +46,7 @@ class TriangulatedDomain:
 
     def __post_init__(self):
         if self.node_metric_radius is None:
-            self.node_metric_radius = _metric_radius_arr(
+            self.node_metric_radius = metric_radius(
                 np.hypot(self.nodes[:, 0], self.nodes[:, 1]), self.triangle.kappa)
 
     @property
@@ -57,9 +58,6 @@ class TriangulatedDomain:
                        dtype=int)
         return idx
 
-    def dirichlet_indices(self) -> np.ndarray:
-        return np.array(sorted(self.boundary_tags), dtype=int)
-
     def boundary_edges(self) -> np.ndarray:
         """Edges belonging to exactly one element."""
         e = self.elements
@@ -69,33 +67,11 @@ class TriangulatedDomain:
         return uniq[counts == 1]
 
 
-def _metric_radius_arr(chart_r, kappa: float):
-    chart_r = np.asarray(chart_r, dtype=float)
-    if kappa == 0.0:
-        return chart_r.copy()
-    delta = math.sqrt(-kappa)
-    return (2.0 / delta) * np.arctanh(np.clip(chart_r * delta / 2.0, 0.0, 1.0 - 1e-16))
-
-
-def _pairwise_metric_dist(pts: np.ndarray, ref: np.ndarray, kappa: float) -> np.ndarray:
-    """Min metric distance from each point of pts to the reference polyline."""
-    if kappa == 0.0:
-        d2 = ((pts[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
-        return np.sqrt(d2.min(axis=1))
-    delta = math.sqrt(-kappa)
-    z = (pts[:, 0] + 1j * pts[:, 1]) * delta / 2.0
-    w = (ref[:, 0] + 1j * ref[:, 1]) * delta / 2.0
-    num = np.abs(z[:, None] - w[None, :])
-    den = np.abs(1.0 - np.conj(z[:, None]) * w[None, :])
-    t = np.clip(num / den, 0.0, 1.0 - 1e-16)
-    return (2.0 / delta) * np.arctanh(t).min(axis=1)
-
-
 def _metric_resample(fine: np.ndarray, kappa: float, spacing: float):
     """Resample a finely sampled chart polyline uniformly in metric length."""
     seg = np.hypot(*np.diff(fine, axis=0).T)
     mid = (fine[1:] + fine[:-1]) / 2.0
-    lam = 1.0 / (1.0 + kappa * (mid[:, 0] ** 2 + mid[:, 1] ** 2) / 4.0)
+    lam = conformal_factor_xy(mid[:, 0], mid[:, 1], kappa)
     cum = np.concatenate([[0.0], np.cumsum(lam * seg)])
     total = cum[-1]
     n = max(1, int(round(total / spacing)))
@@ -222,7 +198,7 @@ def triangulate(triangle: GeodesicTriangle, target_h: float,
     if triangle.a_infinite:
         r_dom = R_trunc
     else:
-        r_dom = float(np.max(_metric_radius_arr(np.hypot(*fine.T), kappa)))
+        r_dom = float(np.max(metric_radius(np.hypot(*fine.T), kappa)))
 
     chunks = [np.zeros((1, 2))]
     wedge = math.pi / k
@@ -240,7 +216,7 @@ def triangulate(triangle: GeodesicTriangle, target_h: float,
         phi = np.linspace(0.0, wedge, m + 1)
         ring = np.column_stack([r_chart * np.cos(phi), r_chart * np.sin(phi)])
         ok = inside_test(ring)
-        ok &= _pairwise_metric_dist(ring, fine, kappa) >= 0.4 * h
+        ok &= min_metric_distance(ring, fine, kappa) >= 0.4 * h
         chunks.append(ring[ok])
         i += 1
     chunks.append(far_nodes)

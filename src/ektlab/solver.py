@@ -23,21 +23,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Callable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import LinearNDInterpolator
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .spaces import (BasePoint, GeometryError, SpaceParams, build_triangle,
-                     conformal_factor_xy)
+from .graphs import graph_gradient
+from .spaces import (BasePoint, SpaceParams, build_triangle,
+                     conformal_factor_xy, min_metric_distance)
 from .mesh import TriangulatedDomain, triangulate
 
 __all__ = [
     "SolverError", "NuField", "GraphSolution", "NuCluster",
-    "solve_dirichlet", "solve_jenkins_serrin", "graph_energy",
+    "solve_dirichlet", "solve_jenkins_serrin",
     "distance_d", "distance_d_single", "rho_estimate", "rho_estimate_single",
+    "richardson_extrapolate",
     "boundary_theta_prime", "critical_points_of_nu",
     "solution_csv_lines", "solution_report_dict",
 ]
@@ -85,18 +88,10 @@ class GraphSolution:
             self._nodal_grad = acc / wt[:, None]
         return self._nodal_grad
 
-    def tilted_gradient(self) -> np.ndarray:
-        """Nodal (alpha, beta) including the tau shear terms."""
+    def nu(self) -> NuField:
         g = self.nodal_gradient()
         x, y = self.domain.nodes.T
-        lam = 1.0 / (1.0 + self.params.kappa * (x * x + y * y) / 4.0)
-        alpha = g[:, 0] / lam + self.params.tau * y
-        beta = g[:, 1] / lam - self.params.tau * x
-        return np.column_stack([alpha, beta])
-
-    def nu(self) -> NuField:
-        ab = self.tilted_gradient()
-        w = np.sqrt(1.0 + ab[:, 0] ** 2 + ab[:, 1] ** 2)
+        _, _, w = graph_gradient(x, y, g[:, 0], g[:, 1], self.params)
         return NuField(values=1.0 / w, domain=self.domain)
 
 
@@ -126,8 +121,7 @@ class _Assembly:
         for i in range(3):
             q[:, i] = (p[:, i] + p[:, (i + 1) % 3]) / 2.0
         self.qpts = q
-        r2 = q[:, :, 0] ** 2 + q[:, :, 1] ** 2
-        self.lam = 1.0 / (1.0 + params.kappa * r2 / 4.0)
+        self.lam = conformal_factor_xy(q[:, :, 0], q[:, :, 1], params.kappa)
         self.elems = elems
         self.n = domain.n_nodes
         self.rows = np.repeat(elems, 3, axis=1).ravel()
@@ -183,12 +177,6 @@ class _Assembly:
         mat = sp.coo_matrix((h.ravel(), (self.rows, self.cols)),
                             shape=(self.n, self.n))
         return mat.tocsc()
-
-
-def graph_energy(domain: TriangulatedDomain, u: np.ndarray,
-                 params: Optional[SpaceParams] = None) -> float:
-    """Area of the graph z = u over the meshed domain."""
-    return _Assembly(domain, params or domain.params).energy(np.asarray(u, float))
 
 
 def _newton(asm: _Assembly, u0: np.ndarray, fixed: np.ndarray,
@@ -271,12 +259,11 @@ def solve_dirichlet(domain: TriangulatedDomain,
 
 
 def _distance_to_tag(domain: TriangulatedDomain, tag: str) -> np.ndarray:
-    from .mesh import _pairwise_metric_dist
     ref_idx = domain.nodes_with_tag(tag)
     if ref_idx.size == 0:
         raise SolverError(f"no nodes tagged {tag}")
-    return _pairwise_metric_dist(domain.nodes, domain.nodes[ref_idx],
-                                 domain.triangle.kappa)
+    return min_metric_distance(domain.nodes, domain.nodes[ref_idx],
+                               domain.triangle.kappa)
 
 
 def solve_jenkins_serrin(a: float, b: float, k: int, H: float,
@@ -358,7 +345,7 @@ def _ray_profile(sol: GraphSolution, tag: str):
         return rads, nodal_nu
     asm = _Assembly(dom, sol.params)
     _, g = asm.energy_grad(np.asarray(sol.u, dtype=float))
-    lam = conformal_factor_xy(dom.nodes[:, 0], dom.nodes[:, 1], sol.params)
+    lam = conformal_factor_xy(dom.nodes[:, 0], dom.nodes[:, 1], sol.params.kappa)
     # hat-function boundary mass in the chart measure; the lambda weight of
     # the flux integrand is pulled out at the node itself
     weight = np.zeros(dom.n_nodes)
@@ -398,7 +385,8 @@ def rho_estimate_single(sol: GraphSolution) -> float:
     return float(np.trapezoid(nu, rads))
 
 
-def _extrapolate(vals: Sequence[float]) -> float:
+def richardson_extrapolate(vals: Sequence[float]) -> float:
+    """Limit estimate from per-M values over an increasing M schedule."""
     # Richardson step from the last two truncation levels: assuming the
     # M-truncation error roughly halves per doubling, the limit sits one
     # increment beyond the final value.
@@ -413,13 +401,13 @@ def distance_d(solutions: Sequence[GraphSolution]) -> float:
     increasing M schedule (last two truncation levels)."""
     if not solutions:
         raise SolverError("empty solution sequence")
-    return _extrapolate([distance_d_single(s) for s in solutions])
+    return richardson_extrapolate([distance_d_single(s) for s in solutions])
 
 
 def rho_estimate(solutions: Sequence[GraphSolution]) -> float:
     if not solutions:
         raise SolverError("empty solution sequence")
-    return _extrapolate([rho_estimate_single(s) for s in solutions])
+    return richardson_extrapolate([rho_estimate_single(s) for s in solutions])
 
 
 def boundary_theta_prime(sol: GraphSolution, vertex: str = "p2",
@@ -463,7 +451,7 @@ def boundary_theta_prime(sol: GraphSolution, vertex: str = "p2",
     a0 = math.atan2(d0[1], d0[0])
     a1 = math.atan2(d1[1], d1[0])
     a1 = a0 + ((a1 - a0 + math.pi) % (2.0 * math.pi) - math.pi)
-    lam_v = 1.0 / (1.0 + tri.kappa * (v @ v) / 4.0)
+    lam_v = float(conformal_factor_xy(v[0], v[1], tri.kappa))
     rad_metric = h * np.arange(4.0, 12.5, 1.0)
     rad_chart = rad_metric / lam_v
     interp_u = LinearNDInterpolator(dom.nodes, sol.u)
@@ -515,9 +503,10 @@ def critical_points_of_nu(sol: GraphSolution, tol_factor: float = 5.0,
                           ) -> List[NuCluster]:
     """Clusters of near-vertical-normal nodes (1 - nu < tol_factor * h).
 
-    Connected flagged nodes merge into one cluster (union-find over mesh
-    edges).  The orbit size counts the cluster's images in the reflected
-    domain: 1 at p0, k on a mirror ray, 2k in the open fundamental wedge.
+    Connected flagged nodes merge into one cluster (connected components
+    of the mesh edges between flagged nodes).  The orbit size counts the
+    cluster's images in the reflected domain: 1 at p0, k on a mirror ray,
+    2k in the open fundamental wedge.
     nu_values overrides the recovered field (synthetic clustering tests).
     """
     dom = sol.domain
@@ -526,39 +515,26 @@ def critical_points_of_nu(sol: GraphSolution, tol_factor: float = 5.0,
     flagged = np.nonzero(1.0 - nu < tol_factor * h)[0]
     if flagged.size == 0:
         return []
-    fset = {int(i): int(i) for i in flagged}
-
-    def find(i):
-        while fset[i] != i:
-            fset[i] = fset[fset[i]]
-            i = fset[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            fset[ri] = rj
-
-    e = dom.elements
-    for pair in ((0, 1), (1, 2), (2, 0)):
-        aa, bb = e[:, pair[0]], e[:, pair[1]]
-        both = np.isin(aa, flagged) & np.isin(bb, flagged)
-        for i, j in zip(aa[both], bb[both]):
-            union(int(i), int(j))
-
-    groups: Dict[int, List[int]] = {}
-    for i in flagged:
-        groups.setdefault(find(int(i)), []).append(int(i))
+    pos = np.full(dom.n_nodes, -1)
+    pos[flagged] = np.arange(flagged.size)
+    e = pos[dom.elements]
+    edges = np.vstack([e[:, [0, 1]], e[:, [1, 2]], e[:, [2, 0]]])
+    edges = edges[(edges >= 0).all(axis=1)]
+    adj = sp.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                        shape=(flagged.size, flagged.size))
+    # labels follow each component's smallest node, so clusters keep the
+    # node order
+    n_comp, labels = connected_components(adj, directed=False)
     k = dom.triangle.k
     wedge = math.pi / k
     out = []
-    for members in groups.values():
-        members = np.array(members)
+    for c in range(n_comp):
+        members = flagged[labels == c]
         best = members[np.argmax(nu[members])]
         x, y = dom.nodes[best]
         rads = dom.node_metric_radius[members]
         nx, ny = dom.nodes[members].T
-        lam = 1.0 / (1.0 + dom.triangle.kappa * (nx * nx + ny * ny) / 4.0)
+        lam = conformal_factor_xy(nx, ny, dom.triangle.kappa)
         d_ray0 = lam * np.abs(ny)
         d_rayk = lam * np.abs(nx * math.sin(wedge) - ny * math.cos(wedge))
         if rads.min() < 2.0 * h:

@@ -34,8 +34,10 @@ __all__ = [
     "law_of_cosines",
     "build_triangle",
     "interior_angle_at_p2",
+    "interior_angle_threshold_b",
     "chart_radius",
     "metric_radius",
+    "min_metric_distance",
     "chart_distance",
 ]
 
@@ -72,16 +74,6 @@ class SpaceParams:
         """Space E(4H^2-1, H) paired with H-surfaces in H2xR."""
         return cls(kappa=4.0 * h * h - 1.0, tau=h, h_partner=h)
 
-    @property
-    def delta(self) -> float:
-        """sqrt(-kappa) for a hyperbolic base; 0 when kappa = 0."""
-        return math.sqrt(-self.kappa) if self.kappa < 0 else 0.0
-
-    @property
-    def disk_radius(self) -> float:
-        """Chart radius of the base disk (infinite for kappa = 0)."""
-        return 2.0 / self.delta if self.kappa < 0 else math.inf
-
 
 @dataclass(frozen=True)
 class BasePoint:
@@ -112,25 +104,20 @@ class FrameVector:
         return math.sqrt(self.c1 * self.c1 + self.c2 * self.c2 + self.c3 * self.c3)
 
 
-def _check_in_disk(x, y, params: SpaceParams) -> None:
-    if params.kappa == 0.0:
-        return
-    denom = 1.0 + params.kappa * (np.asarray(x) ** 2 + np.asarray(y) ** 2) / 4.0
-    if np.any(denom <= 0.0):
-        raise GeometryError("point outside the model disk (conformal factor <= 0)")
-
-
 def conformal_factor(p: BasePoint, params: SpaceParams) -> float:
     """Conformal factor lambda at a base point; rejects points off the disk."""
-    _check_in_disk(p.x, p.y, params)
-    return 1.0 / (1.0 + params.kappa * (p.x * p.x + p.y * p.y) / 4.0)
+    with np.errstate(divide="ignore"):
+        lam = float(conformal_factor_xy(p.x, p.y, params.kappa))
+    if lam <= 0.0 or math.isinf(lam):
+        raise GeometryError("point outside the model disk (conformal factor <= 0)")
+    return lam
 
 
-def conformal_factor_xy(x, y, params: SpaceParams):
+def conformal_factor_xy(x, y, kappa: float):
     """Vectorized lambda over coordinate arrays (no domain check)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return 1.0 / (1.0 + params.kappa * (x * x + y * y) / 4.0)
+    return 1.0 / (1.0 + kappa * (x * x + y * y) / 4.0)
 
 
 def frame_components(dx: float, dy: float, dz: float, at: SpacePoint,
@@ -162,25 +149,42 @@ def chart_radius(distance: float, kappa: float) -> float:
     return (2.0 / delta) * math.tanh(distance * delta / 2.0)
 
 
-def metric_radius(r: float, kappa: float) -> float:
-    """Inverse of chart_radius: metric distance from the origin."""
+def metric_radius(r, kappa: float):
+    """Inverse of chart_radius: metric distance from the origin (vectorized).
+
+    Chart radii at or past the ideal circle clip to a large finite distance.
+    """
+    r = np.asarray(r, dtype=float)
     if kappa == 0.0:
-        return r
+        return r.copy()
     delta = math.sqrt(-kappa)
-    return (2.0 / delta) * math.atanh(r * delta / 2.0)
+    return (2.0 / delta) * np.arctanh(np.clip(r * delta / 2.0, 0.0, 1.0 - 1e-16))
+
+
+def min_metric_distance(pts: np.ndarray, ref: np.ndarray, kappa: float) -> np.ndarray:
+    """Metric distance from each chart point of pts (n, 2) to the nearest
+    point of ref (m, 2) in M2(kappa), kappa <= 0.
+
+    Builds the full n x m table.  Pairs at or past the ideal circle clip to
+    a large finite distance.
+    """
+    pts = np.asarray(pts, dtype=float)
+    ref = np.asarray(ref, dtype=float)
+    if kappa == 0.0:
+        d2 = ((pts[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
+        return np.sqrt(d2.min(axis=1))
+    delta = math.sqrt(-kappa)
+    z = (pts[:, 0] + 1j * pts[:, 1]) * delta / 2.0
+    w = (ref[:, 0] + 1j * ref[:, 1]) * delta / 2.0
+    num = np.abs(z[:, None] - w[None, :])
+    den = np.abs(1.0 - np.conj(z[:, None]) * w[None, :])
+    t = np.clip(num / den, 0.0, 1.0 - 1e-16)
+    return (2.0 / delta) * np.arctanh(t).min(axis=1)
 
 
 def chart_distance(p: BasePoint, q: BasePoint, kappa: float) -> float:
     """Metric distance between two chart points of M2(kappa), kappa <= 0."""
-    if kappa == 0.0:
-        return math.hypot(p.x - q.x, p.y - q.y)
-    delta = math.sqrt(-kappa)
-    w1 = complex(p.x, p.y) * delta / 2.0
-    w2 = complex(q.x, q.y) * delta / 2.0
-    t = abs((w1 - w2) / (1.0 - w1.conjugate() * w2))
-    if t >= 1.0:
-        return math.inf
-    return (2.0 / delta) * math.atanh(t)
+    return float(min_metric_distance([[p.x, p.y]], [[q.x, q.y]], kappa)[0])
 
 
 # -- geodesic triangles -------------------------------------------------------
@@ -292,3 +296,12 @@ def interior_angle_at_p2(b: float, k: int, kappa: float,
     if not (0.0 < beta < math.pi):
         raise GeometryError("geometric inconsistency: angle outside (0, pi)")
     return beta
+
+
+def interior_angle_threshold_b(k: int, H: float) -> float:
+    """The b value where the p2 interior angle of T_{inf,b} in
+    M2(4H^2 - 1) reaches pi/2."""
+    if not 0.0 <= H < 0.5:
+        raise GeometryError("threshold needs H in [0, 1/2)")
+    delta = math.sqrt(1.0 - 4.0 * H * H)
+    return math.acosh(1.0 / math.sin(math.pi / k)) / delta

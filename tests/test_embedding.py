@@ -73,6 +73,20 @@ def test_single_cover_has_no_multiplicity_two_area():
     assert multiplicity_two_area(pieces, grid=512) == 0.0
 
 
+def test_near_parallel_pairs_are_uncertain_with_finite_parameters():
+    # collinear pieces meeting end to end across a 5e-9 gap
+    rep = self_intersections([np.array([[0.0, 0.0], [0.05, 0.0]]),
+                              np.array([[0.05 + 5e-9, 0.0], [0.1 + 5e-9, 0.0]])])
+    assert rep.crossings == 0
+    assert len(rep.uncertain) == 1
+    assert rep.uncertain[0] == pytest.approx((0.05, 1.05))
+    # parallel pieces overlapping 1e-10 apart
+    rep = self_intersections([np.array([[0.0, 0.0], [0.1, 0.0]]),
+                              np.array([[0.05, 1e-10], [0.15, 1e-10]])])
+    assert rep.crossings == 0
+    assert rep.uncertain == [pytest.approx((0.05, 1.1))]
+
+
 @pytest.mark.parametrize("mu,embedded,crossings", [(-3.0, True, 0),
                                                    (3.0, False, 2)])
 def test_critical_catenoid_domain_verdicts(mu, embedded, crossings):
@@ -124,6 +138,19 @@ def test_report_json_dict_fields():
     d = report_json_dict(rep, total_turning=1.25)
     assert d == {"embedded": True, "crossings": 0,
                  "multiplicity_2_area": 0.0, "total_turning": 1.25}
+
+
+def test_svg_fill_marks_the_covered_twice_disk(tmp_path):
+    double = np.linspace(0.0, 4.0 * math.pi, 4001)
+    single = np.linspace(0.0, 2.0 * math.pi, 2001)
+    cells = []
+    for t in (double, single):
+        path = tmp_path / "fill.svg"
+        write_domain_svg(str(path), [np.column_stack([0.4 * np.cos(t), 0.4 * np.sin(t)])],
+                         {}, fill_grid=256)
+        cells.append(path.read_text().count('fill="#b0b0b0"'))
+    assert cells[0] * (2.0 / 256) ** 2 == pytest.approx(math.pi * 0.4 ** 2, rel=0.02)
+    assert cells[1] == 0
 
 
 def test_svg_writers_are_deterministic(tmp_path):

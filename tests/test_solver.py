@@ -200,6 +200,18 @@ def test_uniform_nu_clusters_to_single_orbit(dual_sign_solves):
     assert clusters[0].nu_max == 1.0
 
 
+def test_separate_flagged_patches_form_separate_clusters(dual_sign_solves):
+    sol = dual_sign_solves[0][-1]
+    nodes = sol.domain.nodes
+    near_p0 = np.hypot(*nodes.T) < 0.12
+    inner = np.hypot(*(nodes - [0.3, 0.3]).T) < 0.12
+    nu = np.where(near_p0 | inner, 1.0, 0.0)
+    clusters = critical_points_of_nu(sol, nu_values=nu)
+    assert len(clusters) == 2
+    assert [c.n_nodes for c in clusters] == [int(near_p0.sum()), int(inner.sum())]
+    assert [c.orbit_size for c in clusters] == [1, 4]  # p0; open wedge, 2k
+
+
 def test_max_nu_sits_at_origin(dual_sign_solves):
     sol = dual_sign_solves[0][-1]
     nu = sol.nu().values

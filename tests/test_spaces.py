@@ -42,7 +42,7 @@ def test_conformal_factor_rejects_points_off_the_disk():
 def test_conformal_factor_xy_vectorizes():
     x = np.array([0.0, 0.5, 1.0])
     y = np.zeros(3)
-    lam = conformal_factor_xy(x, y, H2R)
+    lam = conformal_factor_xy(x, y, H2R.kappa)
     assert lam.shape == (3,)
     assert np.allclose(lam, 1.0 / (1.0 - x**2 / 4.0))
 
