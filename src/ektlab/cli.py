@@ -34,7 +34,7 @@ from .helicoid import (QuadratureError, c_of_mu, first_integral_residual,
                        invert_profile, minimality_residual, model_height,
                        profile_csv_lines, residual_grid, sigma, t_mu)
 from .solver import (SolverError, boundary_theta_prime, distance_d,
-                     distance_d_single, rho_estimate, richardson_extrapolate,
+                     distance_d_single, richardson_extrapolate,
                      solution_csv_lines, solution_report_dict,
                      solve_jenkins_serrin)
 from .spaces import GeometryError, interior_angle_threshold_b
@@ -242,10 +242,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                                 list(args.M), args.target_h,
                                 R_trunc=r_trunc, m_sign=args.m_sign)
     last = sols[-1]
-    report = solution_report_dict(last)
-    # sequence-level Richardson estimates supersede the single-M integrals
-    report["d_estimate"] = distance_d(sols)
-    report["rho_estimate"] = rho_estimate(sols)
+    report = solution_report_dict(sols)
     out = _prepare_out(args.out)
     stem = os.path.join(
         out, f"solution_a{_fmt_side(args.a)}_b{_fmt_side(args.b_side)}"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.sparse.csgraph import connected_components
@@ -29,7 +29,6 @@ __all__ = [
     "HeightProfile",
     "AssembledBoundary",
     "integrate_prescribed_curvature",
-    "integrate_prescribed_curvature_batch",
     "kg_critical",
     "conjugate_vertical_boundary",
     "conjugate_horizontal_profile",
@@ -110,47 +109,50 @@ def curve_csv_lines(curve: PlanarCurve) -> List[str]:
     return head + rows
 
 
-def _frenet_rhs(state: np.ndarray, kg: np.ndarray) -> np.ndarray:
-    x, y, phi = state[..., 0], state[..., 1], state[..., 2]
-    fac = 0.5 * (1.0 - x * x - y * y)
-    return np.stack([fac * np.cos(phi), fac * np.sin(phi),
-                     kg - x * np.sin(phi) + y * np.cos(phi)], axis=-1)
-
-
 def _march(kg_fn, s0: float, s_end: float, state0, step: float,
            eps_ideal: float, s_cap: float):
-    """Heun march from s0 toward s_end (may be +-inf); returns sample lists."""
+    """Heun march from s0 toward s_end (may be +-inf); returns sample lists.
+
+    kg is called once per step: its value at the new s is the corrector's
+    k2, the new sample's kg and the next step's k1.
+    """
     direction = 1.0 if s_end >= s0 else -1.0
     h = direction * step
     if abs(h) < 1e-14:
         raise GeometryError("integration step underflow")
     span_cap = s_cap if math.isinf(s_end) else abs(s_end - s0)
     n_max = int(math.ceil(span_cap / step)) + 1
+    s = s0
+    x, y, phi = (float(v) for v in state0)
+    k1 = float(kg_fn(s0))
     out_s = [s0]
-    out_state = [np.asarray(state0, dtype=float)]
-    out_kg = [float(kg_fn(s0))]
+    out_state = [(x, y, phi)]
+    out_kg = [k1]
     reason = None
-    s, state = s0, np.asarray(state0, dtype=float)
-    for i in range(n_max):
+    for _ in range(n_max):
         remaining = abs(s_end - s)
         hh = h if math.isinf(s_end) or remaining > step else direction * remaining
         if abs(hh) < 1e-15:
             break
-        k1 = float(kg_fn(s))
-        f1 = _frenet_rhs(state, k1)
-        pred = state + hh * f1
+        cos1, sin1 = math.cos(phi), math.sin(phi)
+        fac = 0.5 * (1.0 - x * x - y * y)
+        fx1, fy1, fphi1 = fac * cos1, fac * sin1, k1 - x * sin1 + y * cos1
+        px, py, pphi = x + hh * fx1, y + hh * fy1, phi + hh * fphi1
         k2 = float(kg_fn(s + hh))
-        f2 = _frenet_rhs(pred, k2)
-        new = state + 0.5 * hh * (f1 + f2)
-        r = math.hypot(new[0], new[1])
+        cos2, sin2 = math.cos(pphi), math.sin(pphi)
+        fac = 0.5 * (1.0 - px * px - py * py)
+        half = 0.5 * hh
+        nx = x + half * (fx1 + fac * cos2)
+        ny = y + half * (fy1 + fac * sin2)
+        nphi = phi + half * (fphi1 + (k2 - px * sin2 + py * cos2))
+        r = math.hypot(nx, ny)
         if r >= 1.0:
             reason = "left disk numerically"
             break
-        s = s + hh
-        state = new
+        s, x, y, phi, k1 = s + hh, nx, ny, nphi, k2
         out_s.append(s)
-        out_state.append(state)
-        out_kg.append(float(kg_fn(s)))
+        out_state.append((x, y, phi))
+        out_kg.append(k1)
         if 1.0 - r < eps_ideal:
             reason = "ideal boundary"
             break
@@ -188,76 +190,15 @@ def integrate_prescribed_curvature(kg: Callable[[float], float],
             raise GeometryError("anchor the initial data at a finite s")
         back = _march(kg, anchor, -math.inf, state0, step, eps_ideal, s_cap)
         fwd = _march(kg, anchor, math.inf, state0, step, eps_ideal, s_cap)
-        s = np.concatenate([np.array(back[0][::-1]), np.array(fwd[0][1:])])
-        st = np.vstack([np.array(back[1][::-1]), np.array(fwd[1][1:])])
-        kgv = np.concatenate([np.array(back[2][::-1]), np.array(fwd[2][1:])])
+        out_s, out_state, out_kg = (b[::-1] + f[1:]
+                                    for b, f in zip(back[:3], fwd[:3]))
         reason = back[3] or fwd[3]
     else:
         out_s, out_state, out_kg, reason = _march(kg, s0, s1, state0, step,
                                                   eps_ideal, s_cap)
-        s = np.array(out_s)
-        st = np.vstack(out_state)
-        kgv = np.array(out_kg)
-    return PlanarCurve(s=s, x=st[:, 0], y=st[:, 1], phi=st[:, 2],
-                       kg_samples=kgv, truncated_reason=reason)
-
-
-def integrate_prescribed_curvature_batch(kg_batch: Callable[[float], np.ndarray],
-                                         s_span: float,
-                                         init_points: np.ndarray,
-                                         init_angles: np.ndarray,
-                                         step: float = 2e-3,
-                                         eps_ideal: float = _EPS_IDEAL) -> List[PlanarCurve]:
-    """March many curves at once over s in [-s_span, s_span].
-
-    kg_batch(s) returns the curvature of every curve at parameter s.  Curves
-    freeze in place once they reach boundary proximity; each returned curve
-    is trimmed to its active range.  Used for randomized property sweeps
-    where per-curve Python loops would dominate.
-    """
-    init_points = np.asarray(init_points, dtype=float)
-    n = init_points.shape[0]
-    halves = []
-    for direction in (1.0, -1.0):
-        n_steps = int(math.ceil(s_span / step))
-        states = np.column_stack([init_points, np.asarray(init_angles, dtype=float)])
-        traj = np.empty((n_steps + 1, n, 3))
-        kgs = np.empty((n_steps + 1, n))
-        traj[0] = states
-        kgs[0] = kg_batch(0.0)
-        active = np.ones(n, dtype=bool)
-        stop_idx = np.full(n, n_steps, dtype=int)
-        s = 0.0
-        for i in range(n_steps):
-            hh = direction * step
-            k1 = kg_batch(s)
-            f1 = _frenet_rhs(states, k1)
-            pred = states + hh * f1
-            k2 = kg_batch(s + hh)
-            f2 = _frenet_rhs(pred, k2)
-            new = np.where(active[:, None], states + 0.5 * hh * (f1 + f2), states)
-            r2 = new[:, 0] ** 2 + new[:, 1] ** 2
-            done = active & (1.0 - np.sqrt(r2) < eps_ideal)
-            stop_idx[done] = np.minimum(stop_idx[done], i + 1)
-            active &= ~done
-            states = new
-            s += hh
-            traj[i + 1] = states
-            kgs[i + 1] = k2
-        halves.append((traj, kgs, stop_idx))
-    curves = []
-    svals = step * np.arange(halves[0][0].shape[0])
-    for j in range(n):
-        fw_traj, fw_kg, fw_stop = halves[0]
-        bw_traj, bw_kg, bw_stop = halves[1]
-        nf, nb = fw_stop[j] + 1, bw_stop[j] + 1
-        s_arr = np.concatenate([-svals[1:nb][::-1], svals[:nf]])
-        st = np.vstack([bw_traj[1:nb, j][::-1], fw_traj[:nf, j]])
-        kgv = np.concatenate([bw_kg[1:nb, j][::-1], fw_kg[:nf, j]])
-        curves.append(PlanarCurve(s=s_arr, x=st[:, 0], y=st[:, 1], phi=st[:, 2],
-                                  kg_samples=kgv,
-                                  truncated_reason="ideal boundary"))
-    return curves
+    st = np.array(out_state)
+    return PlanarCurve(s=np.array(out_s), x=st[:, 0], y=st[:, 1], phi=st[:, 2],
+                       kg_samples=np.array(out_kg), truncated_reason=reason)
 
 
 def kg_critical(s, mu: float):

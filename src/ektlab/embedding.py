@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _EPS_GEOM = 1e-9
+_PAIR_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -126,13 +127,17 @@ def self_intersections(obj: Union[PlanarCurve, AssembledBoundary, Sequence[np.nd
     # slack keeps the near-parallel end-to-end pairs read by the gap test
     pairs = cKDTree((A + B) / 2.0).query_pairs(r=max_len + 10 * eps_geom,
                                                output_type="ndarray")
-    pi_, pj_ = pairs[:, 0], pairs[:, 1]
+    first, second = pairs[:, 0], pairs[:, 1]
     # drop self pairs and chain neighbors within the same piece
-    keep = ~((piece_id[pi_] == piece_id[pj_]) & (np.abs(seg_idx[pi_] - seg_idx[pj_]) <= 1))
-    pi_, pj_ = pi_[keep], pj_[keep]
+    keep = ~((piece_id[first] == piece_id[second])
+             & (np.abs(seg_idx[first] - seg_idx[second]) <= 1))
+    first, second = first[keep], second[keep]
     crossings = []
     uncertain = []
-    if pi_.size:
+    # fixed-size slices of the pair list bound the sweep's temporaries
+    for start in range(0, first.size, _PAIR_CHUNK):
+        pi_ = first[start:start + _PAIR_CHUNK]
+        pj_ = second[start:start + _PAIR_CHUNK]
         a1, d1 = A[pi_], d[pi_]
         a2, d2 = A[pj_], d[pj_]
         denom = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
@@ -349,20 +354,12 @@ def write_domain_svg(path: str, pieces: Sequence[np.ndarray], params: dict,
     The full parameter set is embedded as a comment header; output is
     deterministic for fixed inputs.
     """
-    header = " ".join(f"{k}={params[k]!r}" for k in sorted(params))
-    out = ['<?xml version="1.0" encoding="UTF-8"?>',
-           f"<!-- params: {header} -->",
-           f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-           f'viewBox="0 0 {size} {size}">',
-           f'<rect width="{size}" height="{size}" fill="white"/>']
-    out.extend(_panel_markup(pieces, size, fill_grid, 0.0))
-    out.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out) + "\n")
+    write_domain_panels_svg(path, [(None, pieces)], params, size, fill_grid)
 
 
 def write_domain_panels_svg(path: str,
-                            panels: Sequence[Tuple[str, Sequence[np.ndarray]]],
+                            panels: Sequence[Tuple[Optional[str],
+                                                   Sequence[np.ndarray]]],
                             params: dict, size: int = 720,
                             fill_grid: int = 256) -> None:
     """Side-by-side disk panels (label, pieces) in one deterministic SVG."""

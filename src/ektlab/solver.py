@@ -357,7 +357,7 @@ def _ray_profile(sol: GraphSolution, tag: str):
     # (data jump M over one element); fall back to nodal values there
     try:
         far = _distance_to_tag(dom, "side_p1p2")[idx]
-    except Exception:
+    except SolverError:
         far = np.full(len(idx), np.inf)
     buffer = 8.0 * dom.target_h
     nu = np.empty(len(idx))
@@ -576,7 +576,9 @@ def _side_repr(v: float):
     return "inf" if math.isinf(v) else repr(float(v))
 
 
-def solution_report_dict(sol: GraphSolution) -> dict:
+def solution_report_dict(solutions: Sequence[GraphSolution]) -> dict:
+    """Report of the last solve with the d and rho estimates of the sweep."""
+    sol = solutions[-1]
     tri = sol.domain.triangle
     return {
         "a": "inf" if tri.a_infinite else float(tri.a),
@@ -586,7 +588,7 @@ def solution_report_dict(sol: GraphSolution) -> dict:
         "M": None if sol.M is None else float(sol.M),
         "residual_norm": float(sol.residual_norm),
         "newton_iters": int(sol.newton_iters),
-        "d_estimate": distance_d_single(sol),
-        "rho_estimate": rho_estimate_single(sol),
+        "d_estimate": distance_d(solutions),
+        "rho_estimate": rho_estimate(solutions),
         "cauchy_indicator": sol.cauchy_indicator,
     }

@@ -11,8 +11,7 @@ import pytest
 from ektlab.curves import (assemble_domain, conjugate_horizontal_profile,
                            conjugate_vertical_boundary, curve_csv_lines,
                            disk_distance, distance_to_geodesic_diameter,
-                           integrate_prescribed_curvature,
-                           integrate_prescribed_curvature_batch, kg_critical)
+                           integrate_prescribed_curvature, kg_critical)
 from ektlab.spaces import GeometryError
 
 
@@ -105,22 +104,29 @@ def test_bad_integrator_input_is_rejected():
                                        step=0.0)
 
 
-def test_batch_matches_single_integration():
-    kgs = np.array([0.0, 1.0, circle_kg(1.0)])
-    inits = np.array([[0.0, 0.0], [0.0, 0.0], [math.tanh(0.5), 0.0]])
-    angles = np.array([0.0, 0.0, math.pi / 2.0])
-    batch = integrate_prescribed_curvature_batch(
-        lambda s: kgs, 1.2, inits, angles, step=1e-3)
-    assert len(batch) == 3
-    for kg, init, ang, got in zip(kgs, inits, angles, batch):
-        ref = integrate_prescribed_curvature(lambda s, kg=kg: float(kg),
-                                             (0.0, 1.2), tuple(init), ang,
-                                             step=1e-3)
-        # compare the forward endpoints at matching arclength
-        s_match = min(got.s[-1], ref.s[-1])
-        ig = int(np.argmin(np.abs(got.s - s_match)))
-        ir = int(np.argmin(np.abs(ref.s - s_match)))
-        assert math.hypot(got.x[ig] - ref.x[ir], got.y[ig] - ref.y[ir]) < 1e-9
+def test_kg_is_called_once_per_sample():
+    calls = []
+
+    def kg(s):
+        calls.append(s)
+        return 1.0 + s
+
+    c = integrate_prescribed_curvature(kg, (0.0, 1.0), (0.0, 0.0), 0.0,
+                                       step=0.1)
+    assert len(c.s) == 11
+    assert len(calls) == len(c.s)
+    assert c.kg_samples.tolist() == [1.0 + s for s in c.s.tolist()]
+
+
+def test_a_step_past_the_ideal_circle_stops_the_march():
+    # a unit hyperbolic step near the ideal circle overshoots it long before
+    # 1 - |p| falls below a vanishing eps_ideal
+    c = integrate_prescribed_curvature(lambda s: 0.0, (0.0, math.inf),
+                                       (0.0, 0.0), 0.0, step=1.0,
+                                       eps_ideal=1e-300)
+    assert c.truncated_reason == "left disk numerically"
+    assert len(c.s) > 2
+    assert np.all(np.hypot(c.x, c.y) < 1.0)
 
 
 def test_kg_critical_matches_one_minus_theta_prime():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ektlab import helicoid as hc
+from ektlab import solver
 from ektlab.mesh import build_triangle, triangulate
 from ektlab.solver import (
     SolverError,
@@ -12,6 +13,7 @@ from ektlab.solver import (
     boundary_theta_prime,
     critical_points_of_nu,
     distance_d,
+    distance_d_single,
     rho_estimate,
     solution_csv_lines,
     solution_report_dict,
@@ -242,7 +244,7 @@ def test_cauchy_indicator_region(strip_solves):
 
 def test_report_dict_and_csv_schema(dual_sign_solves):
     sol = dual_sign_solves[0][-1]
-    rep = solution_report_dict(sol)
+    rep = solution_report_dict([sol])
     assert set(rep) == {"a", "b", "k", "H", "M", "residual_norm",
                         "newton_iters", "d_estimate", "rho_estimate",
                         "cauchy_indicator"}
@@ -256,6 +258,19 @@ def test_report_dict_and_csv_schema(dual_sign_solves):
     x, y, u, nu, tag = body[0].split(",")
     float(x), float(y), float(u), float(nu)
     assert tag in ("", "side_p0p1", "side_p0p2", "side_p1p2", "truncation")
+
+
+def test_far_side_failure_is_not_hidden(dual_sign_solves, monkeypatch):
+    # only a missing far-side tag falls back to nodal nu; any other failure
+    # of the far-side distance must surface instead of changing d
+    sol = dual_sign_solves[0][-1]
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("dense distance table")
+
+    monkeypatch.setattr(solver, "min_metric_distance", out_of_memory)
+    with pytest.raises(MemoryError):
+        distance_d_single(sol)
 
 
 def test_solve_input_validation():
