@@ -391,7 +391,7 @@ def critical_catenoid_domain(mu: float, k: int = 2, step: float = 5e-4,
     Returns (curve, assembled, report).
     """
     from .curves import conjugate_vertical_boundary, assemble_domain
-    from .helicoid import theta_prime, vertex_base_distance
+    from .helicoid import theta_prime_fn, vertex_base_distance
 
     d0 = vertex_base_distance(mu)
     r0 = math.tanh(d0 / 2.0)
@@ -399,7 +399,7 @@ def critical_catenoid_domain(mu: float, k: int = 2, step: float = 5e-4,
     # theta' is even in s and the initial tangent is vertical, so the s<0
     # half of the fiber is the x-axis mirror of the s>0 half; the dihedral
     # tiling below restores it
-    curve = conjugate_vertical_boundary(lambda s: float(theta_prime(s, mu)),
+    curve = conjugate_vertical_boundary(theta_prime_fn(mu),
                                         0.5, (0.0, math.inf),
                                         ((r0, 0.0), phi0),
                                         step=step, s_cap=s_cap)

@@ -24,7 +24,7 @@ import contextlib
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -46,6 +46,7 @@ __all__ = [
     "angle_function",
     "sigma",
     "theta_prime",
+    "theta_prime_fn",
     "model_height",
     "model_angle_function",
     "vertex_base_distance",
@@ -354,13 +355,18 @@ def sigma(mu: float) -> float:
     return (1.0 + 2.0 * mu) ** 2 / (4.0 * mu)
 
 
-def theta_prime(s, mu: float):
-    """Normal rotation speed -sigma/(1 + sigma^2 s^2) along the vertex fiber."""
+def theta_prime_fn(mu: float) -> Callable[[float], float]:
+    """s -> theta_prime(s, mu) with the mu check and sigma done once; plain
+    floats in, plain floats out (the Frenet march calls it per step)."""
     if abs(mu) <= 0.5:
         raise GeometryError("theta_prime needs |mu| > 1/2 (no vertical fiber otherwise)")
     sg = sigma(mu)
-    s = np.asarray(s, dtype=float)
-    out = -sg / (1.0 + sg * sg * s * s)
+    return lambda s: -sg / (1.0 + sg * sg * s * s)
+
+
+def theta_prime(s, mu: float):
+    """Normal rotation speed -sigma/(1 + sigma^2 s^2) along the vertex fiber."""
+    out = theta_prime_fn(mu)(np.asarray(s, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 from scipy.spatial import Delaunay
@@ -43,6 +43,8 @@ class TriangulatedDomain:
     target_h: float
     r_trunc: Optional[float] = None
     node_metric_radius: np.ndarray = field(default=None, repr=False)
+    _cache: Dict[str, np.ndarray] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         if self.node_metric_radius is None:
@@ -58,13 +60,29 @@ class TriangulatedDomain:
                        dtype=int)
         return idx
 
+    def cached(self, key: str, compute: Callable[[], np.ndarray]) -> np.ndarray:
+        """compute() once per key for this mesh, handed out read-only."""
+        if key not in self._cache:
+            value = compute()
+            value.setflags(write=False)
+            self._cache[key] = value
+        return self._cache[key]
+
     def boundary_edges(self) -> np.ndarray:
-        """Edges belonging to exactly one element."""
+        """Edges belonging to exactly one element, as sorted (i, j) rows in
+        lexicographic order."""
+        return self.cached("boundary_edges", self._find_boundary_edges)
+
+    def _find_boundary_edges(self) -> np.ndarray:
         e = self.elements
         pairs = np.vstack([e[:, [0, 1]], e[:, [1, 2]], e[:, [2, 0]]])
-        pairs = np.sort(pairs, axis=1)
-        uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-        return uniq[counts == 1]
+        pairs = np.sort(pairs, axis=1).astype(np.int64)
+        # the key i*n + j orders like the row (i, j) because j < n
+        n = np.int64(self.n_nodes)
+        keys, counts = np.unique(pairs[:, 0] * n + pairs[:, 1],
+                                 return_counts=True)
+        keys = keys[counts == 1]
+        return np.column_stack([keys // n, keys % n])
 
 
 def _metric_resample(fine: np.ndarray, kappa: float, spacing: float):

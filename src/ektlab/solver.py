@@ -17,7 +17,7 @@ search converges globally.
 Jenkins-Serrin sweeps solve the same problem for an increasing schedule of
 far-side data M with zero data on the two sides through p0.  Truncation
 nodes (when an ideal vertex was cut off) carry no data: they stay free
-(natural boundary condition) and are warm-started from the previous M.
+(natural boundary condition) and start from the secant prediction in M.
 """
 from __future__ import annotations
 
@@ -50,7 +50,14 @@ _T_MIN = 1e-6
 
 
 class SolverError(RuntimeError):
-    pass
+    """Solver failure; ``context`` holds the numbers that reproduce it
+    (M, iteration, residual, energy, step norm where they apply)."""
+
+    def __init__(self, message: str, **context):
+        self.message = message
+        self.context = context
+        detail = ", ".join(f"{k}={v!r}" for k, v in context.items())
+        super().__init__(f"{message} ({detail})" if context else message)
 
 
 @dataclass
@@ -186,6 +193,7 @@ def _newton(asm: _Assembly, u0: np.ndarray, fixed: np.ndarray,
         raise SolverError("no free nodes to solve for")
     u = u0.copy()
     energies = []
+    step_norm = 0.0
     for it in range(max_iters):
         energy, g = asm.energy_grad(u)
         energies.append(energy)
@@ -194,6 +202,7 @@ def _newton(asm: _Assembly, u0: np.ndarray, fixed: np.ndarray,
             return u, res, it, energies
         h = asm.hessian(u)[np.ix_(free, free)].tocsc()
         step = splu(h).solve(-g[free])
+        step_norm = float(np.linalg.norm(step))
         slope = float(g[free] @ step)
         t = 1.0
         while t >= _T_MIN:
@@ -204,12 +213,15 @@ def _newton(asm: _Assembly, u0: np.ndarray, fixed: np.ndarray,
                 break
             t /= 2.0
         else:
-            raise SolverError("line search stalled; Hessian may be inconsistent")
+            raise SolverError("line search stalled; Hessian may be inconsistent",
+                              iteration=it, residual=res, energy=energy,
+                              step_norm=step_norm)
     energy, g = asm.energy_grad(u)
     res = float(np.linalg.norm(g[free]))
     if res < tol:
         return u, res, max_iters, energies
-    raise SolverError(f"Newton did not reach tol={tol:g}; residual {res:.3e}")
+    raise SolverError(f"Newton did not reach tol={tol:g}", iteration=max_iters,
+                      residual=res, energy=energy, step_norm=step_norm)
 
 
 BoundaryValue = Union[float, Callable[[np.ndarray, np.ndarray], np.ndarray]]
@@ -259,11 +271,15 @@ def solve_dirichlet(domain: TriangulatedDomain,
 
 
 def _distance_to_tag(domain: TriangulatedDomain, tag: str) -> np.ndarray:
-    ref_idx = domain.nodes_with_tag(tag)
-    if ref_idx.size == 0:
-        raise SolverError(f"no nodes tagged {tag}")
-    return min_metric_distance(domain.nodes, domain.nodes[ref_idx],
-                               domain.triangle.kappa)
+    """Metric distance from every node to the nodes tagged tag, computed
+    once per mesh."""
+    def compute():
+        ref_idx = domain.nodes_with_tag(tag)
+        if ref_idx.size == 0:
+            raise SolverError(f"no nodes tagged {tag}")
+        return min_metric_distance(domain.nodes, domain.nodes[ref_idx],
+                                   domain.triangle.kappa)
+    return domain.cached("distance_to_" + tag, compute)
 
 
 def solve_jenkins_serrin(a: float, b: float, k: int, H: float,
@@ -274,7 +290,12 @@ def solve_jenkins_serrin(a: float, b: float, k: int, H: float,
                          domain: Optional[TriangulatedDomain] = None
                          ) -> List[GraphSolution]:
     """Solve the triangle problem (0 on the p0 sides, m_sign*M on the far side)
-    for an increasing schedule of M, warm-starting each solve from the last.
+    for an increasing schedule of M.
+
+    Each solve starts from the secant predictor u1 + (M - M1) (u1 - u0) /
+    (M1 - M0) through the last two solves, with the history seeded by the
+    exact zero-data solution (M = 0, u = 0): the first solve starts from
+    zeros, the second from u1 M / M1.  Newton corrects the prediction.
 
     H in [0, 1/2]; H = 0 runs the product-space minimal analogue (kappa = -1,
     tau = 0).  Returns one GraphSolution per M; the last carries the Cauchy
@@ -295,17 +316,24 @@ def solve_jenkins_serrin(a: float, b: float, k: int, H: float,
         domain = triangulate(triangle, target_h, R_trunc)
     params = SpaceParams.from_h(H)
     sols: List[GraphSolution] = []
-    prev_u = None
+    prev_m, prev_u = 0.0, np.zeros(domain.n_nodes)
+    du_dm = np.zeros(domain.n_nodes)
     for m in ms:
         data = {"side_p0p1": 0.0, "side_p0p2": 0.0, "side_p1p2": m_sign * m}
-        sol = solve_dirichlet(domain, data, params=params, initial=prev_u, tol=tol)
+        guess = prev_u + (m - prev_m) * du_dm
+        try:
+            sol = solve_dirichlet(domain, data, params=params, initial=guess,
+                                  tol=tol)
+        except SolverError as exc:
+            raise SolverError(exc.message, M=m, **exc.context) from exc
         sol.M = m
-        if prev_u is not None:
+        if sols:
             drop = float(np.min((sol.u - prev_u) * m_sign))
             if drop < -1e-8:
                 sol.discretization_failure = True
         sols.append(sol)
-        prev_u = sol.u
+        du_dm = (sol.u - prev_u) / (m - prev_m)
+        prev_m, prev_u = m, sol.u
     if len(sols) >= 2:
         far = _distance_to_tag(domain, "side_p1p2")
         mask = far >= 0.5 * far.max()

@@ -69,6 +69,17 @@ def test_theta_prime_closed_form_and_parity():
     assert hc.theta_prime(0.0, 3.0) < 0 < hc.theta_prime(0.0, -3.0)
 
 
+def test_scalar_theta_prime_matches_the_array_path():
+    s = np.linspace(-60.0, 60.0, 2401)
+    for mu in (0.7, 3.0, -3.0):
+        fn = hc.theta_prime_fn(mu)
+        scalar = [fn(float(t)) for t in s]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(scalar, hc.theta_prime(s, mu))
+    with pytest.raises(GeometryError):
+        hc.theta_prime_fn(0.5)
+
+
 def test_vertex_base_distance_closed_form_vs_quadrature():
     for mu in (0.8, 3.0, -0.7, -3.0, -10.0):
         exact = abs(math.log(abs(hc.c_of_mu(mu))))

@@ -19,6 +19,17 @@ def edge_metric_lengths(dom):
     return lam * np.hypot(*(q - p).T)
 
 
+def test_boundary_edges_are_computed_once_and_read_only():
+    dom = triangulate(build_triangle(1.0, 1.5, 3, -0.75), 0.05)
+    edges = dom.boundary_edges()
+    assert dom.boundary_edges() is edges
+    assert not edges.flags.writeable
+    e = dom.elements
+    pairs = np.sort(np.vstack([e[:, [0, 1]], e[:, [1, 2]], e[:, [2, 0]]]), axis=1)
+    uniq, counts = np.unique(pairs, axis=0, return_counts=True)
+    assert np.array_equal(edges, uniq[counts == 1])
+
+
 def test_finite_triangle_mesh_basics():
     tri = build_triangle(1.0, 1.5, 3, -0.75)
     dom = triangulate(tri, 0.05)

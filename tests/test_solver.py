@@ -1,4 +1,5 @@
 """Minimal-graph solver: oracles, monotonicity, distances, vertex fibers."""
+import dataclasses
 import math
 
 import numpy as np
@@ -262,8 +263,11 @@ def test_report_dict_and_csv_schema(dual_sign_solves):
 
 def test_far_side_failure_is_not_hidden(dual_sign_solves, monkeypatch):
     # only a missing far-side tag falls back to nodal nu; any other failure
-    # of the far-side distance must surface instead of changing d
-    sol = dual_sign_solves[0][-1]
+    # of the far-side distance must surface instead of changing d.  The
+    # shared fixture's mesh has its distance cached already, so probe the
+    # same solution on a fresh, uncached copy of that mesh
+    shared = dual_sign_solves[0][-1]
+    sol = dataclasses.replace(shared, domain=dataclasses.replace(shared.domain))
 
     def out_of_memory(*args, **kwargs):
         raise MemoryError("dense distance table")
@@ -271,6 +275,77 @@ def test_far_side_failure_is_not_hidden(dual_sign_solves, monkeypatch):
     monkeypatch.setattr(solver, "min_metric_distance", out_of_memory)
     with pytest.raises(MemoryError):
         distance_d_single(sol)
+
+
+def test_far_side_distance_is_computed_once_per_mesh(dual_sign_solves,
+                                                    monkeypatch):
+    shared = dual_sign_solves[0][-1]
+    sol = dataclasses.replace(shared, domain=dataclasses.replace(shared.domain))
+    calls = []
+    real = solver.min_metric_distance
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "min_metric_distance", counted)
+    d = distance_d_single(sol)
+    rho = solver.rho_estimate_single(sol)
+    far = _distance_to_tag(sol.domain, "side_p1p2")
+    assert len(calls) == 1
+    assert not far.flags.writeable
+    assert d == distance_d_single(shared)
+    assert rho == solver.rho_estimate_single(shared)
+
+
+def _warm_started_sweep(domain, H, ms):
+    """The sweep without a predictor: each M starts from the last solution."""
+    params = SpaceParams.from_h(H)
+    sols, prev = [], None
+    for m in ms:
+        data = {"side_p0p1": 0.0, "side_p0p2": 0.0, "side_p1p2": m}
+        sol = solve_dirichlet(domain, data, params=params, initial=prev)
+        sol.M = m
+        sols.append(sol)
+        prev = sol.u
+    return sols
+
+
+def test_secant_predictor_keeps_d_and_halves_newton_iterations():
+    ms = [2.0, 4.0, 8.0, 16.0]
+    predicted = solve_jenkins_serrin(1.0, 1.0, 2, 0.4, ms, 0.03)
+    plain = _warm_started_sweep(predicted[0].domain, 0.4, ms)
+    assert abs(distance_d(predicted) - distance_d(plain)) < 1e-8
+    assert abs(rho_estimate(predicted) - rho_estimate(plain)) < 1e-8
+    # the first M starts from zeros either way
+    assert predicted[0].newton_iters == plain[0].newton_iters
+    after_first = sum(s.newton_iters for s in predicted[1:])
+    assert 2 * after_first <= sum(s.newton_iters for s in plain[1:])
+
+
+def test_coarse_sweep_completes():
+    # warm-started from the bare previous solution, the M = 16 solve on this
+    # coarse mesh stalled its line search with the residual at 2.5e-9, just
+    # above the absolute tol; the secant prediction starts close enough
+    sols = solve_jenkins_serrin(1, 1, 2, 0.4, [2, 4, 8, 16], 0.08)
+    assert [s.M for s in sols] == [2.0, 4.0, 8.0, 16.0]
+    assert all(s.residual_norm < 1e-9 for s in sols)
+    assert not any(s.discretization_failure for s in sols)
+
+
+def test_solver_error_carries_its_context(monkeypatch):
+    # every trial energy is rejected, so the first line search stalls
+    monkeypatch.setattr(solver._Assembly, "energy", lambda self, u: math.inf)
+    with pytest.raises(SolverError, match="line search stalled") as info:
+        solve_jenkins_serrin(1.0, 1.0, 2, 0.4, [2.0, 4.0], 0.08)
+    err = info.value
+    assert set(err.context) == {"M", "iteration", "residual", "energy",
+                                "step_norm"}
+    assert err.context["M"] == 2.0 and err.context["iteration"] == 0
+    assert err.context["residual"] > 1e-9
+    assert err.context["step_norm"] > 0.0
+    assert math.isfinite(err.context["energy"])
+    assert "M=2.0" in str(err) and "iteration=0" in str(err)
 
 
 def test_solve_input_validation():
