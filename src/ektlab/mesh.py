@@ -267,46 +267,47 @@ def triangulate(triangle: GeodesicTriangle, target_h: float,
 
 
 def _collect(chunks, far_nodes, trunc_nodes, wedge):
-    """Merge node chunks with dedup and assign boundary tags by priority."""
-    far_keys = {_key(p) for p in far_nodes}
-    trunc_keys = {_key(p) for p in trunc_nodes}
-    nodes = []
-    index = {}
-    tags = {}
+    """Merge node chunks with dedup and assign boundary tags by priority.
 
-    def visit(p):
-        kk = _key(p)
-        if kk in index:
-            return index[kk]
-        idx = len(nodes)
-        nodes.append(p)
-        index[kk] = idx
-        return idx
+    Points whose coordinates round to the same multiple of 1e-9 are one
+    node, numbered in first-occurrence order.  far_nodes and trunc_nodes
+    are probed by the same key, after the chunks, so they tag nodes
+    without adding any.
+    """
+    pts = np.concatenate([np.reshape(c, (-1, 2)) for c in chunks])
+    n_pts = pts.shape[0]
+    keys = np.rint(np.concatenate([pts, far_nodes, trunc_nodes]) * 1e9)
+    _, first, group = np.unique(keys.astype(np.int64), axis=0,
+                                return_index=True, return_inverse=True)
+    group = group.ravel()
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    n_nodes = int(np.count_nonzero(first < n_pts))
+    node = rank[group[:n_pts]]
 
-    for chunk in chunks:
-        for p in np.atleast_2d(chunk):
-            if chunk.size == 0:
-                continue
-            idx = visit(p)
-            r = math.hypot(p[0], p[1])
-            cand = []
-            if r < 1e-12 or abs(p[1]) < 1e-9 * max(r, 1.0):
-                cand.append("side_p0p1")
-            if r < 1e-12 or abs(p[0] * math.sin(wedge) - p[1] * math.cos(wedge)) < 1e-9 * max(r, 1.0):
-                cand.append("side_p0p2")
-            if _key(p) in far_keys:
-                cand.append("side_p1p2")
-            if _key(p) in trunc_keys:
-                cand.append("truncation")
-            if cand:
-                best = min(cand, key=_PRIORITY.get)
-                if idx not in tags or _PRIORITY[best] < _PRIORITY[tags[idx]]:
-                    tags[idx] = best
-    return np.array(nodes), tags
+    def probed(lo, hi):
+        hit = np.zeros(order.size, dtype=bool)
+        hit[group[lo:hi]] = True
+        return hit[group[:n_pts]]
 
-
-def _key(p):
-    return (round(float(p[0]) * 1e9), round(float(p[1]) * 1e9))
+    x, y = pts[:, 0], pts[:, 1]
+    r = np.hypot(x, y)
+    at_p0 = r < 1e-12
+    scale = 1e-9 * np.maximum(r, 1.0)
+    n_far = len(far_nodes)
+    # one column per tag, in priority order
+    cand = np.column_stack([
+        at_p0 | (np.abs(y) < scale),
+        at_p0 | (np.abs(x * math.sin(wedge) - y * math.cos(wedge)) < scale),
+        probed(n_pts, n_pts + n_far),
+        probed(n_pts + n_far, keys.shape[0]),
+    ])
+    prio = np.where(cand.any(axis=1), cand.argmax(axis=1), len(TAGS))
+    best = np.full(n_nodes, len(TAGS))
+    np.minimum.at(best, node, prio)
+    tags = {int(i): TAGS[best[i]] for i in np.nonzero(best < len(TAGS))[0]}
+    return pts[first[order[:n_nodes]]], tags
 
 
 def _orient_ccw(nodes, elements):

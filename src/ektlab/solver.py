@@ -15,9 +15,12 @@ symmetric positive definite, so Newton with an Armijo backtracking line
 search converges globally.
 
 Jenkins-Serrin sweeps solve the same problem for an increasing schedule of
-far-side data M with zero data on the two sides through p0.  Truncation
-nodes (when an ideal vertex was cut off) carry no data: they stay free
-(natural boundary condition) and start from the secant prediction in M.
+far-side data M with zero data on the two sides through p0.  The first M
+starts from the same problem solved on the triangle meshed at 4h and
+interpolated onto the fine nodes (nested iteration), or from zeros when
+that coarse pass fails; each later M starts from the secant prediction
+through the last two solves.  Truncation nodes (when an ideal vertex was
+cut off) carry no data: they stay free (natural boundary condition).
 """
 from __future__ import annotations
 
@@ -27,12 +30,12 @@ from typing import Callable, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import LinearNDInterpolator
+from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .graphs import graph_gradient
-from .spaces import (BasePoint, SpaceParams, build_triangle,
+from .spaces import (BasePoint, GeometryError, SpaceParams, build_triangle,
                      conformal_factor_xy, min_metric_distance)
 from .mesh import TriangulatedDomain, triangulate
 
@@ -46,6 +49,7 @@ __all__ = [
 ]
 
 _ARMIJO = 1e-4
+_MAX_ITERS = 60
 _T_MIN = 1e-6
 
 
@@ -131,8 +135,7 @@ class _Assembly:
         self.lam = conformal_factor_xy(q[:, :, 0], q[:, :, 1], params.kappa)
         self.elems = elems
         self.n = domain.n_nodes
-        self.rows = np.repeat(elems, 3, axis=1).ravel()
-        self.cols = np.tile(elems, (1, 3)).ravel()
+        self._pattern = None
 
     def element_gradients(self, u: np.ndarray) -> np.ndarray:
         ue = u[self.elems]                                  # (E, 3)
@@ -164,7 +167,30 @@ class _Assembly:
         energy = float(np.sum(self.area / 3.0 * np.sum(self.lam ** 2 * w, axis=1)))
         return energy, g
 
-    def hessian(self, u: np.ndarray) -> sp.csc_matrix:
+    def _free_pattern(self, free: np.ndarray):
+        """CSC pattern of the free-free block and the slot of each element
+        entry in it (dropped entries go to the extra slot nnz)."""
+        pos = np.full(self.n, -1, dtype=np.int64)
+        pos[free] = np.arange(free.size)
+        rows = pos[np.repeat(self.elems, 3, axis=1)].ravel()
+        cols = pos[np.tile(self.elems, (1, 3))].ravel()
+        kept = (rows >= 0) & (cols >= 0)
+        # column-major keys, so np.unique sorts the entries into CSC order
+        keys, slot = np.unique(cols[kept] * free.size + rows[kept],
+                               return_inverse=True)
+        slots = np.full(rows.size, keys.size)
+        slots[kept] = slot
+        indptr = np.zeros(free.size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // free.size, minlength=free.size),
+                  out=indptr[1:])
+        return free, (keys % free.size).astype(np.int32), indptr, slots
+
+    def hessian(self, u: np.ndarray, free: np.ndarray) -> sp.csc_matrix:
+        """Free-free block of the Hessian; the pattern is built once per
+        free set and each call fills only the values."""
+        if self._pattern is None or not np.array_equal(self._pattern[0], free):
+            self._pattern = self._free_pattern(free)
+        _, indices, indptr, slots = self._pattern
         alpha, beta, w = self._tilted(u)
         coef = self.area[:, None] / 3.0
         # M_q = (I - v v^T / W^2) / W per quadrature point (lambda^2 cancels)
@@ -181,9 +207,10 @@ class _Assembly:
              + hxy[:, None, None] * (bx[:, :, None] * by[:, None, :]
                                      + by[:, :, None] * bx[:, None, :])
              + hyy[:, None, None] * by[:, :, None] * by[:, None, :])
-        mat = sp.coo_matrix((h.ravel(), (self.rows, self.cols)),
-                            shape=(self.n, self.n))
-        return mat.tocsc()
+        data = np.bincount(slots, weights=h.ravel(),
+                           minlength=indices.size + 1)[:-1]
+        return sp.csc_matrix((data, indices, indptr),
+                             shape=(free.size, free.size))
 
 
 def _newton(asm: _Assembly, u0: np.ndarray, fixed: np.ndarray,
@@ -200,7 +227,7 @@ def _newton(asm: _Assembly, u0: np.ndarray, fixed: np.ndarray,
         res = float(np.linalg.norm(g[free]))
         if res < tol:
             return u, res, it, energies
-        h = asm.hessian(u)[np.ix_(free, free)].tocsc()
+        h = asm.hessian(u, free)
         step = splu(h).solve(-g[free])
         step_norm = float(np.linalg.norm(step))
         slope = float(g[free] @ step)
@@ -251,23 +278,58 @@ def solve_dirichlet(domain: TriangulatedDomain,
                     params: Optional[SpaceParams] = None,
                     initial: Optional[np.ndarray] = None,
                     tol: float = 1e-9,
-                    max_iters: int = 60) -> GraphSolution:
+                    max_iters: int = _MAX_ITERS) -> GraphSolution:
     """Minimize graph area subject to per-tag Dirichlet data.
 
     Tags missing from boundary_values stay free (natural boundary).  Values
     may be reals or callables of the chart coordinates.
     """
     params = params or domain.params
-    asm = _Assembly(domain, params)
+    u, res, iters, energies = _dirichlet_newton(domain, boundary_values, params,
+                                                initial, tol, max_iters)
+    return GraphSolution(domain=domain, u=u, params=params, residual_norm=res,
+                         newton_iters=iters, energy_history=energies)
+
+
+def _dirichlet_newton(domain: TriangulatedDomain,
+                      boundary_values: Mapping[str, BoundaryValue],
+                      params: SpaceParams, initial: Optional[np.ndarray],
+                      tol: float, max_iters: int):
+    """Newton for per-tag Dirichlet data from initial (zeros when None);
+    returns what _newton does."""
     fixed, vals = _dirichlet_arrays(domain, boundary_values)
     u0 = np.zeros(domain.n_nodes) if initial is None else np.asarray(initial, float).copy()
     if u0.shape != (domain.n_nodes,):
         raise SolverError("initial guess has the wrong shape")
     if fixed.size:
         u0[fixed] = vals
-    u, res, iters, energies = _newton(asm, u0, fixed, tol, max_iters)
-    return GraphSolution(domain=domain, u=u, params=params, residual_norm=res,
-                         newton_iters=iters, energy_history=energies)
+    return _newton(_Assembly(domain, params), u0, fixed, tol, max_iters)
+
+
+def _coarse_start(domain: TriangulatedDomain,
+                  boundary_values: Mapping[str, BoundaryValue],
+                  params: SpaceParams, tol: float) -> Optional[np.ndarray]:
+    """Nested-iteration start: the same Dirichlet problem solved from zeros
+    on the triangle meshed at 4h, interpolated linearly onto the nodes of
+    domain (a node outside the coarse hull takes its nearest coarse node).
+
+    None when the coarse mesh fails or has no free node, or its Newton
+    fails: the coarse pass only predicts, so the caller then starts from
+    zeros.
+    """
+    try:
+        coarse = triangulate(domain.triangle, 4 * domain.target_h,
+                             domain.r_trunc)
+        u = _dirichlet_newton(coarse, boundary_values, params, None, tol,
+                              _MAX_ITERS)[0]
+    except (GeometryError, SolverError):
+        return None
+    guess = LinearNDInterpolator(coarse.nodes, u)(domain.nodes)
+    outside = np.isnan(guess)
+    if outside.any():
+        guess[outside] = NearestNDInterpolator(coarse.nodes, u)(
+            domain.nodes[outside])
+    return guess
 
 
 def _distance_to_tag(domain: TriangulatedDomain, tag: str) -> np.ndarray:
@@ -292,10 +354,13 @@ def solve_jenkins_serrin(a: float, b: float, k: int, H: float,
     """Solve the triangle problem (0 on the p0 sides, m_sign*M on the far side)
     for an increasing schedule of M.
 
-    Each solve starts from the secant predictor u1 + (M - M1) (u1 - u0) /
-    (M1 - M0) through the last two solves, with the history seeded by the
-    exact zero-data solution (M = 0, u = 0): the first solve starts from
-    zeros, the second from u1 M / M1.  Newton corrects the prediction.
+    The first solve starts from the same problem solved on the triangle
+    meshed at 4h (nested iteration), or from zeros when that coarse mesh or
+    its Newton fails or it has no free node.  Every later solve starts from
+    the secant predictor u1 + (M - M1) (u1 - u0) / (M1 - M0) through the
+    last two solves, with the history seeded by the exact zero-data
+    solution (M = 0, u = 0), so the second starts from u1 M / M1.  Newton
+    corrects the prediction.
 
     H in [0, 1/2]; H = 0 runs the product-space minimal analogue (kappa = -1,
     tau = 0).  Returns one GraphSolution per M; the last carries the Cauchy
@@ -317,10 +382,12 @@ def solve_jenkins_serrin(a: float, b: float, k: int, H: float,
     params = SpaceParams.from_h(H)
     sols: List[GraphSolution] = []
     prev_m, prev_u = 0.0, np.zeros(domain.n_nodes)
-    du_dm = np.zeros(domain.n_nodes)
     for m in ms:
         data = {"side_p0p1": 0.0, "side_p0p2": 0.0, "side_p1p2": m_sign * m}
-        guess = prev_u + (m - prev_m) * du_dm
+        if sols:
+            guess = prev_u + (m - prev_m) * du_dm
+        else:
+            guess = _coarse_start(domain, data, params, tol)
         try:
             sol = solve_dirichlet(domain, data, params=params, initial=guess,
                                   tol=tol)
@@ -355,32 +422,23 @@ def _ray_profile(sol: GraphSolution, tag: str):
     accurate where the plain nodal average is first-order.
     """
     dom = sol.domain
-    idx = list(int(i) for i in dom.nodes_with_tag(tag))
+    idx = dom.nodes_with_tag(tag)
     origin = np.nonzero(dom.node_metric_radius < 1e-12)[0]
-    for o in origin:
-        if int(o) not in idx:
-            idx.append(int(o))
-    idx = np.array(idx, dtype=int)
+    idx = np.concatenate([idx, origin[~np.isin(origin, idx)]])
     order = np.argsort(dom.node_metric_radius[idx])
     idx = idx[order]
     rads = dom.node_metric_radius[idx]
     nodal_nu = sol.nu().values[idx]
 
-    chain = set(int(i) for i in idx)
-    edges = [e for e in dom.boundary_edges()
-             if int(e[0]) in chain and int(e[1]) in chain]
+    edges = dom.boundary_edges()
+    edges = edges[np.isin(edges, idx).all(axis=1)]
     if len(edges) < 2:
         return rads, nodal_nu
     asm = _Assembly(dom, sol.params)
     _, g = asm.energy_grad(np.asarray(sol.u, dtype=float))
     lam = conformal_factor_xy(dom.nodes[:, 0], dom.nodes[:, 1], sol.params.kappa)
-    # hat-function boundary mass in the chart measure; the lambda weight of
-    # the flux integrand is pulled out at the node itself
-    weight = np.zeros(dom.n_nodes)
-    for i, j in edges:
-        ell = float(np.hypot(*(dom.nodes[int(i)] - dom.nodes[int(j)])))
-        weight[int(i)] += 0.5 * ell
-        weight[int(j)] += 0.5 * ell
+    # the lambda weight of the flux integrand is pulled out at the node
+    weight = _boundary_mass(dom.nodes, edges)
     # the flux is garbage inside the mesh-width layer along the far side
     # (data jump M over one element); fall back to nodal values there
     try:
@@ -399,6 +457,16 @@ def _ray_profile(sol: GraphSolution, tag: str):
         p = g[i] / (lam[i] * weight[i])
         nu[pos] = math.sqrt(max(1.0 - p * p, 0.0))
     return rads, nu
+
+
+def _boundary_mass(nodes: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Lumped hat-function mass of the boundary edges (i, j) at each node,
+    in the chart measure: half of every edge's length goes to each end,
+    summed in edge order, i then j per edge."""
+    half = 0.5 * np.hypot(*(nodes[edges[:, 0]] - nodes[edges[:, 1]]).T)
+    weight = np.zeros(nodes.shape[0])
+    np.add.at(weight, edges.ravel(), np.repeat(half, 2))
+    return weight
 
 
 def distance_d_single(sol: GraphSolution) -> float:

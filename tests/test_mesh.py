@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ektlab import mesh
 from ektlab.mesh import TAGS, triangulate
 from ektlab.spaces import GeometryError, build_triangle, metric_radius
 
@@ -140,3 +141,60 @@ def test_bad_target_h_rejected():
     tri = build_triangle(1.0, 1.0, 2, -0.75)
     with pytest.raises(GeometryError):
         triangulate(tri, 0.0)
+
+
+def _collect_loop(chunks, far_nodes, trunc_nodes, wedge):
+    """Reference for mesh._collect: one point at a time through a dict."""
+    def key(p):
+        return (round(float(p[0]) * 1e9), round(float(p[1]) * 1e9))
+    far_keys = {key(p) for p in far_nodes}
+    trunc_keys = {key(p) for p in trunc_nodes}
+    nodes, index, tags = [], {}, {}
+    for chunk in chunks:
+        for p in np.reshape(chunk, (-1, 2)):
+            idx = index.setdefault(key(p), len(nodes))
+            if idx == len(nodes):
+                nodes.append(p)
+            r = math.hypot(p[0], p[1])
+            cand = []
+            if r < 1e-12 or abs(p[1]) < 1e-9 * max(r, 1.0):
+                cand.append(0)
+            if r < 1e-12 or abs(p[0] * math.sin(wedge)
+                                - p[1] * math.cos(wedge)) < 1e-9 * max(r, 1.0):
+                cand.append(1)
+            if key(p) in far_keys:
+                cand.append(2)
+            if key(p) in trunc_keys:
+                cand.append(3)
+            if cand and (idx not in tags or min(cand) < TAGS.index(tags[idx])):
+                tags[idx] = TAGS[min(cand)]
+    return np.array(nodes), tags
+
+
+def test_collect_matches_the_loop_reference(monkeypatch):
+    seen = []
+    real = mesh._collect
+
+    def spy(*args):
+        seen.append((args, real(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(mesh, "_collect", spy)
+    triangulate(build_triangle(1.0, 1.5, 3, -0.75), 0.05)
+    triangulate(build_triangle(1.0, 1.0, 2, 0.0), 0.05)
+    triangulate(build_triangle(math.inf, 2.0, 2, -0.36), 0.05, 4.0)
+    triangulate(build_triangle(2.0, math.inf, 3, -0.64), 0.05, 4.0)
+    # duplicates a hair apart, a far node on a leg and a truncation node
+    wedge = math.pi / 3
+    far = np.array([[1.0, 0.0], [0.5, 0.5]])
+    trunc = np.array([[2.0, 0.0]])
+    chunks = [np.zeros((1, 2)), np.array([[0.3, 0.0], [0.3 + 4e-10, 1e-11]]),
+              np.zeros((0, 2)), np.array([[1.0, 0.0], [0.5, 0.5]]),
+              np.array([[0.5 * math.cos(wedge), 0.5 * math.sin(wedge)],
+                        [0.5 + 1e-10, 0.5]]), trunc]
+    seen.append(((chunks, far, trunc, wedge), real(chunks, far, trunc, wedge)))
+    assert len(seen) == 5
+    for args, (nodes, tags) in seen:
+        want_nodes, want_tags = _collect_loop(*args)
+        assert np.array_equal(nodes, want_nodes)
+        assert tags == want_tags

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.interpolate import LinearNDInterpolator
 
 from ektlab import helicoid as hc
 from ektlab import solver
@@ -21,7 +23,7 @@ from ektlab.solver import (
     solve_dirichlet,
     solve_jenkins_serrin,
 )
-from ektlab.spaces import SpaceParams
+from ektlab.spaces import GeometryError, SpaceParams
 
 FLAT_HALF = SpaceParams(kappa=0.0, tau=0.5)
 ZERO = {t: 0.0 for t in ("side_p0p1", "side_p0p2", "side_p1p2")}
@@ -298,13 +300,16 @@ def test_far_side_distance_is_computed_once_per_mesh(dual_sign_solves,
     assert rho == solver.rho_estimate_single(shared)
 
 
+def _js_data(m):
+    return {"side_p0p1": 0.0, "side_p0p2": 0.0, "side_p1p2": m}
+
+
 def _warm_started_sweep(domain, H, ms):
     """The sweep without a predictor: each M starts from the last solution."""
     params = SpaceParams.from_h(H)
     sols, prev = [], None
     for m in ms:
-        data = {"side_p0p1": 0.0, "side_p0p2": 0.0, "side_p1p2": m}
-        sol = solve_dirichlet(domain, data, params=params, initial=prev)
+        sol = solve_dirichlet(domain, _js_data(m), params=params, initial=prev)
         sol.M = m
         sols.append(sol)
         prev = sol.u
@@ -317,10 +322,112 @@ def test_secant_predictor_keeps_d_and_halves_newton_iterations():
     plain = _warm_started_sweep(predicted[0].domain, 0.4, ms)
     assert abs(distance_d(predicted) - distance_d(plain)) < 1e-8
     assert abs(rho_estimate(predicted) - rho_estimate(plain)) < 1e-8
-    # the first M starts from zeros either way
-    assert predicted[0].newton_iters == plain[0].newton_iters
+    # the first M starts from the 4h coarse solve instead of zeros
+    assert predicted[0].newton_iters < plain[0].newton_iters
     after_first = sum(s.newton_iters for s in predicted[1:])
     assert 2 * after_first <= sum(s.newton_iters for s in plain[1:])
+
+
+def test_nested_start_cuts_the_first_m_iterations():
+    first = solve_jenkins_serrin(1.0, 1.0, 2, 0.4, [2.0], 0.03)[0]
+    zero = solve_dirichlet(first.domain, _js_data(2.0),
+                           params=SpaceParams.from_h(0.4))
+    assert first.newton_iters < zero.newton_iters
+    assert abs(distance_d_single(first) - distance_d_single(zero)) < 1e-8
+    assert (abs(solver.rho_estimate_single(first)
+                - solver.rho_estimate_single(zero)) < 1e-8)
+
+
+def test_nodes_outside_the_coarse_hull_take_the_nearest_coarse_value():
+    dom = triangulate(build_triangle(math.inf, 2.0, 2, 4 * 0.4 ** 2 - 1),
+                      0.1, 4.0)
+    coarse = triangulate(dom.triangle, 0.4, 4.0)
+    params = SpaceParams.from_h(0.4)
+    guess = solver._coarse_start(dom, _js_data(2.0), params, 1e-9)
+    coarse_u = solve_dirichlet(coarse, _js_data(2.0), params=params).u
+    outside = np.isnan(LinearNDInterpolator(coarse.nodes, coarse_u)(dom.nodes))
+    assert outside.any() and np.all(np.isfinite(guess))
+    for i in np.nonzero(outside)[0]:
+        nearest = np.argmin(np.hypot(*(coarse.nodes - dom.nodes[i]).T))
+        assert guess[i] == coarse_u[nearest]
+
+
+def test_coarse_mesh_without_free_nodes_falls_back_to_zeros():
+    tri = build_triangle(0.5, 0.5, 2, 4 * 0.4 ** 2 - 1)
+    coarse = triangulate(tri, 0.4)
+    assert coarse.n_nodes == 4 and len(coarse.boundary_tags) == 4
+    sols = solve_jenkins_serrin(0.5, 0.5, 2, 0.4, [2.0, 4.0], 0.1)
+    params = SpaceParams.from_h(0.4)
+    assert solver._coarse_start(sols[0].domain, _js_data(2.0), params,
+                                1e-9) is None
+    zero = solve_dirichlet(sols[0].domain, _js_data(2.0), params=params)
+    assert np.array_equal(sols[0].u, zero.u)
+    assert sols[0].newton_iters == zero.newton_iters
+
+
+def test_unmeshable_coarse_triangle_falls_back_to_zeros():
+    tri = build_triangle(math.inf, 2.0, 6, -1.0)
+    with pytest.raises(GeometryError):
+        triangulate(tri, 0.08, 4.0)
+    sols = solve_jenkins_serrin(math.inf, 2.0, 6, 0.0, [2.0], 0.02,
+                                R_trunc=4.0)
+    zero = solve_dirichlet(sols[0].domain, _js_data(2.0),
+                           params=SpaceParams.from_h(0.0))
+    assert sols[0].residual_norm < 1e-9
+    assert np.array_equal(sols[0].u, zero.u)
+
+
+def _element_hessians(asm, u):
+    """Per-element 3x3 Hessians, b (I - v v^T / W^2) b^T / W summed over
+    the quadrature points in one einsum."""
+    alpha, beta, w = asm._tilted(u)
+    v = np.stack([alpha, beta], axis=-1)                     # (E, 3q, 2)
+    m = (np.eye(2) - v[..., :, None] * v[..., None, :] / w[..., None, None] ** 2)
+    m *= (asm.area[:, None] / 3.0 / w)[..., None, None]
+    return np.einsum("eid,eqdf,ejf->eij", asm.bgrad, m, asm.bgrad)
+
+
+def test_free_hessian_matches_the_full_matrix_block():
+    dom = flat_triangle(0.1)
+    asm = solver._Assembly(dom, FLAT_HALF)
+    fixed = dom.nodes_with_tag("side_p1p2")
+    free = np.setdiff1d(np.arange(dom.n_nodes), fixed)
+    u = np.random.default_rng(3).normal(size=dom.n_nodes)
+    got = asm.hessian(u, free)
+    e = dom.elements
+    full = sp.coo_matrix((_element_hessians(asm, u).ravel(),
+                          (np.repeat(e, 3, axis=1).ravel(),
+                           np.tile(e, (1, 3)).ravel())),
+                         shape=(dom.n_nodes, dom.n_nodes))
+    want = full.tocsc()[np.ix_(free, free)]
+    assert got.indptr.dtype == np.int32 and got.indices.dtype == np.int32
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.max(np.abs(got.data - want.data)) <= 1e-14 * np.max(np.abs(want.data))
+
+
+def test_hessian_pattern_is_built_once_per_newton_solve(monkeypatch):
+    calls = []
+    real = solver._Assembly._free_pattern
+
+    def counted(self, free):
+        calls.append(1)
+        return real(self, free)
+
+    monkeypatch.setattr(solver._Assembly, "_free_pattern", counted)
+    sol = solve_dirichlet(flat_triangle(0.1), _js_data(2.0), params=FLAT_HALF)
+    assert sol.newton_iters > 1 and len(calls) == 1
+
+
+def test_boundary_mass_matches_the_edge_loop():
+    dom = triangulate(build_triangle(1.0, 1.5, 3, -0.75), 0.05)
+    edges = dom.boundary_edges()
+    want = np.zeros(dom.n_nodes)
+    for i, j in edges:
+        ell = float(np.hypot(*(dom.nodes[i] - dom.nodes[j])))
+        want[i] += 0.5 * ell
+        want[j] += 0.5 * ell
+    assert np.array_equal(solver._boundary_mass(dom.nodes, edges), want)
 
 
 def test_coarse_sweep_completes():
