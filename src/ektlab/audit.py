@@ -223,7 +223,7 @@ def _check_dihedral_closure() -> Tuple[float, bool]:
 def _check_solver_roundtrip() -> Tuple[float, bool]:
     sols = solver.solve_jenkins_serrin(1.0, 1.0, 2, 0.4, [2.0, 4.0], 0.05)
     last = sols[-1]
-    nu = last.nu().values
+    nu = last.nu()
     if np.any(nu <= 0.0) or np.any(nu > 1.0 + 1e-9):
         return float(np.max(nu)), False
     imax = int(np.argmax(nu))

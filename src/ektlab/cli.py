@@ -136,11 +136,10 @@ def _apply_config(args: argparse.Namespace) -> None:
         if "=" not in line:
             raise UsageError(f"{args.config}:{n}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if not hasattr(args, key):
+        if key not in _CONFIG_CASTS or not hasattr(args, key):
             raise UsageError(f"{args.config}:{n}: unknown key {key!r}")
-        cast = _CONFIG_CASTS.get(key, str)
         try:
-            setattr(args, key, cast(value))
+            setattr(args, key, _CONFIG_CASTS[key](value))
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"{args.config}:{n}: {exc}")
 
@@ -302,6 +301,8 @@ def _sweep_point(task):
 
 
 def _figure_sweep_d(args: argparse.Namespace, out: str) -> int:
+    if not args.a_grid or not args.b_grid:
+        raise UsageError("sweep grids must not be empty")
     _check_solve_params(args.a_grid[0], args.b_grid[0], args.k, args.H, args.M)
     a_grid = sorted(args.a_grid)
     b_grid = sorted(args.b_grid)

@@ -22,31 +22,21 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 from scipy.sparse.csgraph import connected_components
 
-from .spaces import GeometryError, min_metric_distance
+from .spaces import GeometryError
 
 __all__ = [
     "PlanarCurve",
-    "HeightProfile",
     "AssembledBoundary",
     "integrate_prescribed_curvature",
     "kg_critical",
     "conjugate_vertical_boundary",
-    "conjugate_horizontal_profile",
     "assemble_domain",
-    "disk_distance",
     "distance_to_geodesic_diameter",
-    "curve_csv_lines",
 ]
 
 _DEFAULT_STEP = 5e-4
 _EPS_IDEAL = 1e-6
 _DEFAULT_S_CAP = 60.0
-
-
-def disk_distance(p, q) -> float:
-    """Hyperbolic distance between two points of the unit Poincare disk."""
-    return float(min_metric_distance([[2.0 * p[0], 2.0 * p[1]]],
-                                     [[2.0 * q[0], 2.0 * q[1]]], -1.0)[0])
 
 
 def distance_to_geodesic_diameter(x, y, axis_angle: float = 0.0):
@@ -83,30 +73,6 @@ class PlanarCurve:
     @property
     def points(self) -> np.ndarray:
         return np.column_stack([self.x, self.y])
-
-
-@dataclass(frozen=True)
-class HeightProfile:
-    """Conjugated horizontal geodesic: cumulative base length and height."""
-
-    s: np.ndarray
-    base_arclength: np.ndarray
-    height: np.ndarray
-
-
-def curve_csv_lines(curve: PlanarCurve) -> List[str]:
-    """CSV dump of a sampled curve, one row per sample."""
-    head = []
-    if curve.truncated_reason is not None:
-        head.append(f"# truncated_reason={curve.truncated_reason}")
-    if curve.total_turning is not None:
-        head.append(f"# total_turning={curve.total_turning!r}")
-    head.append("s,x,y,phi,kg")
-    rows = [f"{s!r},{x!r},{y!r},{p!r},{k!r}"
-            for s, x, y, p, k in zip(curve.s.tolist(), curve.x.tolist(),
-                                     curve.y.tolist(), curve.phi.tolist(),
-                                     curve.kg_samples.tolist())]
-    return head + rows
 
 
 def _march(kg_fn, s0: float, s_end: float, state0, step: float,
@@ -232,28 +198,6 @@ def conjugate_vertical_boundary(theta_prime_fn: Callable[[float], float],
     tp = 2.0 * H - curve.kg_samples
     total = float(np.trapezoid(tp, curve.s))
     return replace(curve, total_turning=total, theta_prime_samples=tp)
-
-
-def conjugate_horizontal_profile(nu_samples) -> HeightProfile:
-    """Conjugate a horizontal geodesic from its angle-function samples.
-
-    Input rows (s, nu); the conjugated curve sits in a vertical plane with
-    base speed |nu| and vertical speed sqrt(1 - nu^2), integrated by the
-    trapezoid rule.
-    """
-    arr = np.asarray(list(nu_samples), dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
-        raise GeometryError("need rows (s, nu) with at least two samples")
-    s, nu = arr[:, 0], arr[:, 1]
-    if np.any(np.diff(s) <= 0):
-        raise GeometryError("s samples must be strictly increasing")
-    if np.any(nu < -1e-9) or np.any(nu > 1.0 + 1e-9):
-        raise GeometryError("nu samples must lie in [0, 1]")
-    nu = np.clip(nu, 0.0, 1.0)
-    base = np.concatenate([[0.0], np.cumsum(0.5 * (nu[1:] + nu[:-1]) * np.diff(s))])
-    vert = np.sqrt(1.0 - nu * nu)
-    height = np.concatenate([[0.0], np.cumsum(0.5 * (vert[1:] + vert[:-1]) * np.diff(s))])
-    return HeightProfile(s=s, base_arclength=base, height=-height)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ __all__ = [
     "EmbeddednessReport",
     "self_intersections",
     "multiplicity_two_area",
-    "rotation_lemma_check",
     "report_json_dict",
     "write_domain_svg",
     "write_domain_panels_svg",
@@ -278,24 +277,6 @@ def multiplicity_two_area(pieces: Sequence[np.ndarray], grid: int = 1024,
     r2 = c2[None, :] + c2[:, None]
     lam2 = np.where(np.sqrt(r2) <= r_cut, 4.0 / (1.0 - r2) ** 2, 0.0) * px * px
     return float(np.sum(lam2[np.abs(wind) >= 2]))
-
-
-def rotation_lemma_check(curve: PlanarCurve,
-                         theta_prime_total: Optional[float] = None) -> str:
-    """Check "positive theta', total turning <= pi => no self-intersection".
-
-    Returns "holds", "violated", or "inapplicable" (hypothesis not met).
-    A "violated" outcome on valid inputs contradicts the rotation bound and
-    is treated as build-breaking by the audit.
-    """
-    tp = curve.theta_prime_samples
-    total = theta_prime_total if theta_prime_total is not None else curve.total_turning
-    if tp is None or total is None:
-        return "inapplicable"
-    if np.any(tp <= 0.0) or total > math.pi + 1e-9:
-        return "inapplicable"
-    report = self_intersections(curve, grid=64)
-    return "holds" if report.embedded else "violated"
 
 
 def report_json_dict(report: EmbeddednessReport,

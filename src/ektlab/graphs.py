@@ -24,7 +24,6 @@ __all__ = [
     "graph_gradient",
     "mean_curvature_from_partials",
     "graph_mean_curvature",
-    "graph_mean_curvature_discrete",
     "umbrella_graph",
     "shear_graph",
     "arctan_graph",
@@ -84,38 +83,6 @@ def graph_mean_curvature(graph: ClosedFormGraph, x, y, params: SpaceParams):
     """
     _, u_x, u_y, u_xx, u_xy, u_yy = graph(np.asarray(x, float), np.asarray(y, float))
     return mean_curvature_from_partials(x, y, u_x, u_y, u_xx, u_xy, u_yy, params)
-
-
-def graph_mean_curvature_discrete(u: np.ndarray, x0: float, y0: float, h: float,
-                                  params: SpaceParams) -> np.ndarray:
-    """Mean curvature of a sampled height field on a uniform grid.
-
-    ``u[i, j]`` is the height at (x0 + i h, y0 + j h).  Centered second
-    differences need one layer of neighbors, so the outermost ring of the
-    result is NaN (evaluation failure at those nodes).  Grids smaller than
-    3x3 are rejected.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 2 or min(u.shape) < 3:
-        raise ValueError("need at least a 3x3 grid for second differences")
-    nx, ny = u.shape
-    xs = x0 + h * np.arange(nx)
-    ys = y0 + h * np.arange(ny)
-    xg, yg = np.meshgrid(xs, ys, indexing="ij")
-
-    u_x = np.full_like(u, np.nan)
-    u_y = np.full_like(u, np.nan)
-    u_xx = np.full_like(u, np.nan)
-    u_yy = np.full_like(u, np.nan)
-    u_xy = np.full_like(u, np.nan)
-    c = np.s_[1:-1]
-    u_x[c, :] = (u[2:, :] - u[:-2, :]) / (2 * h)
-    u_y[:, c] = (u[:, 2:] - u[:, :-2]) / (2 * h)
-    u_xx[c, :] = (u[2:, :] - 2 * u[1:-1, :] + u[:-2, :]) / (h * h)
-    u_yy[:, c] = (u[:, 2:] - 2 * u[:, 1:-1] + u[:, :-2]) / (h * h)
-    u_xy[c, c] = (u[2:, 2:] - u[2:, :-2] - u[:-2, 2:] + u[:-2, :-2]) / (4 * h * h)
-
-    return mean_curvature_from_partials(xg, yg, u_x, u_y, u_xx, u_xy, u_yy, params)
 
 
 # -- closed-form reference graphs ---------------------------------------------

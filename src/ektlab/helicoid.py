@@ -36,7 +36,6 @@ __all__ = [
     "HelicoidProfile",
     "c_of_mu",
     "g_mu",
-    "g_mu_prime",
     "t_mu",
     "blowup_half_period",
     "invert_profile",
@@ -48,7 +47,6 @@ __all__ = [
     "theta_prime",
     "theta_prime_fn",
     "model_height",
-    "model_angle_function",
     "vertex_base_distance",
     "vertex_base_distance_quadrature",
     "profile_csv_lines",
@@ -91,13 +89,6 @@ def _integrand(y2: np.ndarray, c: float) -> np.ndarray:
     if _FAULT_INTEGRAND_EPS != 0.0:
         out = out + _FAULT_INTEGRAND_EPS / (1.0 + y2)
     return out
-
-
-def g_mu_prime(x, mu: float):
-    """Derivative of g_mu (the slope integrand), vectorized and even."""
-    c = c_of_mu(mu)
-    x = np.asarray(x, dtype=float)
-    return _integrand(x * x, c)
 
 
 def g_mu(x: float, mu: float) -> float:
@@ -392,13 +383,6 @@ def model_height(u, v, profile: HelicoidProfile):
     fv = profile.f_many(v.ravel()).reshape(v.shape) if v.ndim else profile.f_at(float(v))
     out = u * (fv - v) / 2.0
     return float(out) if np.ndim(out) == 0 else out
-
-
-def model_angle_function(u: float, v: float, profile: HelicoidProfile) -> float:
-    """Angle function 2 / sqrt(4 + f^2 + u^2 (f'-2)^2) of the minimal model."""
-    f = profile.f_at(v)
-    fp = profile.f_prime_at(v)
-    return 2.0 / math.sqrt(4.0 + f * f + u * u * (fp - 2.0) ** 2)
 
 
 def vertex_base_distance(mu: float) -> float:

@@ -26,25 +26,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Mapping, Optional, Sequence, Union
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .graphs import graph_gradient
-from .spaces import (BasePoint, GeometryError, SpaceParams, build_triangle,
+from .spaces import (GeometryError, SpaceParams, build_triangle,
                      conformal_factor_xy, min_metric_distance)
 from .mesh import TriangulatedDomain, triangulate
 
 __all__ = [
-    "SolverError", "NuField", "GraphSolution", "NuCluster",
+    "SolverError", "GraphSolution",
     "solve_dirichlet", "solve_jenkins_serrin",
     "distance_d", "distance_d_single", "rho_estimate", "rho_estimate_single",
     "richardson_extrapolate",
-    "boundary_theta_prime", "critical_points_of_nu",
+    "boundary_theta_prime",
     "solution_csv_lines", "solution_report_dict",
 ]
 
@@ -65,13 +64,6 @@ class SolverError(RuntimeError):
 
 
 @dataclass
-class NuField:
-    """Per-node angle function nu = 1/W, recovered from nodal gradients."""
-    values: np.ndarray
-    domain: TriangulatedDomain
-
-
-@dataclass
 class GraphSolution:
     domain: TriangulatedDomain
     u: np.ndarray
@@ -82,11 +74,13 @@ class GraphSolution:
     cauchy_indicator: Optional[float] = None
     discretization_failure: bool = False
     energy_history: List[float] = field(default_factory=list)
-    _nodal_grad: Optional[np.ndarray] = field(default=None, repr=False)
+    _grads: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None,
+                                                            repr=False)
 
-    def nodal_gradient(self) -> np.ndarray:
-        """Area-weighted average of the element chart gradients at nodes."""
-        if self._nodal_grad is None:
+    def _gradients(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Nodal chart gradient (area-weighted average of the element
+        gradients) and energy gradient of u, both from one assembly."""
+        if self._grads is None:
             dom = self.domain
             asm = _Assembly(dom, self.params)
             eg = asm.element_gradients(self.u)
@@ -96,14 +90,16 @@ class GraphSolution:
                 idx = dom.elements[:, loc]
                 np.add.at(acc, idx, eg * asm.area[:, None])
                 np.add.at(wt, idx, asm.area)
-            self._nodal_grad = acc / wt[:, None]
-        return self._nodal_grad
+            _, g = asm.energy_grad(np.asarray(self.u, dtype=float))
+            self._grads = (acc / wt[:, None], g)
+        return self._grads
 
-    def nu(self) -> NuField:
-        g = self.nodal_gradient()
+    def nu(self) -> np.ndarray:
+        """Per-node angle function nu = 1/W from the nodal gradients."""
+        g = self._gradients()[0]
         x, y = self.domain.nodes.T
         _, _, w = graph_gradient(x, y, g[:, 0], g[:, 1], self.params)
-        return NuField(values=1.0 / w, domain=self.domain)
+        return 1.0 / w
 
 
 class _Assembly:
@@ -428,14 +424,13 @@ def _ray_profile(sol: GraphSolution, tag: str):
     order = np.argsort(dom.node_metric_radius[idx])
     idx = idx[order]
     rads = dom.node_metric_radius[idx]
-    nodal_nu = sol.nu().values[idx]
+    nodal_nu = sol.nu()[idx]
 
     edges = dom.boundary_edges()
     edges = edges[np.isin(edges, idx).all(axis=1)]
     if len(edges) < 2:
         return rads, nodal_nu
-    asm = _Assembly(dom, sol.params)
-    _, g = asm.energy_grad(np.asarray(sol.u, dtype=float))
+    g = sol._gradients()[1]
     lam = conformal_factor_xy(dom.nodes[:, 0], dom.nodes[:, 1], sol.params.kappa)
     # the lambda weight of the flux integrand is pulled out at the node
     weight = _boundary_mass(dom.nodes, edges)
@@ -586,72 +581,11 @@ def boundary_theta_prime(sol: GraphSolution, vertex: str = "p2",
     return np.column_stack([s, tp])
 
 
-@dataclass
-class NuCluster:
-    point: BasePoint
-    orbit_size: int
-    nu_max: float
-    n_nodes: int
-
-
-def critical_points_of_nu(sol: GraphSolution, tol_factor: float = 5.0,
-                          nu_values: Optional[np.ndarray] = None
-                          ) -> List[NuCluster]:
-    """Clusters of near-vertical-normal nodes (1 - nu < tol_factor * h).
-
-    Connected flagged nodes merge into one cluster (connected components
-    of the mesh edges between flagged nodes).  The orbit size counts the
-    cluster's images in the reflected domain: 1 at p0, k on a mirror ray,
-    2k in the open fundamental wedge.
-    nu_values overrides the recovered field (synthetic clustering tests).
-    """
-    dom = sol.domain
-    h = dom.target_h
-    nu = sol.nu().values if nu_values is None else np.asarray(nu_values, float)
-    flagged = np.nonzero(1.0 - nu < tol_factor * h)[0]
-    if flagged.size == 0:
-        return []
-    pos = np.full(dom.n_nodes, -1)
-    pos[flagged] = np.arange(flagged.size)
-    e = pos[dom.elements]
-    edges = np.vstack([e[:, [0, 1]], e[:, [1, 2]], e[:, [2, 0]]])
-    edges = edges[(edges >= 0).all(axis=1)]
-    adj = sp.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
-                        shape=(flagged.size, flagged.size))
-    # labels follow each component's smallest node, so clusters keep the
-    # node order
-    n_comp, labels = connected_components(adj, directed=False)
-    k = dom.triangle.k
-    wedge = math.pi / k
-    out = []
-    for c in range(n_comp):
-        members = flagged[labels == c]
-        best = members[np.argmax(nu[members])]
-        x, y = dom.nodes[best]
-        rads = dom.node_metric_radius[members]
-        nx, ny = dom.nodes[members].T
-        lam = conformal_factor_xy(nx, ny, dom.triangle.kappa)
-        d_ray0 = lam * np.abs(ny)
-        d_rayk = lam * np.abs(nx * math.sin(wedge) - ny * math.cos(wedge))
-        if rads.min() < 2.0 * h:
-            orbit = 1
-        elif min(d_ray0.min(), d_rayk.min()) < 2.0 * h:
-            orbit = k
-        else:
-            orbit = 2 * k
-        out.append(NuCluster(point=BasePoint(float(x), float(y)),
-                             orbit_size=orbit,
-                             nu_max=float(nu[best]),
-                             n_nodes=len(members)))
-    out.sort(key=lambda c: math.hypot(c.point.x, c.point.y))
-    return out
-
-
 def solution_csv_lines(sol: GraphSolution) -> List[str]:
     """CSV dump of the solution: one row per node, full float precision."""
     dom = sol.domain
     tri = dom.triangle
-    nu = sol.nu().values
+    nu = sol.nu()
     head = [
         f"# a={_side_repr(tri.a)} b={_side_repr(tri.b)} k={tri.k} "
         f"H={sol.params.tau!r} kappa={tri.kappa!r}",

@@ -9,9 +9,9 @@ coordinate z and the orthonormal frame
     E2 = lambda^(-1) d/dy + tau x d/dz,
     E3 = d/dz  (the vertical Killing direction).
 
-This module holds the parameter record, points, frame conversion, geodesic
-triangles of the base, and the hyperbolic-trigonometry helpers shared by the
-mesher and the curve integrators.
+This module holds the parameter record, points, geodesic triangles of the
+base, and the hyperbolic-trigonometry helpers shared by the mesher and the
+curve integrators.
 """
 from __future__ import annotations
 
@@ -26,11 +26,9 @@ __all__ = [
     "SpaceParams",
     "BasePoint",
     "SpacePoint",
-    "FrameVector",
     "GeodesicTriangle",
     "conformal_factor",
     "conformal_factor_xy",
-    "frame_components",
     "law_of_cosines",
     "build_triangle",
     "interior_angle_at_p2",
@@ -38,7 +36,6 @@ __all__ = [
     "chart_radius",
     "metric_radius",
     "min_metric_distance",
-    "chart_distance",
 ]
 
 
@@ -87,22 +84,6 @@ class SpacePoint:
     y: float
     z: float
 
-    @property
-    def base(self) -> BasePoint:
-        return BasePoint(self.x, self.y)
-
-
-@dataclass(frozen=True)
-class FrameVector:
-    """Coefficients with respect to the orthonormal frame {E1, E2, E3}."""
-
-    c1: float
-    c2: float
-    c3: float
-
-    def norm(self) -> float:
-        return math.sqrt(self.c1 * self.c1 + self.c2 * self.c2 + self.c3 * self.c3)
-
 
 def conformal_factor(p: BasePoint, params: SpaceParams) -> float:
     """Conformal factor lambda at a base point; rejects points off the disk."""
@@ -118,20 +99,6 @@ def conformal_factor_xy(x, y, kappa: float):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return 1.0 / (1.0 + kappa * (x * x + y * y) / 4.0)
-
-
-def frame_components(dx: float, dy: float, dz: float, at: SpacePoint,
-                     params: SpaceParams) -> FrameVector:
-    """Convert a coordinate vector at a point into frame coefficients.
-
-    Inverts d/dx = lambda(E1 + tau y E3), d/dy = lambda(E2 - tau x E3),
-    d/dz = E3.
-    """
-    lam = conformal_factor(at.base, params)
-    c1 = lam * dx
-    c2 = lam * dy
-    c3 = dz + lam * params.tau * (at.y * dx - at.x * dy)
-    return FrameVector(c1, c2, c3)
 
 
 # -- hyperbolic chart helpers -------------------------------------------------
@@ -180,11 +147,6 @@ def min_metric_distance(pts: np.ndarray, ref: np.ndarray, kappa: float) -> np.nd
     den = np.abs(1.0 - np.conj(z[:, None]) * w[None, :])
     t = np.clip(num / den, 0.0, 1.0 - 1e-16)
     return (2.0 / delta) * np.arctanh(t).min(axis=1)
-
-
-def chart_distance(p: BasePoint, q: BasePoint, kappa: float) -> float:
-    """Metric distance between two chart points of M2(kappa), kappa <= 0."""
-    return float(min_metric_distance([[p.x, p.y]], [[q.x, q.y]], kappa)[0])
 
 
 # -- geodesic triangles -------------------------------------------------------

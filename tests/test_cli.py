@@ -114,6 +114,17 @@ def test_config_unknown_key_exits_2(tmp_path):
                "--out", str(tmp_path / "o")) == 2
 
 
+@pytest.mark.parametrize("line", ["func=x", "command=solve"])
+def test_config_key_that_names_no_option_exits_2(tmp_path, capsys, line):
+    # func and command live on the parsed namespace but are not options
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert run("helicoid", "--mu", "0.5", "--config", str(cfg),
+               "--out", str(tmp_path / "o")) == 2
+    assert "unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_missing_file_exits_2(tmp_path):
     assert run("helicoid", "--mu", "1", "--config", str(tmp_path / "nope"),
                "--out", str(tmp_path / "o")) == 2
@@ -165,6 +176,13 @@ def test_sweep_is_deterministic_across_workers(tmp_path):
     assert rep["monotone_in_a"] is True
     assert rep["monotone_in_b"] is True
     assert rep["max_d"] <= rep["max_d_over_schedule"] + 1e-12
+
+
+@pytest.mark.parametrize("flag", ["--a-grid", "--b-grid"])
+def test_sweep_empty_grid_exits_2(tmp_path, capsys, flag):
+    assert run("figure", "sweep-d", flag, "", "--out",
+               str(tmp_path / "o")) == 2
+    assert "sweep grids must not be empty" in capsys.readouterr().err
 
 
 def test_noid_domain_report(tmp_path):

@@ -8,11 +8,10 @@ import math
 import numpy as np
 import pytest
 
-from ektlab.curves import (assemble_domain, conjugate_horizontal_profile,
-                           conjugate_vertical_boundary, curve_csv_lines,
-                           disk_distance, distance_to_geodesic_diameter,
+from ektlab.curves import (assemble_domain, conjugate_vertical_boundary,
+                           distance_to_geodesic_diameter,
                            integrate_prescribed_curvature, kg_critical)
-from ektlab.spaces import GeometryError
+from ektlab.spaces import GeometryError, min_metric_distance
 
 
 def circle_kg(R: float) -> float:
@@ -32,7 +31,9 @@ def test_geodesic_through_origin():
                                        (0.0, 0.0), 0.0, step=1e-3)
     assert np.max(np.abs(c.y)) == 0.0
     assert c.x[-1] == pytest.approx(math.tanh(0.75), abs=1e-7)
-    assert disk_distance((0.0, 0.0), (c.x[-1], c.y[-1])) == \
+    # the unit disk is the radius-2 chart of curvature -1 scaled by 1/2
+    end = [[2.0 * c.x[-1], 2.0 * c.y[-1]]]
+    assert min_metric_distance([[0.0, 0.0]], end, -1.0)[0] == \
         pytest.approx(1.5, abs=1e-6)
 
 
@@ -170,18 +171,6 @@ def test_conjugate_vertical_boundary_records_turning():
                                     ((0.0, 0.0), 0.0))
 
 
-def test_conjugate_horizontal_profile_extremes():
-    s = np.linspace(0.0, 1.0, 11)
-    flat = conjugate_horizontal_profile(np.column_stack([s, np.ones_like(s)]))
-    assert np.allclose(flat.base_arclength, s)
-    assert np.allclose(flat.height, 0.0)
-    steep = conjugate_horizontal_profile(np.column_stack([s, np.zeros_like(s)]))
-    assert np.allclose(steep.base_arclength, 0.0)
-    assert np.allclose(steep.height, -s)
-    with pytest.raises(GeometryError):
-        conjugate_horizontal_profile(np.column_stack([s, 1.5 * np.ones_like(s)]))
-
-
 def test_assemble_domain_closes_a_circle_wedge():
     """A (1/2k)-period circle arc between two mirror rays tiles to the circle.
 
@@ -211,16 +200,3 @@ def test_assemble_domain_rejects_off_ray_starts():
     with pytest.raises(GeometryError):
         assemble_domain(arc, 1)
 
-
-def test_curve_csv_lines_schema():
-    c = conjugate_vertical_boundary(lambda s: 0.1, 0.5, (0.0, 0.5),
-                                    ((0.0, 0.0), 0.0), step=1e-2)
-    lines = curve_csv_lines(c)
-    joined = "\n".join(lines)
-    assert "# total_turning=" in joined
-    header = next(l for l in lines if not l.startswith("#"))
-    assert header == "s,x,y,phi,kg"
-    first = next(l for l in lines if not l.startswith("#") and l != header)
-    assert len(first.split(",")) == 5
-    for tok in first.split(","):
-        float(tok)  # every field parses as a number

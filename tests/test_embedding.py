@@ -1,14 +1,13 @@
-"""Self-intersection sweep, covered-twice area, rotation bound, SVG export."""
+"""Self-intersection sweep, covered-twice area, SVG export."""
 import math
 
 import numpy as np
 import pytest
 
-from ektlab.curves import PlanarCurve, integrate_prescribed_curvature
+from ektlab.curves import PlanarCurve
 from ektlab.embedding import (critical_catenoid_domain, multiplicity_two_area,
-                              report_json_dict, rotation_lemma_check,
-                              self_intersections, write_domain_panels_svg,
-                              write_domain_svg)
+                              report_json_dict, self_intersections,
+                              write_domain_panels_svg, write_domain_svg)
 
 
 def curve_from_xy(x, y):
@@ -108,28 +107,6 @@ def test_critical_catenoid_area_regression():
     """Frozen covered-twice area of the mu=+3 domain (1024^2 winding grid)."""
     _, _, rep = critical_catenoid_domain(3.0, k=2, step=5e-4)
     assert rep.multiplicity_2_area == pytest.approx(0.749355, abs=5e-4)
-
-
-def test_rotation_lemma_check_tri_state():
-    # positive theta', small turning, embedded arc -> holds
-    c = integrate_prescribed_curvature(lambda s: 0.8, (0.0, 1.0),
-                                       (0.0, 0.0), 0.0, step=1e-3)
-    tp = np.full_like(c.s, 0.4)
-    ok = PlanarCurve(s=c.s, x=c.x, y=c.y, phi=c.phi, kg_samples=c.kg_samples,
-                     total_turning=float(np.trapezoid(tp, c.s)),
-                     theta_prime_samples=tp)
-    assert rotation_lemma_check(ok) == "holds"
-    # non-positive theta' -> hypothesis not met
-    bad_tp = PlanarCurve(s=c.s, x=c.x, y=c.y, phi=c.phi,
-                         kg_samples=c.kg_samples, total_turning=0.1,
-                         theta_prime_samples=np.zeros_like(c.s))
-    assert rotation_lemma_check(bad_tp) == "inapplicable"
-    # turning beyond pi -> hypothesis not met
-    big = PlanarCurve(s=c.s, x=c.x, y=c.y, phi=c.phi, kg_samples=c.kg_samples,
-                      total_turning=3.5, theta_prime_samples=tp)
-    assert rotation_lemma_check(big) == "inapplicable"
-    # missing data -> inapplicable
-    assert rotation_lemma_check(c) == "inapplicable"
 
 
 def test_report_json_dict_fields():

@@ -1,4 +1,4 @@
-"""Graph operator on closed-form minimal graphs, exact and discrete routes."""
+"""Graph operator on closed-form minimal graphs with exact partials."""
 import math
 
 import numpy as np
@@ -7,9 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ektlab.graphs import (arctan_graph, graph_gradient,
-                           graph_mean_curvature,
-                           graph_mean_curvature_discrete, shear_graph,
-                           umbrella_graph)
+                           graph_mean_curvature, shear_graph, umbrella_graph)
 from ektlab.spaces import SpaceParams
 
 RNG = np.random.default_rng(81423)
@@ -60,37 +58,6 @@ def test_graph_gradient_matches_partials_algebra():
     assert alpha == pytest.approx(u_x / lam + params.tau * y)
     assert beta == pytest.approx(u_y / lam - params.tau * x)
     assert w == pytest.approx(math.sqrt(1 + alpha**2 + beta**2))
-
-
-def test_discrete_route_converges_at_second_order():
-    """Centered differences on the arctan graph: error drops ~4x per halving."""
-    params = SpaceParams(kappa=-0.75, tau=0.25)
-    graph = arctan_graph(params)
-    x0, y0 = 0.25, 0.1
-
-    def center_residual(h):
-        # 3x3 patch centered on the same physical point for every h
-        xs = x0 + h * np.array([-1.0, 0.0, 1.0])
-        ys = y0 + h * np.array([-1.0, 0.0, 1.0])
-        xg, yg = np.meshgrid(xs, ys, indexing="ij")
-        u = graph(xg, yg)[0]
-        hmap = graph_mean_curvature_discrete(u, x0 - h, y0 - h, h, params)
-        assert not math.isnan(hmap[1, 1])
-        return abs(float(hmap[1, 1]))
-
-    e1, e2 = center_residual(0.02), center_residual(0.01)
-    assert e1 < 1e-4
-    assert 3.2 < e1 / e2 < 4.8
-
-
-def test_discrete_route_marks_the_boundary_ring_nan():
-    params = SpaceParams(kappa=0.0, tau=0.5)
-    u = np.zeros((5, 5))
-    hmap = graph_mean_curvature_discrete(u, 0.0, 0.0, 0.1, params)
-    assert np.all(np.isnan(hmap[0, :])) and np.all(np.isnan(hmap[:, -1]))
-    assert np.allclose(hmap[1:-1, 1:-1], 0.0)
-    with pytest.raises(ValueError):
-        graph_mean_curvature_discrete(np.zeros((2, 5)), 0, 0, 0.1, params)
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,7 +14,6 @@ from ektlab.solver import (
     SolverError,
     _distance_to_tag,
     boundary_theta_prime,
-    critical_points_of_nu,
     distance_d,
     distance_d_single,
     rho_estimate,
@@ -195,31 +194,9 @@ def test_vertex_probe_rejections(strip_solves, dual_sign_solves):
         boundary_theta_prime(dual_sign_solves[0][-1], "p0")
 
 
-def test_uniform_nu_clusters_to_single_orbit(dual_sign_solves):
-    sol = dual_sign_solves[0][-1]
-    ones = np.ones(sol.domain.n_nodes)
-    clusters = critical_points_of_nu(sol, nu_values=ones)
-    assert len(clusters) == 1
-    assert clusters[0].n_nodes == sol.domain.n_nodes
-    assert clusters[0].orbit_size == 1
-    assert clusters[0].nu_max == 1.0
-
-
-def test_separate_flagged_patches_form_separate_clusters(dual_sign_solves):
-    sol = dual_sign_solves[0][-1]
-    nodes = sol.domain.nodes
-    near_p0 = np.hypot(*nodes.T) < 0.12
-    inner = np.hypot(*(nodes - [0.3, 0.3]).T) < 0.12
-    nu = np.where(near_p0 | inner, 1.0, 0.0)
-    clusters = critical_points_of_nu(sol, nu_values=nu)
-    assert len(clusters) == 2
-    assert [c.n_nodes for c in clusters] == [int(near_p0.sum()), int(inner.sum())]
-    assert [c.orbit_size for c in clusters] == [1, 4]  # p0; open wedge, 2k
-
-
 def test_max_nu_sits_at_origin(dual_sign_solves):
     sol = dual_sign_solves[0][-1]
-    nu = sol.nu().values
+    nu = sol.nu()
     top = sol.domain.nodes[int(np.argmax(nu))]
     assert math.hypot(*top) < 2 * sol.domain.target_h
     assert nu.max() <= 1.0
@@ -417,6 +394,22 @@ def test_hessian_pattern_is_built_once_per_newton_solve(monkeypatch):
     monkeypatch.setattr(solver._Assembly, "_free_pattern", counted)
     sol = solve_dirichlet(flat_triangle(0.1), _js_data(2.0), params=FLAT_HALF)
     assert sol.newton_iters > 1 and len(calls) == 1
+
+
+def test_post_processing_builds_one_assembly_per_solution(monkeypatch):
+    sols = solve_jenkins_serrin(1.0, 1.0, 2, 0.4, [2.0, 4.0], 0.08)
+    calls = []
+    real = solver._Assembly.__init__
+
+    def counted(self, domain, params):
+        calls.append(1)
+        real(self, domain, params)
+
+    monkeypatch.setattr(solver._Assembly, "__init__", counted)
+    distance_d(sols)
+    rho_estimate(sols)
+    solution_csv_lines(sols[-1])
+    assert len(calls) == len(sols)
 
 
 def test_boundary_mass_matches_the_edge_loop():
