@@ -303,6 +303,8 @@ def _sweep_point(task):
 def _figure_sweep_d(args: argparse.Namespace, out: str) -> int:
     if not args.a_grid or not args.b_grid:
         raise UsageError("sweep grids must not be empty")
+    if args.workers < 1:
+        raise UsageError("--workers must be at least 1")
     _check_solve_params(args.a_grid[0], args.b_grid[0], args.k, args.H, args.M)
     a_grid = sorted(args.a_grid)
     b_grid = sorted(args.b_grid)
@@ -347,6 +349,8 @@ def _figure_noid_domain(args: argparse.Namespace, out: str) -> int:
         raise UsageError("noid-domain needs H in (0, 1/2) (bounded domain)")
     if args.b <= 0:
         raise UsageError("--b must be positive")
+    if not args.step > 0:  # also rejects nan
+        raise UsageError("--step must be positive")
     _check_solve_params(math.inf, args.b, args.k, args.H, args.M)
     r_trunc = args.r_trunc if args.r_trunc is not None else 4.0
     sols = solve_jenkins_serrin(math.inf, args.b, args.k, args.H,

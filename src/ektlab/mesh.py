@@ -4,10 +4,13 @@ Finite triangles T_{a,b} are meshed star-shaped from p0: concentric metric
 circles at radius i*h carry nodes at angular spacing matched to the circle
 circumference, the curved far side contributes its own arclength-uniform
 boundary nodes, and a Delaunay pass filtered by centroid tests produces the
-elements.  Ideal vertices (a or b infinite) are cut off by a truncation
-boundary at metric distance R_trunc from p0.  The flat half-strip
-(kappa = 0, k = 2, a infinite) gets a structured rectangle mesh instead,
-which keeps the refinement study clean.
+elements.  Ring nodes within metric distance 0.4*h of the finely sampled
+far side are dropped; a k-d tree finds the candidate pairs, those within
+0.4*h in the chart, which is exact since the conformal factor is >= 1.
+Ideal vertices (a or b infinite) are cut off by a truncation boundary at
+metric distance R_trunc from p0.  The flat half-strip (kappa = 0, k = 2,
+a infinite) gets a structured rectangle mesh instead, which keeps the
+refinement study clean.
 
 Boundary tags: side_p0p1 (the phi = 0 ray), side_p0p2 (the phi = pi/k ray),
 side_p1p2 (the far side), truncation.  A corner node takes the tag of the
@@ -21,11 +24,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 import numpy as np
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from .spaces import (GeometryError, GeodesicTriangle, SpaceParams,
                      build_triangle, chart_radius, conformal_factor_xy,
-                     metric_radius, min_metric_distance)
+                     metric_distance, metric_radius)
 
 __all__ = ["TriangulatedDomain", "triangulate", "TAGS"]
 
@@ -218,7 +221,7 @@ def triangulate(triangle: GeodesicTriangle, target_h: float,
     else:
         r_dom = float(np.max(metric_radius(np.hypot(*fine.T), kappa)))
 
-    chunks = [np.zeros((1, 2))]
+    rings = [np.zeros((0, 2))]
     wedge = math.pi / k
     i = 1
     while i * h < r_dom - 0.4 * h:
@@ -233,11 +236,11 @@ def triangulate(triangle: GeodesicTriangle, target_h: float,
         m = max(1, int(math.ceil(wedge / dphi)))
         phi = np.linspace(0.0, wedge, m + 1)
         ring = np.column_stack([r_chart * np.cos(phi), r_chart * np.sin(phi)])
-        ok = inside_test(ring)
-        ok &= min_metric_distance(ring, fine, kappa) >= 0.4 * h
-        chunks.append(ring[ok])
+        rings.append(ring[inside_test(ring)])
         i += 1
-    chunks.append(far_nodes)
+    rings = np.concatenate(rings)
+    chunks = [np.zeros((1, 2)), rings[_clear_of(rings, fine, kappa, 0.4 * h)],
+              far_nodes]
     trunc_nodes = np.zeros((0, 2))
     if triangle.a_infinite:
         r_t = chart_radius(R_trunc, kappa)
@@ -264,6 +267,21 @@ def triangulate(triangle: GeodesicTriangle, target_h: float,
                              target_h=h, r_trunc=R_trunc)
     _check_boundary(dom)
     return dom
+
+
+def _clear_of(pts, fine, kappa, cut):
+    """The mask min_metric_distance(pts, fine, kappa) >= cut, from near pairs.
+
+    For kappa <= 0 the conformal factor is >= 1, so metric distance is at
+    least chart distance: only the pairs inside a chart ball of radius cut
+    (padded against round-off) can fall below cut.
+    """
+    near = cKDTree(pts).sparse_distance_matrix(
+        cKDTree(fine), cut * (1.0 + 1e-9), output_type="ndarray")
+    i, j = near["i"], near["j"]
+    ok = np.ones(len(pts), dtype=bool)
+    ok[i[metric_distance(pts[i], fine[j], kappa) < cut]] = False
+    return ok
 
 
 def _collect(chunks, far_nodes, trunc_nodes, wedge):

@@ -35,8 +35,11 @@ __all__ = [
     "interior_angle_threshold_b",
     "chart_radius",
     "metric_radius",
+    "metric_distance",
     "min_metric_distance",
 ]
+
+_PAIR_BLOCK = 1 << 16
 
 
 class GeometryError(ValueError):
@@ -128,25 +131,34 @@ def metric_radius(r, kappa: float):
     return (2.0 / delta) * np.arctanh(np.clip(r * delta / 2.0, 0.0, 1.0 - 1e-16))
 
 
+def metric_distance(p: np.ndarray, q: np.ndarray, kappa: float) -> np.ndarray:
+    """Metric distance in M2(kappa), kappa <= 0, between chart points p and
+    q (..., 2), broadcast together.  Pairs at or past the ideal circle clip
+    to a large finite distance."""
+    if kappa == 0.0:
+        return np.sqrt(((p - q) ** 2).sum(axis=-1))
+    delta = math.sqrt(-kappa)
+    z = (p[..., 0] + 1j * p[..., 1]) * delta / 2.0
+    w = (q[..., 0] + 1j * q[..., 1]) * delta / 2.0
+    t = np.clip(np.abs(z - w) / np.abs(1.0 - np.conj(z) * w), 0.0, 1.0 - 1e-16)
+    return (2.0 / delta) * np.arctanh(t)
+
+
 def min_metric_distance(pts: np.ndarray, ref: np.ndarray, kappa: float) -> np.ndarray:
     """Metric distance from each chart point of pts (n, 2) to the nearest
     point of ref (m, 2) in M2(kappa), kappa <= 0.
 
-    Builds the full n x m table.  Pairs at or past the ideal circle clip to
-    a large finite distance.
+    Rows of pts go through in blocks of about _PAIR_BLOCK pairs, so memory
+    stays linear in n; each row's minimum is independent of the others.
     """
     pts = np.asarray(pts, dtype=float)
     ref = np.asarray(ref, dtype=float)
-    if kappa == 0.0:
-        d2 = ((pts[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
-        return np.sqrt(d2.min(axis=1))
-    delta = math.sqrt(-kappa)
-    z = (pts[:, 0] + 1j * pts[:, 1]) * delta / 2.0
-    w = (ref[:, 0] + 1j * ref[:, 1]) * delta / 2.0
-    num = np.abs(z[:, None] - w[None, :])
-    den = np.abs(1.0 - np.conj(z[:, None]) * w[None, :])
-    t = np.clip(num / den, 0.0, 1.0 - 1e-16)
-    return (2.0 / delta) * np.arctanh(t).min(axis=1)
+    rows = max(1, _PAIR_BLOCK // max(1, len(ref)))
+    out = np.empty(len(pts))
+    for start in range(0, len(pts), rows):
+        block = pts[start:start + rows, None, :]
+        out[start:start + rows] = metric_distance(block, ref, kappa).min(axis=1)
+    return out
 
 
 # -- geodesic triangles -------------------------------------------------------

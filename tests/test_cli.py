@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import ektlab
+from ektlab import cli
 from ektlab.cli import main
 
 
@@ -183,6 +184,29 @@ def test_sweep_empty_grid_exits_2(tmp_path, capsys, flag):
     assert run("figure", "sweep-d", flag, "", "--out",
                str(tmp_path / "o")) == 2
     assert "sweep grids must not be empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_workers_below_one_exits_2(tmp_path, capsys, monkeypatch,
+                                         workers):
+    solved = []
+    monkeypatch.setattr(cli, "_sweep_point", solved.append)
+    assert run("figure", "sweep-d", "--a-grid", "1", "--b-grid", "1",
+               "--workers", workers, "--out", str(tmp_path / "o")) == 2
+    assert "--workers must be at least 1" in capsys.readouterr().err
+    assert solved == []
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-3", "nan"])
+def test_noid_domain_bad_step_exits_2_before_solving(tmp_path, capsys,
+                                                     monkeypatch, step):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking --step")
+
+    monkeypatch.setattr(cli, "solve_jenkins_serrin", no_solve)
+    assert run("figure", "noid-domain", "--H", "0.45", "--step=" + step,
+               "--out", str(tmp_path / "o")) == 2
+    assert "--step must be positive" in capsys.readouterr().err
 
 
 def test_noid_domain_report(tmp_path):

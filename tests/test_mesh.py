@@ -6,7 +6,8 @@ import pytest
 
 from ektlab import mesh
 from ektlab.mesh import TAGS, triangulate
-from ektlab.spaces import GeometryError, build_triangle, metric_radius
+from ektlab.spaces import (GeometryError, build_triangle, metric_radius,
+                           min_metric_distance)
 
 
 def edge_metric_lengths(dom):
@@ -198,3 +199,30 @@ def test_collect_matches_the_loop_reference(monkeypatch):
         want_nodes, want_tags = _collect_loop(*args)
         assert np.array_equal(nodes, want_nodes)
         assert tags == want_tags
+
+
+@pytest.mark.parametrize("args, h, r_trunc", [
+    ((1.0, 1.0, 2, -0.36), 0.01, None),           # js-fine, H = 0.4
+    ((math.inf, 2.0, 2, -0.36), 0.02, 4.0),       # noid, H = 0.4
+    ((0.5, 2.0, 2, -0.36), 0.02, None),           # a sweep triangle
+    ((1.0, math.inf, 2, -0.36), 0.05, 2.5),       # ideal b: the mirrored path
+    ((1.0, 1.5, 3, 0.0), 0.03, None),             # kappa = 0, H = 1/2
+    ((1.0, 1.0, 2, -1.0), 0.03, None),            # H = 0
+])
+def test_ring_filter_matches_the_dense_distance(monkeypatch, args, h, r_trunc):
+    tri = build_triangle(*args)
+    fast = triangulate(tri, h, r_trunc)
+    dropped = []
+
+    def dense(pts, fine, kappa, cut):
+        ok = min_metric_distance(pts, fine, kappa) >= cut
+        dropped.append(np.count_nonzero(~ok))
+        return ok
+
+    monkeypatch.setattr(mesh, "_clear_of", dense)
+    ref = triangulate(tri, h, r_trunc)
+    assert sum(dropped) > 0  # the filter has ring points to reject
+    assert np.array_equal(fast.nodes, ref.nodes)
+    assert fast.elements.dtype == ref.elements.dtype
+    assert np.array_equal(fast.elements, ref.elements)
+    assert fast.boundary_tags == ref.boundary_tags

@@ -1,11 +1,13 @@
 """Base geometry: conformal charts, hyperbolic helpers, geodesic triangles."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ektlab import spaces
 from ektlab.spaces import (BasePoint, GeometryError, SpaceParams,
                            build_triangle, chart_radius, conformal_factor,
                            conformal_factor_xy, interior_angle_at_p2,
@@ -75,6 +77,46 @@ def test_chart_distance_euclidean_and_poincare():
     # distance from the origin agrees with metric_radius
     assert min_metric_distance([[0.0, 0.0]], [[0.8, 0.0]], -1.0)[0] == \
         pytest.approx(metric_radius(0.8, -1.0))
+
+
+def _one_shot_min_distance(pts, ref, kappa):
+    """The whole n x m table at once: the reference for the row blocks."""
+    if kappa == 0.0:
+        d2 = ((pts[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2)
+        return np.sqrt(d2.min(axis=1))
+    delta = math.sqrt(-kappa)
+    z = (pts[:, 0] + 1j * pts[:, 1]) * delta / 2.0
+    w = (ref[:, 0] + 1j * ref[:, 1]) * delta / 2.0
+    num = np.abs(z[:, None] - w[None, :])
+    den = np.abs(1.0 - np.conj(z[:, None]) * w[None, :])
+    t = np.clip(num / den, 0.0, 1.0 - 1e-16)
+    return (2.0 / delta) * np.arctanh(t).min(axis=1)
+
+
+@pytest.mark.parametrize("kappa", [0.0, -0.36, -1.0])
+def test_min_metric_distance_blocks_match_the_one_shot_table(kappa):
+    # 701 x 300 pairs span several row blocks and end on a partial one
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1.4, 1.4, (701, 2))
+    ref = rng.uniform(-1.4, 1.4, (300, 2))
+    assert pts.shape[0] * ref.shape[0] > 2 * spaces._PAIR_BLOCK
+    got = min_metric_distance(pts, ref, kappa)
+    assert np.array_equal(got, _one_shot_min_distance(pts, ref, kappa))
+
+
+def test_min_metric_distance_memory_is_linear_in_the_points():
+    # the one-shot table of these 8192 x 256 pairs holds 32 MiB per
+    # complex temporary
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(-1.0, 1.0, (8192, 2))
+    ref = rng.uniform(-1.0, 1.0, (256, 2))
+    tracemalloc.start()
+    try:
+        min_metric_distance(pts, ref, -1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_law_of_cosines_flat_limit_and_triangle_inequality():
