@@ -91,37 +91,21 @@ def _fmt_side(v: float) -> str:
     return "inf" if math.isinf(v) else f"{v:g}"
 
 
-# config files hold key=value lines with the keys named after option dests
-_CONFIG_CASTS = {
-    "out": str,
-    "config": str,
-    "mu": float,
-    "mus": _float_list,
-    "spacing": float,
-    "span": float,
-    "window": float,
-    "obj": lambda s: s.strip().lower() in ("1", "true", "yes"),
-    "u_max": float,
-    "a": _parse_side,
-    "b": float,
-    "b_side": _parse_side,
-    "k": int,
-    "H": float,
-    "M": _float_list,
-    "target_h": float,
-    "r_trunc": float,
-    "m_sign": int,
-    "a_grid": _float_list,
-    "b_grid": _float_list,
-    "step": float,
-    "s_cap": float,
-    "workers": int,
-    "fault_inject": float,
-    "name": str,
-}
+def _config_value(option: argparse.Action, text: str):
+    """A config value parsed as the option's flag parses it; a repeatable
+    option takes a number list and a switch a truth word."""
+    if isinstance(option, argparse._StoreTrueAction):
+        return text.strip().lower() in ("1", "true", "yes")
+    if isinstance(option, argparse._AppendAction):
+        return _float_list(text)
+    value = (option.type or str)(text)
+    if option.choices is not None and value not in option.choices:
+        raise ValueError(f"{value!r} is not one of {list(option.choices)}")
+    return value
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _apply_config(args: argparse.Namespace,
+                  parser: argparse.ArgumentParser) -> None:
     if not getattr(args, "config", None):
         return
     try:
@@ -129,6 +113,11 @@ def _apply_config(args: argparse.Namespace) -> None:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise UsageError(f"cannot read config {args.config!r}: {exc}")
+    # the keys are the dests of the active subcommand's options
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {a.dest: a for a in sub.choices[args.command]._actions
+               if a.dest != "help"}
     for n, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -136,27 +125,33 @@ def _apply_config(args: argparse.Namespace) -> None:
         if "=" not in line:
             raise UsageError(f"{args.config}:{n}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_CASTS or not hasattr(args, key):
+        if key not in options:
             raise UsageError(f"{args.config}:{n}: unknown key {key!r}")
         try:
-            setattr(args, key, _CONFIG_CASTS[key](value))
+            setattr(args, key, _config_value(options[key], value))
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"{args.config}:{n}: {exc}")
 
 
 def _check_solve_params(a: float, b: float, k: int, H: float,
-                        M: Sequence[float]) -> None:
+                        M: Sequence[float], target_h: float,
+                        r_trunc: Optional[float] = None) -> None:
+    # "not x > 0" also rejects nan
     if not 0.0 < H <= 0.5:
         raise UsageError(f"--H {H:g} out of the conjugation range (0, 1/2]")
     if math.isinf(a) and math.isinf(b):
         raise UsageError("a and b cannot both be inf")
-    if (not math.isinf(a) and a <= 0) or (not math.isinf(b) and b <= 0):
+    if not (a > 0 and b > 0):
         raise UsageError("side lengths must be positive")
     if k < 2:
         raise UsageError("k must be an integer >= 2")
-    if len(M) == 0 or any(m <= 0 for m in M) or any(
-            y <= x for x, y in zip(M, M[1:])):
+    if len(M) == 0 or any(not m > 0 for m in M) or any(
+            not y > x for x, y in zip(M, M[1:])):
         raise UsageError("M schedule must be positive and strictly increasing")
+    if not target_h > 0:
+        raise UsageError("--target-h must be positive")
+    if r_trunc is not None and not r_trunc > 0:
+        raise UsageError("--r-trunc must be positive")
 
 
 # ---------------------------------------------------------------- helicoid
@@ -187,9 +182,9 @@ def _write_obj(path: str, profile, u_max: float) -> None:
 
 def cmd_helicoid(args: argparse.Namespace) -> int:
     mu = args.mu
-    if mu is None:
-        raise UsageError("--mu is required")
-    if args.spacing <= 0 or not 0 < args.span < 1 or args.window <= 0:
+    if not math.isfinite(mu):
+        raise UsageError("--mu must be finite")
+    if not (args.spacing > 0 and 0 < args.span < 1 and args.window > 0):
         raise UsageError("grid controls must be positive (span in (0,1))")
     special = None
     if mu == 0.0:
@@ -233,7 +228,8 @@ def cmd_helicoid(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- solve
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    _check_solve_params(args.a, args.b_side, args.k, args.H, args.M)
+    _check_solve_params(args.a, args.b_side, args.k, args.H, args.M,
+                        args.target_h, args.r_trunc)
     r_trunc = args.r_trunc
     if r_trunc is None and (math.isinf(args.a) or math.isinf(args.b_side)):
         r_trunc = 4.0
@@ -262,9 +258,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def _figure_catenoid_domains(args: argparse.Namespace, out: str) -> int:
     mus = args.mus if args.mus else [-3.0, 3.0]
     for mu in mus:
-        if abs(mu) <= 0.5:
-            raise UsageError(f"--mu {mu:g}: need |mu| > 1/2 for a vertex fiber")
-    if args.step <= 0 or args.s_cap <= 0:
+        if not 0.5 < abs(mu) < math.inf:
+            raise UsageError(f"--mu {mu:g}: need finite |mu| > 1/2 for a vertex fiber")
+    if not (args.step > 0 and args.s_cap > 0):
         raise UsageError("step and s-cap must be positive")
     panels = []
     verdicts = {}
@@ -305,10 +301,11 @@ def _figure_sweep_d(args: argparse.Namespace, out: str) -> int:
         raise UsageError("sweep grids must not be empty")
     if args.workers < 1:
         raise UsageError("--workers must be at least 1")
-    _check_solve_params(args.a_grid[0], args.b_grid[0], args.k, args.H, args.M)
+    _check_solve_params(args.a_grid[0], args.b_grid[0], args.k, args.H, args.M,
+                        args.target_h)
     a_grid = sorted(args.a_grid)
     b_grid = sorted(args.b_grid)
-    if any(v <= 0 or math.isinf(v) for v in a_grid + b_grid):
+    if any(not 0 < v < math.inf for v in a_grid + b_grid):
         raise UsageError("sweep grids must be finite positive side lengths")
     tasks = [(a, b, args.k, args.H, tuple(args.M), args.target_h)
              for a, b in itertools.product(a_grid, b_grid)]
@@ -347,11 +344,12 @@ def _figure_sweep_d(args: argparse.Namespace, out: str) -> int:
 def _figure_noid_domain(args: argparse.Namespace, out: str) -> int:
     if not 0.0 < args.H < 0.5:
         raise UsageError("noid-domain needs H in (0, 1/2) (bounded domain)")
-    if args.b <= 0:
+    if not args.b > 0:
         raise UsageError("--b must be positive")
     if not args.step > 0:  # also rejects nan
         raise UsageError("--step must be positive")
-    _check_solve_params(math.inf, args.b, args.k, args.H, args.M)
+    _check_solve_params(math.inf, args.b, args.k, args.H, args.M,
+                        args.target_h, args.r_trunc)
     r_trunc = args.r_trunc if args.r_trunc is not None else 4.0
     sols = solve_jenkins_serrin(math.inf, args.b, args.k, args.H,
                                 list(args.M), args.target_h, R_trunc=r_trunc)
@@ -495,7 +493,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "M", None) is None and hasattr(args, "M"):
         args.M = [2.0, 4.0, 8.0, 16.0]
     try:
-        _apply_config(args)
+        _apply_config(args, parser)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

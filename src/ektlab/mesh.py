@@ -13,8 +13,10 @@ a infinite) gets a structured rectangle mesh instead, which keeps the
 refinement study clean.
 
 Boundary tags: side_p0p1 (the phi = 0 ray), side_p0p2 (the phi = pi/k ray),
-side_p1p2 (the far side), truncation.  A corner node takes the tag of the
-side through p0 when there is a choice, so Dirichlet data stays single
+side_p1p2 (the far side), truncation.  TriangulatedDomain.tags holds one
+entry per node, the index into TAGS, or -1 for an interior node.  A node on
+two sides takes the one that comes first in TAGS, so a corner takes the
+side through p0 when there is a choice and Dirichlet data stays single
 valued at corners.
 """
 from __future__ import annotations
@@ -26,23 +28,21 @@ from typing import Callable, Dict, Optional
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
-from .spaces import (GeometryError, GeodesicTriangle, SpaceParams,
-                     build_triangle, chart_radius, conformal_factor_xy,
-                     metric_distance, metric_radius)
+from .spaces import (GeometryError, GeodesicTriangle, build_triangle,
+                     chart_radius, conformal_factor_xy, metric_distance,
+                     metric_radius)
 
 __all__ = ["TriangulatedDomain", "triangulate", "TAGS"]
 
 TAGS = ("side_p0p1", "side_p0p2", "side_p1p2", "truncation")
-_PRIORITY = {t: i for i, t in enumerate(TAGS)}
 
 
 @dataclass
 class TriangulatedDomain:
-    params: SpaceParams
     triangle: GeodesicTriangle
     nodes: np.ndarray
     elements: np.ndarray
-    boundary_tags: Dict[int, str]
+    tags: np.ndarray  # per node: index into TAGS, -1 for an interior node
     target_h: float
     r_trunc: Optional[float] = None
     node_metric_radius: np.ndarray = field(default=None, repr=False)
@@ -59,9 +59,7 @@ class TriangulatedDomain:
         return self.nodes.shape[0]
 
     def nodes_with_tag(self, tag: str) -> np.ndarray:
-        idx = np.array(sorted(i for i, t in self.boundary_tags.items() if t == tag),
-                       dtype=int)
-        return idx
+        return np.flatnonzero(self.tags == TAGS.index(tag))
 
     def cached(self, key: str, compute: Callable[[], np.ndarray]) -> np.ndarray:
         """compute() once per key for this mesh, handed out read-only."""
@@ -201,18 +199,15 @@ def _far_side(triangle: GeodesicTriangle, r_trunc: Optional[float], h: float):
 def triangulate(triangle: GeodesicTriangle, target_h: float,
                 R_trunc: Optional[float] = None) -> TriangulatedDomain:
     """Mesh the (possibly truncated) triangle at metric edge length ~target_h."""
-    if target_h <= 0:
+    if not target_h > 0:  # also rejects nan
         raise GeometryError("target_h must be positive")
-    if triangle.a_infinite and triangle.b_infinite:
-        raise GeometryError("the doubly ideal wedge is not meshable")
     if not triangle.a_infinite and not triangle.b_infinite and triangle.ell <= 0:
         raise GeometryError("degenerate triangle with zero far side")
     if triangle.b_infinite:
         return _mirrored(triangle, target_h, R_trunc)
     kappa, k, h = triangle.kappa, triangle.k, target_h
-    params = SpaceParams.from_h(math.sqrt(1.0 + kappa) / 2.0)
     if kappa == 0.0 and triangle.a_infinite and k == 2:
-        return _strip(triangle, params, h, R_trunc)
+        return _strip(triangle, h, R_trunc)
     delta = math.sqrt(-kappa) if kappa < 0 else 0.0
     fine, inside_test = _far_side(triangle, R_trunc, h)
     far_nodes, _ = _metric_resample(fine, kappa, h)
@@ -262,9 +257,8 @@ def triangulate(triangle: GeodesicTriangle, target_h: float,
     elements = tri.simplices[keep]
     elements = _orient_ccw(nodes, elements)
     nodes, elements, tags = _compact(nodes, elements, tags)
-    dom = TriangulatedDomain(params=params, triangle=triangle, nodes=nodes,
-                             elements=elements, boundary_tags=tags,
-                             target_h=h, r_trunc=R_trunc)
+    dom = TriangulatedDomain(triangle=triangle, nodes=nodes, elements=elements,
+                             tags=tags, target_h=h, r_trunc=R_trunc)
     _check_boundary(dom)
     return dom
 
@@ -282,6 +276,12 @@ def _clear_of(pts, fine, kappa, cut):
     ok = np.ones(len(pts), dtype=bool)
     ok[i[metric_distance(pts[i], fine[j], kappa) < cut]] = False
     return ok
+
+
+def _first_tag(cand: np.ndarray) -> np.ndarray:
+    """Per row of an (n, len(TAGS)) candidate mask, the index of its first
+    true column (TAGS order is the priority), or -1 when it has none."""
+    return np.where(cand.any(axis=1), cand.argmax(axis=1), -1)
 
 
 def _collect(chunks, far_nodes, trunc_nodes, wedge):
@@ -321,11 +321,11 @@ def _collect(chunks, far_nodes, trunc_nodes, wedge):
         probed(n_pts, n_pts + n_far),
         probed(n_pts + n_far, keys.shape[0]),
     ])
-    prio = np.where(cand.any(axis=1), cand.argmax(axis=1), len(TAGS))
-    best = np.full(n_nodes, len(TAGS))
-    np.minimum.at(best, node, prio)
-    tags = {int(i): TAGS[best[i]] for i in np.nonzero(best < len(TAGS))[0]}
-    return pts[first[order[:n_nodes]]], tags
+    # a node's candidates are those of all its duplicates
+    hit = np.zeros((n_nodes, len(TAGS)), dtype=bool)
+    rows, cols = np.nonzero(cand)
+    hit[node[rows], cols] = True
+    return pts[first[order[:n_nodes]]], _first_tag(hit)
 
 
 def _orient_ccw(nodes, elements):
@@ -344,24 +344,20 @@ def _compact(nodes, elements, tags):
     used = np.unique(elements)
     remap = -np.ones(nodes.shape[0], dtype=int)
     remap[used] = np.arange(used.size)
-    new_tags = {}
-    for i, t in tags.items():
-        if remap[i] >= 0:
-            new_tags[int(remap[i])] = t
-    return nodes[used], remap[elements], new_tags
+    return nodes[used], remap[elements], tags[used]
 
 
 def _check_boundary(dom: TriangulatedDomain):
-    for edge in dom.boundary_edges():
-        for n in edge:
-            if int(n) not in dom.boundary_tags:
-                p = dom.nodes[n]
-                raise GeometryError(
-                    f"untagged boundary node at ({p[0]:.6f}, {p[1]:.6f}); "
-                    "triangulation margins need adjusting")
+    ends = dom.boundary_edges().ravel()
+    untagged = ends[dom.tags[ends] < 0]
+    if untagged.size:
+        p = dom.nodes[untagged[0]]
+        raise GeometryError(
+            f"untagged boundary node at ({p[0]:.6f}, {p[1]:.6f}); "
+            "triangulation margins need adjusting")
 
 
-def _strip(triangle: GeodesicTriangle, params: SpaceParams, h: float,
+def _strip(triangle: GeodesicTriangle, h: float,
            R_trunc: Optional[float]) -> TriangulatedDomain:
     """Structured rectangle mesh for the flat half-strip (k=2, a infinite)."""
     if R_trunc is None or R_trunc <= 0:
@@ -373,33 +369,15 @@ def _strip(triangle: GeodesicTriangle, params: SpaceParams, h: float,
     ys = np.linspace(0.0, b, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    def nid(i, j):
-        return i * (ny + 1) + j
-
-    elems = []
-    for i in range(nx):
-        for j in range(ny):
-            elems.append((nid(i, j), nid(i + 1, j), nid(i + 1, j + 1)))
-            elems.append((nid(i, j), nid(i + 1, j + 1), nid(i, j + 1)))
-    elements = np.array(elems, dtype=int)
-    tags = {}
-    for idx in range(nodes.shape[0]):
-        x, y = nodes[idx]
-        cand = []
-        if y == 0.0:
-            cand.append("side_p0p1")
-        if x == 0.0:
-            cand.append("side_p0p2")
-        if y == ys[-1]:
-            cand.append("side_p1p2")
-        if x == xs[-1]:
-            cand.append("truncation")
-        if cand:
-            tags[idx] = min(cand, key=_PRIORITY.get)
-    return TriangulatedDomain(params=params, triangle=triangle, nodes=nodes,
-                              elements=elements, boundary_tags=tags,
-                              target_h=h, r_trunc=R_trunc)
+    # cell (i, j) splits into (i,j)-(i+1,j)-(i+1,j+1) and (i,j)-(i+1,j+1)-(i,j+1)
+    ids = np.arange(nodes.shape[0]).reshape(nx + 1, ny + 1)
+    c00, c10, c11, c01 = ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]
+    elements = np.stack([c00, c10, c11, c00, c11, c01], axis=-1).reshape(-1, 3)
+    x, y = nodes.T
+    tags = _first_tag(np.column_stack(
+        [y == 0.0, x == 0.0, y == ys[-1], x == xs[-1]]))
+    return TriangulatedDomain(triangle=triangle, nodes=nodes, elements=elements,
+                              tags=tags, target_h=h, r_trunc=R_trunc)
 
 
 def _mirrored(triangle: GeodesicTriangle, target_h: float,
@@ -412,9 +390,8 @@ def _mirrored(triangle: GeodesicTriangle, target_h: float,
     z = dom.nodes[:, 0] + 1j * dom.nodes[:, 1]
     w = np.exp(1j * ang) * np.conj(z)
     nodes = np.column_stack([w.real, w.imag])
-    swap = {"side_p0p1": "side_p0p2", "side_p0p2": "side_p0p1"}
-    tags = {i: swap.get(t, t) for i, t in dom.boundary_tags.items()}
+    # the mirror swaps the legs side_p0p1 (0) and side_p0p2 (1)
+    tags = np.where(np.isin(dom.tags, (0, 1)), 1 - dom.tags, dom.tags)
     elements = _orient_ccw(nodes, dom.elements)
-    return TriangulatedDomain(params=dom.params, triangle=triangle, nodes=nodes,
-                              elements=elements, boundary_tags=tags,
-                              target_h=target_h, r_trunc=R_trunc)
+    return TriangulatedDomain(triangle=triangle, nodes=nodes, elements=elements,
+                              tags=tags, target_h=target_h, r_trunc=R_trunc)

@@ -36,7 +36,7 @@ from scipy.sparse.linalg import splu
 from .graphs import graph_gradient
 from .spaces import (GeometryError, SpaceParams, build_triangle,
                      conformal_factor_xy, min_metric_distance)
-from .mesh import TriangulatedDomain, triangulate
+from .mesh import TAGS, TriangulatedDomain, triangulate
 
 __all__ = [
     "SolverError", "GraphSolution",
@@ -252,35 +252,37 @@ BoundaryValue = Union[float, Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 def _dirichlet_arrays(domain: TriangulatedDomain,
                       boundary_values: Mapping[str, BoundaryValue]):
-    idx, val = [], []
-    for i, tag in sorted(domain.boundary_tags.items()):
+    """The fixed nodes in ascending order and their values; a callable is
+    evaluated once per tag, on the chart coordinates of its nodes."""
+    fixed = np.zeros(domain.n_nodes, dtype=bool)
+    vals = np.zeros(domain.n_nodes)
+    for t, tag in enumerate(TAGS):
         if tag not in boundary_values:
             continue
+        at = domain.tags == t
         v = boundary_values[tag]
-        if callable(v):
-            x, y = domain.nodes[i]
-            v = float(v(np.asarray(x), np.asarray(y)))
-        else:
-            v = float(v)
-        if not math.isfinite(v):
+        vals[at] = v(*domain.nodes[at].T) if callable(v) else v
+        if not np.isfinite(vals[at]).all():
             raise SolverError(f"non-finite Dirichlet value on {tag}")
-        idx.append(i)
-        val.append(v)
-    return np.array(idx, dtype=int), np.array(val)
+        fixed |= at
+    fixed = np.flatnonzero(fixed)
+    return fixed, vals[fixed]
 
 
 def solve_dirichlet(domain: TriangulatedDomain,
                     boundary_values: Mapping[str, BoundaryValue],
-                    params: Optional[SpaceParams] = None,
+                    params: SpaceParams,
                     initial: Optional[np.ndarray] = None,
                     tol: float = 1e-9,
                     max_iters: int = _MAX_ITERS) -> GraphSolution:
-    """Minimize graph area subject to per-tag Dirichlet data.
+    """Minimize graph area in the space params subject to per-tag Dirichlet
+    data.
 
-    Tags missing from boundary_values stay free (natural boundary).  Values
-    may be reals or callables of the chart coordinates.
+    params is required: the mesh holds geometry only.  Tags missing from
+    boundary_values stay free (natural boundary).  Values may be reals or
+    callables f(x, y), which receive the arrays of chart coordinates of all
+    nodes with that tag at once and return one value per node.
     """
-    params = params or domain.params
     u, res, iters, energies = _dirichlet_newton(domain, boundary_values, params,
                                                 initial, tol, max_iters)
     return GraphSolution(domain=domain, u=u, params=params, residual_norm=res,
@@ -593,12 +595,12 @@ def solution_csv_lines(sol: GraphSolution) -> List[str]:
         f"newton_iters={sol.newton_iters}",
         "x,y,u,nu,tag",
     ]
+    names = TAGS + ("",)  # tag -1, an interior node, prints ""
     rows = []
     for i in range(dom.n_nodes):
         x, y = dom.nodes[i]
-        tag = dom.boundary_tags.get(i, "")
         rows.append(f"{float(x)!r},{float(y)!r},{float(sol.u[i])!r},"
-                    f"{float(nu[i])!r},{tag}")
+                    f"{float(nu[i])!r},{names[dom.tags[i]]}")
     return head + rows
 
 

@@ -210,21 +210,17 @@ class GeodesicTriangle:
         return math.isinf(self.b)
 
 
-def build_triangle(a: float, b: float, k: int, kappa: float,
-                   allow_wedge: bool = False) -> GeodesicTriangle:
-    """Place T_{a,b} in the chart of M2(kappa).
-
-    Both sides infinite is the wedge T_{inf,inf} and must be requested
-    explicitly with ``allow_wedge``.
-    """
+def build_triangle(a: float, b: float, k: int, kappa: float) -> GeodesicTriangle:
+    """Place T_{a,b} in the chart of M2(kappa); at most one side may be
+    infinite."""
     if kappa > 0:
         raise GeometryError("only kappa <= 0 bases are supported")
     if k < 2 or int(k) != k:
         raise GeometryError("k must be an integer >= 2")
     if not (a > 0 and b > 0):
         raise GeometryError("side lengths must be positive")
-    if math.isinf(a) and math.isinf(b) and not allow_wedge:
-        raise GeometryError("both sides infinite: pass allow_wedge=True for T_inf_inf")
+    if math.isinf(a) and math.isinf(b):
+        raise GeometryError("both sides infinite: the wedge T_inf_inf is not a triangle")
     gamma = math.pi / k
     r1 = chart_radius(a, kappa)
     r2 = chart_radius(b, kappa)
@@ -239,8 +235,7 @@ def build_triangle(a: float, b: float, k: int, kappa: float,
                             p0=p0, p1=p1, p2=p2, ell=ell)
 
 
-def interior_angle_at_p2(b: float, k: int, kappa: float,
-                         a_infinite: bool = True) -> float:
+def interior_angle_at_p2(b: float, k: int, kappa: float) -> float:
     """Interior angle beta of T_{inf,b} at the finite vertex p2.
 
     Solves cosh(b delta) = (1 + cos(pi/k) cos(beta)) / (sin(pi/k) sin(beta))
@@ -249,8 +244,6 @@ def interior_angle_at_p2(b: float, k: int, kappa: float,
     beta = atan2(B, A) + asin(1/hypot(A, B)).  The doubled angle 2 beta is the
     interior angle of the reflected domain at p2.
     """
-    if not a_infinite:
-        raise GeometryError("the closed-form angle assumes an ideal a-side")
     if kappa >= 0:
         raise GeometryError("the one-ideal-vertex relation needs kappa < 0")
     # b = 0 is the degenerate limit where the formula stays continuous

@@ -1,4 +1,5 @@
 """Command line surface: outputs, exit codes, config handling, determinism."""
+import argparse
 import json
 import os
 import pathlib
@@ -207,6 +208,94 @@ def test_noid_domain_bad_step_exits_2_before_solving(tmp_path, capsys,
     assert run("figure", "noid-domain", "--H", "0.45", "--step=" + step,
                "--out", str(tmp_path / "o")) == 2
     assert "--step must be positive" in capsys.readouterr().err
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every entry point into real work raises: a usage error must come first."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    for name in ("solve_jenkins_serrin", "_sweep_point",
+                 "critical_catenoid_domain", "residual_grid"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--a", "1", "--b", "1", "--H", "0.4", "--target-h", "nan"),
+    ("figure", "sweep-d", "--H", "0.4", "--target-h", "nan"),
+    ("figure", "noid-domain", "--H", "0.4", "--target-h", "nan"),
+    ("figure", "catenoid-domains", "--step", "nan"),
+    ("figure", "catenoid-domains", "--s-cap", "nan"),
+    ("helicoid", "--mu", "1", "--spacing", "nan"),
+    ("helicoid", "--mu", "nan"),
+], ids=["solve-target-h", "sweep-d-target-h", "noid-domain-target-h",
+        "catenoid-step", "catenoid-s-cap", "helicoid-spacing", "helicoid-mu"])
+def test_nan_input_is_a_usage_error_before_any_work(tmp_path, capsys,
+                                                    no_work, argv):
+    assert run(*argv, "--out", str(tmp_path / "o")) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+@pytest.mark.parametrize("argv", [
+    ("solve", "--a", "1", "--b", "inf", "--H", "0.4"),
+    ("figure", "noid-domain", "--H", "0.4"),
+], ids=["solve", "noid-domain"])
+def test_bad_r_trunc_is_a_usage_error_before_solving(tmp_path, capsys,
+                                                     no_work, argv, value):
+    assert run(*argv, "--r-trunc=" + value, "--out", str(tmp_path / "o")) == 2
+    assert "--r-trunc must be positive" in capsys.readouterr().err
+
+
+# a flag value per option type, and what a config line gives the same option
+_FLAG_SAMPLES = {float: "0.25", int: "3", cli._parse_side: "inf",
+                 cli._float_list: "0.5 1.5", None: "x"}
+_REQUIRED = {"helicoid": ["--mu", "1"], "figure": ["sweep-d"], "audit": [],
+             "solve": ["--a", "1", "--b", "1", "--H", "0.5"]}
+
+
+def test_every_option_is_a_config_key_that_parses_as_its_flag(tmp_path):
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    cfg = tmp_path / "run.cfg"
+    checked = 0
+    for command, sub_parser in sub.choices.items():
+        for act in sub_parser._actions:
+            if act.dest == "help":
+                continue
+            if act.nargs == 0:  # a switch
+                flag, line = [act.option_strings[0]], "true"
+            elif isinstance(act, argparse._AppendAction):
+                flag, line = [act.option_strings[0], "2",
+                              act.option_strings[0], "4"], "2,4"
+            else:
+                value = (str(list(act.choices)[-1]) if act.choices
+                         else _FLAG_SAMPLES[act.type])
+                flag = act.option_strings[:1] + [value]
+                line = value
+            # the figure name is positional: its flag is the bare value
+            argv = [command] + (_REQUIRED[command] if act.option_strings
+                                else []) + flag
+            want = getattr(parser.parse_args(argv), act.dest)
+            args = parser.parse_args([command] + _REQUIRED[command])
+            assert getattr(args, act.dest) != want
+            cfg.write_text(f"{act.dest}={line}\n")
+            args.config = str(cfg)
+            cli._apply_config(args, parser)
+            got = getattr(args, act.dest)
+            assert got == want and type(got) is type(want), (command, act.dest)
+            checked += 1
+    assert checked == 36  # 8 helicoid, 10 solve, 15 figure, 3 audit options
+
+
+def test_config_value_outside_the_choices_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m_sign=3\n")
+    assert run("solve", "--a", "1", "--b", "1", "--H", "0.25", "--config",
+               str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert "is not one of" in capsys.readouterr().err
 
 
 def test_noid_domain_report(tmp_path):

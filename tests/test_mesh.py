@@ -40,8 +40,8 @@ def test_finite_triangle_mesh_basics():
     # every boundary-edge node carries exactly one tag
     for edge in dom.boundary_edges():
         for n in edge:
-            assert int(n) in dom.boundary_tags
-            assert dom.boundary_tags[int(n)] in TAGS
+            assert dom.tags[n] >= 0
+            assert dom.tags[n] < len(TAGS)
     # no truncation tag on a finite triangle
     assert dom.nodes_with_tag("truncation").size == 0
     # signed element areas all positive (consistent orientation)
@@ -62,7 +62,7 @@ def test_leg_tags_sit_on_their_rays():
                          - leg1[:, 1] * math.cos(ang))) < 1e-8
     # p0 carries the side_p0p1 tag (priority by side order)
     origin = int(np.argmin(np.hypot(dom.nodes[:, 0], dom.nodes[:, 1])))
-    assert dom.boundary_tags[origin] == "side_p0p1"
+    assert TAGS[dom.tags[origin]] == "side_p0p1"
 
 
 def test_edge_lengths_track_target_h():
@@ -99,9 +99,8 @@ def test_ideal_vertex_needs_truncation():
 
 
 def test_doubly_ideal_wedge_is_rejected():
-    tri = build_triangle(math.inf, math.inf, 2, -1.0, allow_wedge=True)
     with pytest.raises(GeometryError):
-        triangulate(tri, 0.05, 2.0)
+        build_triangle(math.inf, math.inf, 2, -1.0)
 
 
 def test_flat_half_strip_is_structured():
@@ -121,6 +120,37 @@ def test_flat_half_strip_is_structured():
     assert np.allclose(tr[:, 0], 3.0)
 
 
+def test_strip_corners_take_the_first_tag_in_TAGS_order():
+    dom = triangulate(build_triangle(math.inf, 1.0, 2, 0.0), 0.1, 3.0)
+    want = {(0.0, 0.0): "side_p0p1", (3.0, 0.0): "side_p0p1",
+            (0.0, 1.0): "side_p0p2", (3.0, 1.0): "side_p1p2"}
+    for (x, y), tag in want.items():
+        corner = np.flatnonzero((dom.nodes[:, 0] == x) & (dom.nodes[:, 1] == y))
+        assert corner.size == 1
+        assert TAGS[dom.tags[corner[0]]] == tag
+    # every other node of the outer rows and columns has one side to take
+    edge = (np.isin(dom.nodes[:, 0], (0.0, 3.0))
+            | np.isin(dom.nodes[:, 1], (0.0, 1.0)))
+    assert np.all(dom.tags[edge] >= 0) and np.all(dom.tags[~edge] == -1)
+
+
+def test_strip_matches_the_loop_reference():
+    dom = triangulate(build_triangle(math.inf, 1.0, 2, 0.0), 0.1, 3.0)
+    xs, ys = np.unique(dom.nodes[:, 0]), np.unique(dom.nodes[:, 1])
+    ny = ys.size - 1
+    elems, tags = [], []
+    for i in range(xs.size - 1):
+        for j in range(ny):
+            n = i * (ny + 1) + j
+            elems += [(n, n + ny + 1, n + ny + 2), (n, n + ny + 2, n + 1)]
+    for x, y in dom.nodes:
+        cand = [y == 0.0, x == 0.0, y == ys[-1], x == xs[-1]]
+        tags.append(cand.index(True) if any(cand) else -1)
+    assert dom.elements.dtype == np.array(elems).dtype
+    assert np.array_equal(dom.elements, np.array(elems))
+    assert dom.tags.tolist() == tags
+
+
 def test_ideal_b_mesh_mirrors_ideal_a():
     """Swapping which side is infinite reflects the mesh across the bisector."""
     k = 3
@@ -138,10 +168,40 @@ def test_ideal_b_mesh_mirrors_ideal_a():
             == b_dom.nodes_with_tag("side_p0p2").size)
 
 
+def test_mirrored_mesh_swaps_the_leg_tags_node_by_node():
+    # an ideal-b mesh is the ideal-a mesh reflected, node for node
+    k = 3
+    a_dom = triangulate(build_triangle(math.inf, 1.0, k, -0.96), 0.06, 2.0)
+    b_dom = mesh._mirrored(build_triangle(1.0, math.inf, k, -0.96), 0.06, 2.0)
+    w = np.exp(1j * math.pi / k) * np.conj(a_dom.nodes @ [1.0, 1j])
+    assert np.allclose(b_dom.nodes, np.column_stack([w.real, w.imag]),
+                       atol=1e-12)
+    swap = {"side_p0p1": "side_p0p2", "side_p0p2": "side_p0p1"}
+    names = TAGS + ("",)
+    assert set(a_dom.tags) == {-1, 0, 1, 2, 3}
+    assert [names[t] for t in b_dom.tags] == [
+        swap.get(names[t], names[t]) for t in a_dom.tags]
+
+
+def test_check_boundary_raises_on_a_cleared_boundary_tag():
+    dom = triangulate(build_triangle(1.0, 1.5, 3, -0.75), 0.1)
+    mesh._check_boundary(dom)
+    ends = dom.boundary_edges().ravel()
+    node = ends[ends.size // 2]
+    dom.tags = dom.tags.copy()
+    dom.tags[node] = -1
+    x, y = dom.nodes[node]
+    with pytest.raises(GeometryError,
+                       match=rf"untagged boundary node at \({x:.6f}, {y:.6f}\)"):
+        mesh._check_boundary(dom)
+
+
 def test_bad_target_h_rejected():
     tri = build_triangle(1.0, 1.0, 2, -0.75)
     with pytest.raises(GeometryError):
         triangulate(tri, 0.0)
+    with pytest.raises(GeometryError, match="target_h must be positive"):
+        triangulate(tri, math.nan)
 
 
 def _collect_loop(chunks, far_nodes, trunc_nodes, wedge):
@@ -198,7 +258,7 @@ def test_collect_matches_the_loop_reference(monkeypatch):
     for args, (nodes, tags) in seen:
         want_nodes, want_tags = _collect_loop(*args)
         assert np.array_equal(nodes, want_nodes)
-        assert tags == want_tags
+        assert {i: TAGS[t] for i, t in enumerate(tags) if t >= 0} == want_tags
 
 
 @pytest.mark.parametrize("args, h, r_trunc", [
@@ -225,4 +285,4 @@ def test_ring_filter_matches_the_dense_distance(monkeypatch, args, h, r_trunc):
     assert np.array_equal(fast.nodes, ref.nodes)
     assert fast.elements.dtype == ref.elements.dtype
     assert np.array_equal(fast.elements, ref.elements)
-    assert fast.boundary_tags == ref.boundary_tags
+    assert np.array_equal(fast.tags, ref.tags)

@@ -332,7 +332,7 @@ def test_nodes_outside_the_coarse_hull_take_the_nearest_coarse_value():
 def test_coarse_mesh_without_free_nodes_falls_back_to_zeros():
     tri = build_triangle(0.5, 0.5, 2, 4 * 0.4 ** 2 - 1)
     coarse = triangulate(tri, 0.4)
-    assert coarse.n_nodes == 4 and len(coarse.boundary_tags) == 4
+    assert coarse.n_nodes == 4 and np.count_nonzero(coarse.tags >= 0) == 4
     sols = solve_jenkins_serrin(0.5, 0.5, 2, 0.4, [2.0, 4.0], 0.1)
     params = SpaceParams.from_h(0.4)
     assert solver._coarse_start(sols[0].domain, _js_data(2.0), params,
@@ -461,3 +461,29 @@ def test_solve_input_validation():
         distance_d([])
     with pytest.raises(SolverError):
         rho_estimate([])
+
+
+def test_dirichlet_callables_see_each_tag_once_as_arrays():
+    dom = flat_triangle(0.1)
+    calls = []
+
+    def shear(x, y):
+        calls.append(np.column_stack([x, y]))
+        return 0.5 * x * y
+
+    data = {"side_p0p1": 0.0, "side_p0p2": shear, "side_p1p2": shear}
+    fixed, vals = solver._dirichlet_arrays(dom, data)
+    # one call per tag, in TAGS order, on that tag's nodes in ascending order
+    assert len(calls) == 2
+    for pts, tag in zip(calls, ("side_p0p2", "side_p1p2")):
+        assert np.array_equal(pts, dom.nodes[dom.nodes_with_tag(tag)])
+    assert np.array_equal(fixed, np.flatnonzero(dom.tags >= 0))
+    x, y = dom.nodes[fixed].T
+    on_leg = np.isin(fixed, dom.nodes_with_tag("side_p0p1"))
+    assert np.array_equal(vals, np.where(on_leg, 0.0, 0.5 * x * y))
+    with pytest.raises(SolverError, match="non-finite Dirichlet value on side_p1p2"):
+        solver._dirichlet_arrays(
+            dom, {"side_p0p1": 0.0,
+                  "side_p1p2": lambda x, y: np.where(x > 0.5, np.nan, 0.0)})
+    with pytest.raises(TypeError):
+        solve_dirichlet(dom, ZERO)  # the space is not read off the mesh
