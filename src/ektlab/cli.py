@@ -156,6 +156,10 @@ def _check_solve_params(a: float, b: float, k: int, H: float,
 
 # ---------------------------------------------------------------- helicoid
 
+# cap on the residual grid: several float arrays of this length are alive
+# at once while the profile is inverted
+_MAX_SAMPLES = 10 ** 7
+
 def _write_obj(path: str, profile, u_max: float) -> None:
     """Height-field mesh of the ruled member over the (u, v) chart."""
     stride = max(1, (profile.v.size - 1) // 120)
@@ -186,6 +190,14 @@ def cmd_helicoid(args: argparse.Namespace) -> int:
         raise UsageError("--mu must be finite")
     if not (args.spacing > 0 and 0 < args.span < 1 and args.window > 0):
         raise UsageError("grid controls must be positive (span in (0,1))")
+    if not 0 < args.u_max < math.inf:
+        raise UsageError("--u-max must be positive and finite")
+    t = t_mu(mu)
+    # residual_grid allocates 2 floor(vmax/spacing) + 1 samples
+    vmax = args.window if math.isinf(t) else args.span * t
+    if vmax / args.spacing >= _MAX_SAMPLES / 2:
+        raise UsageError(f"the grid needs more than {_MAX_SAMPLES:,} samples: "
+                         "raise --spacing or shrink --span/--window")
     special = None
     if mu == 0.0:
         special = "umbrella"
@@ -199,7 +211,6 @@ def cmd_helicoid(args: argparse.Namespace) -> int:
         res_first = first_integral_residual(profile)
     except GeometryError:
         res_first = None  # f identically 0 at mu = 1/2, no slope law to check
-    t = t_mu(mu)
     report = {
         "mu": mu,
         "c": c_of_mu(mu) if mu != 0.5 else None,  # pole of (1+2mu)/(1-2mu)
@@ -256,6 +267,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ figure
 
 def _figure_catenoid_domains(args: argparse.Namespace, out: str) -> int:
+    if args.k < 2:
+        raise UsageError("k must be an integer >= 2")
     mus = args.mus if args.mus else [-3.0, 3.0]
     for mu in mus:
         if not 0.5 < abs(mu) < math.inf:

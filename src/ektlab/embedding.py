@@ -1,8 +1,9 @@
 """Self-intersection detection and coverage multiplicity for disk curves.
 
 Crossings are found by a vectorized sweep over candidate segment pairs from
-a k-d tree over segment midpoints (two intersecting segments have midpoints
-no farther apart than the longest segment).  Covered-twice regions are
+a k-d tree over sub-segment probes: each segment is split into equal parts
+no longer than the mean segment length, so the search radius follows the
+mean length rather than the longest segment.  Covered-twice regions are
 measured by winding-number rasterization: open chains are closed through
 arcs just inside the ideal circle, each scanline accumulates signed
 crossings, and pixels with |winding| >= 2 are summed with the hyperbolic
@@ -101,6 +102,31 @@ def _as_pieces(obj, min_seg: float = 0.0) -> Tuple[List[np.ndarray], List[np.nda
     return [t[0] for t in thinned], [t[1] for t in thinned], k
 
 
+def _candidate_pairs(A: np.ndarray, d: np.ndarray, lens: np.ndarray,
+                     slack: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Segment pairs (i, j), i < j, each once in ascending order, that can
+    cross or come within slack of each other.
+
+    Segment i is split into ceil(L_i / mean length) equal parts, with a probe
+    at each part's midpoint.  Two crossing segments have crossing parts,
+    whose midpoints lie within (s1 + s2)/2 <= s_max, the longest part; two
+    segments within slack have probes within s_max + slack.  One k-d tree
+    query at that radius therefore finds every pair the sweep can report.
+    """
+    parts = np.maximum(np.ceil(lens / lens.mean()), 1.0).astype(np.int64)
+    owner = np.repeat(np.arange(lens.size), parts)
+    frac = (np.arange(owner.size) - np.repeat(np.cumsum(parts) - parts, parts)
+            + 0.5) / parts[owner]
+    probes = A[owner] + frac[:, None] * d[owner]
+    pairs = cKDTree(probes).query_pairs(r=float(np.max(lens / parts)) + slack,
+                                        output_type="ndarray")
+    ends = owner[pairs]
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    key = np.sort(lo[lo != hi] * lens.size + hi[lo != hi])
+    key = key[np.diff(key, prepend=-1) != 0]
+    return np.divmod(key, lens.size)
+
+
 def self_intersections(obj: Union[PlanarCurve, AssembledBoundary, Sequence[np.ndarray]],
                        eps_geom: float = _EPS_GEOM,
                        grid: int = 1024,
@@ -119,15 +145,10 @@ def self_intersections(obj: Union[PlanarCurve, AssembledBoundary, Sequence[np.nd
     seg_idx = np.concatenate([np.arange(p.shape[0] - 1) for p in pieces])
     d = B - A
     lens = np.hypot(d[:, 0], d[:, 1])
-    max_len = float(np.max(lens)) if lens.size else 0.0
-    if max_len == 0.0:
+    if not np.any(lens > 0.0):
         raise GeometryError("degenerate polyline (zero-length segments only)")
-    # crossing segments have midpoints within (L1 + L2)/2 <= max_len; the
-    # slack keeps the near-parallel end-to-end pairs read by the gap test
-    pairs = cKDTree((A + B) / 2.0).query_pairs(r=max_len + 10 * eps_geom,
-                                               output_type="ndarray")
-    first, second = pairs[:, 0], pairs[:, 1]
-    # drop self pairs and chain neighbors within the same piece
+    first, second = _candidate_pairs(A, d, lens, 10 * eps_geom)
+    # drop chain neighbors within the same piece
     keep = ~((piece_id[first] == piece_id[second])
              & (np.abs(seg_idx[first] - seg_idx[second]) <= 1))
     first, second = first[keep], second[keep]

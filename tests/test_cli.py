@@ -11,6 +11,7 @@ import pytest
 import ektlab
 from ektlab import cli
 from ektlab.cli import main
+from ektlab.helicoid import t_mu
 
 
 def run(*argv):
@@ -246,6 +247,51 @@ def test_bad_r_trunc_is_a_usage_error_before_solving(tmp_path, capsys,
                                                      no_work, argv, value):
     assert run(*argv, "--r-trunc=" + value, "--out", str(tmp_path / "o")) == 2
     assert "--r-trunc must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["1", "0", "-2"])
+def test_catenoid_figure_bad_k_is_a_usage_error_before_marching(tmp_path, capsys,
+                                                                no_work, k):
+    assert run("figure", "catenoid-domains", "--k", k,
+               "--out", str(tmp_path / "o")) == 2
+    assert "k must be an integer >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("u_max", ["nan", "-1", "0", "inf"])
+def test_helicoid_bad_u_max_is_a_usage_error_before_any_work(tmp_path, capsys,
+                                                              no_work, u_max):
+    assert run("helicoid", "--mu", "1", "--obj", "--u-max=" + u_max,
+               "--out", str(tmp_path / "o")) == 2
+    assert "--u-max must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("samples,allowed", [(9_999_999, True),
+                                             (10_000_001, False)])
+def test_helicoid_grid_over_ten_million_samples_is_a_usage_error(
+        tmp_path, capsys, no_work, samples, allowed):
+    # residual_grid is refused by no_work, so neither case allocates: an
+    # allowed grid gets as far as asking for it, a rejected one does not
+    vmax = 0.9 * t_mu(1.0)
+    spacing = vmax / ((samples - 1) / 2 + 0.4)
+    argv = ("helicoid", "--mu", "1", "--spacing", repr(spacing),
+            "--out", str(tmp_path / "o"))
+    if allowed:
+        with pytest.raises(AssertionError, match="work started"):
+            run(*argv)
+    else:
+        assert run(*argv) == 2
+        assert "more than 10,000,000 samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--mu", "1", "--spacing", "1e-9"),  # 2.5e9 samples, 19 GiB per array
+    ("--mu", "0", "--window", "inf"),    # t_mu = inf: the window sets vmax
+], ids=["tiny-spacing", "infinite-window"])
+def test_helicoid_oversized_grid_is_a_usage_error(tmp_path, capsys, no_work,
+                                                  argv):
+    assert run("helicoid", *argv, "--out", str(tmp_path / "o")) == 2
+    assert "more than 10,000,000 samples" in capsys.readouterr().err
 
 
 # a flag value per option type, and what a config line gives the same option

@@ -151,3 +151,105 @@ def test_svg_writers_are_deterministic(tmp_path):
     assert 'width="600"' in body
     assert body.count("<circle") == 2
     assert ">left<" in body and ">right<" in body
+
+
+def _all_pairs_reference(pieces, eps_geom=1e-9):
+    """The sweep's verdicts from a scalar loop over every segment pair.
+
+    Parameters follow the polyline convention of self_intersections
+    (cumulative chart length, pieces offset by length + 1).  Returns the
+    crossings, the uncertain list and the length ratio of each crossing
+    pair, longer over shorter.
+    """
+    segs = []
+    offset = 0.0
+    for n, p in enumerate(pieces):
+        ell = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(p, axis=0).T))])
+        s = ell + offset
+        offset += ell[-1] + 1.0
+        for i in range(p.shape[0] - 1):
+            dx, dy = p[i + 1] - p[i]
+            segs.append((n, i, p[i], dx, dy, float(np.hypot(dx, dy)), s[i], s[i + 1]))
+    crossings, uncertain, ratios = [], set(), []
+    for a in range(len(segs)):
+        n1, i1, a1, d1x, d1y, l1, sa1, sb1 = segs[a]
+        for b in range(a + 1, len(segs)):
+            n2, i2, a2, d2x, d2y, l2, sa2, sb2 = segs[b]
+            if n1 == n2 and abs(i1 - i2) <= 1:
+                continue
+            rx, ry = a2[0] - a1[0], a2[1] - a1[1]
+            denom = d1x * d2y - d1y * d2x
+            if abs(denom) <= eps_geom * max(l1 * l2, 1e-300):
+                t = min(max((rx * d1x + ry * d1y) / max(l1 * l1, 1e-300), 0.0), 1.0)
+                if math.hypot(a1[0] + t * d1x - a2[0], a1[1] + t * d1y - a2[1]) < 10 * eps_geom:
+                    s1, s2 = sa1 + t * (sb1 - sa1), sa2
+                    uncertain.add((min(s1, s2), max(s1, s2)))
+                continue
+            t = (rx * d2y - ry * d2x) / denom
+            u = (rx * d1y - ry * d1x) / denom
+            if not (0.0 < t < 1.0 and 0.0 < u < 1.0):
+                continue
+            s1, s2 = sa1 + t * (sb1 - sa1), sa2 + u * (sb2 - sa2)
+            if min(t, 1.0 - t, u, 1.0 - u) * min(l1, l2) < eps_geom:
+                uncertain.add((min(s1, s2), max(s1, s2)))
+                continue
+            crossings.append((min(s1, s2), max(s1, s2),
+                              (a1[0] + t * d1x, a1[1] + t * d1y)))
+            ratios.append(max(l1, l2) / min(l1, l2))
+    order = sorted(range(len(crossings)), key=crossings.__getitem__)
+    return ([crossings[i] for i in order], sorted(uncertain),
+            [ratios[i] for i in order])
+
+
+@pytest.mark.parametrize("seed", [3, 11, 2024])
+def test_probe_search_matches_all_pairs(seed):
+    rng = np.random.default_rng(seed)
+    # a random walk whose step lengths span over two decades, so the probe
+    # search splits its long segments into several parts
+    steps = 10.0 ** rng.uniform(-3.5, -1.0, 300)
+    turn = rng.uniform(0.0, 2.0 * math.pi, 300)
+    walk = np.vstack([[0.0, 0.0], np.cumsum(
+        np.column_stack([steps * np.cos(turn), steps * np.sin(turn)]), axis=0)])
+    walk = 0.9 * (walk - walk.mean(axis=0)) / np.max(np.abs(walk - walk.mean(axis=0)))
+    lens = np.hypot(*np.diff(walk, axis=0).T)
+    assert lens.max() > 3.0 * lens.mean() and lens.max() > 100.0 * lens.min()
+    # a short piece 1e-10 off the middle of the longest step
+    i = int(np.argmax(lens))
+    d = walk[i + 1] - walk[i]
+    normal = np.array([-d[1], d[0]]) / lens[i]
+    overlap = np.array([walk[i] + 0.3 * d + 1e-10 * normal,
+                        walk[i] + 0.6 * d + 1e-10 * normal])
+    # a piece that starts where the walk ends, and one that continues it
+    # in a straight line from its shared end point
+    bend = np.array([walk[-1], walk[-1] + [0.05, 0.02], walk[-1] + [0.06, 0.1]])
+    straight = np.array([bend[-1], bend[-1] + 2.0 * (bend[-1] - bend[-2])])
+    # a zero-length first segment on the middle of the second-longest step
+    j = int(np.argsort(lens)[-2])
+    mid = 0.5 * (walk[j] + walk[j + 1])
+    stub = np.array([mid, mid, mid + [0.01, 0.03]])
+    pieces = [walk, overlap, bend, straight, stub]
+
+    rep = self_intersections(pieces, grid=64, min_seg=0.0)
+    crossings, uncertain, ratios = _all_pairs_reference(pieces)
+    assert len(crossings) >= 3 and max(ratios) > 10.0
+    # the overlap, the straight continuation and the stub are uncertain;
+    # each second entry is the parameter where that piece starts
+    starts = np.cumsum([0.0] + [np.hypot(*np.diff(p, axis=0).T).sum() + 1.0
+                                for p in pieces[:-1]])
+    his = [hi for _, hi in uncertain]
+    assert his.count(pytest.approx(starts[1], abs=1e-12)) == 1
+    assert his.count(pytest.approx(starts[3], abs=1e-12)) == 1
+    assert his.count(pytest.approx(starts[4], abs=1e-12)) == 1
+    assert rep.crossings == len(crossings)
+    assert rep.uncertain == uncertain
+    for (s1, s2, (x, y)), (r1, r2, (rx, ry)) in zip(rep.self_intersections, crossings):
+        assert (s1, s2, x, y) == pytest.approx((r1, r2, rx, ry), abs=1e-12, rel=0)
+
+
+@pytest.mark.parametrize("pieces", [
+    [np.array([[0.0, 0.0], [0.5, 0.0]])],
+    [np.array([[0.0, 0.0], [0.1, 0.0]]), np.array([[0.0, 0.5], [0.1, 0.5]])],
+], ids=["one-segment", "two-far-pieces"])
+def test_polyline_without_candidate_pairs_is_embedded(pieces):
+    rep = self_intersections(pieces, grid=64)
+    assert rep.embedded and rep.uncertain == []
