@@ -295,9 +295,15 @@ def _collect(chunks, far_nodes, trunc_nodes, wedge):
     pts = np.concatenate([np.reshape(c, (-1, 2)) for c in chunks])
     n_pts = pts.shape[0]
     keys = np.rint(np.concatenate([pts, far_nodes, trunc_nodes]) * 1e9)
-    _, first, group = np.unique(keys.astype(np.int64), axis=0,
-                                return_index=True, return_inverse=True)
-    group = group.ravel()
+    keys = keys.astype(np.int64)
+    # lexsort is stable, so each run of equal keys starts at its first
+    # occurrence; group numbers the runs in key order
+    srt = np.lexsort(keys.T[::-1])
+    run = np.ones(srt.size, dtype=bool)
+    run[1:] = (keys[srt[1:]] != keys[srt[:-1]]).any(axis=1)
+    group = np.empty(srt.size, dtype=np.int64)
+    group[srt] = np.cumsum(run) - 1
+    first = srt[run]
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
@@ -341,7 +347,9 @@ def _orient_ccw(nodes, elements):
 
 
 def _compact(nodes, elements, tags):
-    used = np.unique(elements)
+    used = np.zeros(nodes.shape[0], dtype=bool)
+    used[elements] = True
+    used = np.flatnonzero(used)
     remap = -np.ones(nodes.shape[0], dtype=int)
     remap[used] = np.arange(used.size)
     return nodes[used], remap[elements], tags[used]

@@ -14,6 +14,23 @@ point is b_i^T (I - v v^T / W^2) b_j / W with v = (alpha, beta), which is
 symmetric positive definite, so Newton with an Armijo backtracking line
 search converges globally.
 
+Newton is simplified (Deuflhard, Newton Methods for Nonlinear Problems,
+ch. 2): the LU factorization of the Hessian is kept for as long as the
+iterates contract, Theta = |du_{k+1}| / |du_k| <= 1/4, and refactored as
+soon as Theta rises above 1/4.  A stale step solves with an older SPD
+Hessian, so it is still a descent direction, and the same Armijo search
+and |grad E| < tol stop apply.  Round-off limits what the energy can
+show: when the Armijo term _ARMIJO |slope| of a step falls below
+eps |E|, a stale step is refactored instead of taken, and a fresh step
+is taken whole, because the line search would only compare noise.
+
+Each factorization works in one nested-dissection order per mesh
+(George 1973): recursive coordinate bisection over the element edges,
+each separator numbered after the two halves it splits.  The free nodes
+are taken in that order, so the Hessian block is assembled already
+permuted, and SuperLU factors it symmetrically, without pivoting, which
+is safe because the block is SPD.
+
 Jenkins-Serrin sweeps solve the same problem for an increasing schedule of
 far-side data M with zero data on the two sides through p0.  The first M
 starts from the same problem solved on the triangle meshed at 4h and
@@ -50,6 +67,9 @@ __all__ = [
 _ARMIJO = 1e-4
 _MAX_ITERS = 60
 _T_MIN = 1e-6
+_THETA = 0.25       # largest contraction |du_{k+1}| / |du_k| that keeps the LU
+_EPS = float(np.finfo(float).eps)
+_ND_LEAF = 64       # parts this small are not dissected further
 
 
 class SolverError(RuntimeError):
@@ -195,46 +215,140 @@ class _Assembly:
         c2 = coef * (1.0 / w - beta ** 2 / w ** 3)          # yy
         bx = self.bgrad[:, :, 0]
         by = self.bgrad[:, :, 1]
-        hxx = c0.sum(axis=1)
-        hxy = c1.sum(axis=1)
-        hyy = c2.sum(axis=1)
-        # b gradients are constant per element, so sum the quadrature first
-        h = (hxx[:, None, None] * bx[:, :, None] * bx[:, None, :]
-             + hxy[:, None, None] * (bx[:, :, None] * by[:, None, :]
-                                     + by[:, :, None] * bx[:, None, :])
-             + hyy[:, None, None] * by[:, :, None] * by[:, None, :])
+        hxx = c0.sum(axis=1)[:, None]
+        hxy = c1.sum(axis=1)[:, None]
+        hyy = c2.sum(axis=1)[:, None]
+        # b gradients are constant per element, so sum the quadrature first;
+        # h_ij = p_i bx_j + q_i by_j with (p, q) = [[hxx, hxy], [hxy, hyy]] b
+        p = hxx * bx + hxy * by
+        q = hxy * bx + hyy * by
+        h = p[:, :, None] * bx[:, None, :] + q[:, :, None] * by[:, None, :]
         data = np.bincount(slots, weights=h.ravel(),
                            minlength=indices.size + 1)[:-1]
         return sp.csc_matrix((data, indices, indptr),
                              shape=(free.size, free.size))
 
 
+def _nd_order(domain: TriangulatedDomain) -> np.ndarray:
+    """Nested-dissection order of all nodes of domain, computed once per
+    mesh: recursive coordinate bisection over the element edges."""
+    def compute():
+        e = domain.elements
+        parts: List[np.ndarray] = []
+        _dissect(np.arange(domain.n_nodes), domain.nodes, e.ravel(),
+                 e[:, [1, 2, 0]].ravel(), parts)
+        return np.concatenate(parts)
+    return domain.cached("nd_order", compute)
+
+
+def _dissect(ids: np.ndarray, pts: np.ndarray, a: np.ndarray, b: np.ndarray,
+             parts: List[np.ndarray]) -> None:
+    """Append the nested-dissection order of the nodes ids (coordinates
+    pts, edges (a, b) in local indices) to parts: the low half by the
+    median of the longer coordinate extent, less its separator (the low
+    nodes with a neighbour in the high half), then the high half, then the
+    separator."""
+    if ids.size <= _ND_LEAF:
+        parts.append(ids)
+        return
+    axis = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
+    high = np.zeros(ids.size, dtype=bool)
+    high[np.argsort(pts[:, axis], kind="stable")[ids.size // 2:]] = True
+    high_a, high_b = high[a], high[b]
+    sep = np.zeros(ids.size, dtype=bool)
+    sep[a[high_b & ~high_a]] = True
+    sep[b[high_a & ~high_b]] = True
+    for part in (~high & ~sep, high):
+        keep = part[a] & part[b]
+        local = np.cumsum(part) - 1
+        _dissect(ids[part], pts[part], local[a[keep]], local[b[keep]], parts)
+    parts.append(ids[sep])
+
+
+def _factorize(h: sp.csc_matrix):
+    """LU of the free-free Hessian block in its given order.
+
+    E is convex, so the block is SPD: symmetric elimination in any order
+    meets positive pivots, and SuperLU may keep the nested-dissection order
+    (NATURAL) and the diagonal pivots (diag_pivot_thresh = 0) without
+    pivoting for stability.  Should round-off still break a pivot, the
+    factorization falls back to SuperLU's default, partial pivoting in
+    its own column order.
+    """
+    try:
+        return splu(h, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True))
+    except RuntimeError:
+        return splu(h)
+
+
+def _below_roundoff(energy: float, slope: float) -> bool:
+    """True when the Armijo term of the full step, _ARMIJO |slope|, lies
+    below the round-off eps |E| of the energy, so E cannot rank the step."""
+    return -_ARMIJO * slope < _EPS * abs(energy)
+
+
+def _armijo(asm: _Assembly, u: np.ndarray, free: np.ndarray,
+            step: np.ndarray, energy: float, slope: float):
+    """u + t step on the free nodes for the first t = 1, 1/2, ... >= _T_MIN
+    that passes the Armijo test, or None when none does.  A step below the
+    energy's round-off is taken whole: there the test compares noise."""
+    t = 1.0
+    while t >= _T_MIN:
+        trial = u.copy()
+        trial[free] += t * step
+        if (_below_roundoff(energy, slope)
+                or asm.energy(trial) <= energy + _ARMIJO * t * slope):
+            return trial
+        t /= 2.0
+    return None
+
+
 def _newton(asm: _Assembly, u0: np.ndarray, fixed: np.ndarray,
             tol: float, max_iters: int):
-    free = np.setdiff1d(np.arange(asm.n), fixed)
-    if free.size == 0:
+    """Damped simplified Newton from u0 with u[fixed] held; returns
+    (u, residual, iterations, energy history).
+
+    The free nodes are taken in the mesh's nested-dissection order.  Each
+    iteration first solves with the last LU.  That stale step is taken
+    only while the iterates contract, |step| <= _THETA |previous step|,
+    and while its Armijo term _ARMIJO |slope| stays above the round-off
+    eps |E| of the energy, below which no decrease can show; otherwise the
+    Hessian is refactored at u and the step solved again.  A stale step
+    whose line search stalls gets one retry with a fresh factorization.
+    Stops when |grad E| over the free nodes falls below tol.
+    """
+    is_free = np.ones(asm.n, dtype=bool)
+    is_free[fixed] = False
+    if not is_free.any():
         raise SolverError("no free nodes to solve for")
+    order = _nd_order(asm.domain)
+    free = order[is_free[order]]
     u = u0.copy()
     energies = []
-    step_norm = 0.0
+    lu, step_norm = None, 0.0
     for it in range(max_iters):
         energy, g = asm.energy_grad(u)
         energies.append(energy)
-        res = float(np.linalg.norm(g[free]))
+        rhs = -g[free]
+        res = float(np.linalg.norm(rhs))
         if res < tol:
             return u, res, it, energies
-        h = asm.hessian(u, free)
-        step = splu(h).solve(-g[free])
-        step_norm = float(np.linalg.norm(step))
-        slope = float(g[free] @ step)
-        t = 1.0
-        while t >= _T_MIN:
-            trial = u.copy()
-            trial[free] += t * step
-            if asm.energy(trial) <= energy + _ARMIJO * t * slope:
+        last_norm = step_norm
+        for fresh in ((True,) if lu is None else (False, True)):
+            if fresh:
+                lu = None  # free the old factors first: peak RSS holds one LU
+                lu = _factorize(asm.hessian(u, free))
+            step = lu.solve(rhs)
+            step_norm = float(np.linalg.norm(step))
+            slope = -float(rhs @ step)
+            if not fresh and (step_norm > _THETA * last_norm
+                              or _below_roundoff(energy, slope)):
+                continue
+            trial = _armijo(asm, u, free, step, energy, slope)
+            if trial is not None:
                 u = trial
                 break
-            t /= 2.0
         else:
             raise SolverError("line search stalled; Hessian may be inconsistent",
                               iteration=it, residual=res, energy=energy,

@@ -1,6 +1,7 @@
 """Minimal-graph solver: oracles, monotonicity, distances, vertex fibers."""
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -487,3 +488,96 @@ def test_dirichlet_callables_see_each_tag_once_as_arrays():
                   "side_p1p2": lambda x, y: np.where(x > 0.5, np.nan, 0.0)})
     with pytest.raises(TypeError):
         solve_dirichlet(dom, ZERO)  # the space is not read off the mesh
+
+
+def _counted_splu(monkeypatch, fail_symmetric=False):
+    """Route solver.splu through a counter; with fail_symmetric, the
+    symmetric-mode call raises as SuperLU does on a zero pivot."""
+    calls = []
+    real = solver.splu
+
+    def counted(h, **kwargs):
+        calls.append(kwargs)
+        if fail_symmetric and kwargs:
+            raise RuntimeError("Factor is exactly singular")
+        return real(h, **kwargs)
+
+    monkeypatch.setattr(solver, "splu", counted)
+    return calls
+
+
+def test_simplified_newton_factorizes_less_than_it_iterates(monkeypatch):
+    calls = _counted_splu(monkeypatch)
+    sols = solve_jenkins_serrin(1.0, 1.0, 2, 0.4, [2.0, 4.0, 8.0, 16.0], 0.05)
+    # the count includes the coarse start's factorizations
+    assert len(calls) < sum(s.newton_iters for s in sols)
+    assert all(s.residual_norm < 1e-9 for s in sols)
+
+
+def test_refactoring_every_iteration_keeps_d_and_rho(monkeypatch):
+    ms = [2.0, 4.0, 8.0, 16.0]
+    calls = _counted_splu(monkeypatch)
+    simplified = solve_jenkins_serrin(1.0, 1.0, 2, 0.4, ms, 0.05)
+    n_simplified = len(calls)
+    monkeypatch.setattr(solver, "_THETA", 0.0)
+    full = solve_jenkins_serrin(1.0, 1.0, 2, 0.4, ms, 0.05)
+    assert len(calls) - n_simplified > n_simplified
+    assert abs(distance_d(simplified) - distance_d(full)) < 1e-8
+    assert abs(rho_estimate(simplified) - rho_estimate(full)) < 1e-8
+
+
+def test_nested_dissection_order_is_one_permutation_per_mesh():
+    dom = triangulate(build_triangle(1.0, 1.0, 2, 4 * 0.4 ** 2 - 1), 0.03)
+    order = solver._nd_order(dom)
+    assert np.array_equal(np.sort(order), np.arange(dom.n_nodes))
+    assert solver._nd_order(dom) is order and not order.flags.writeable
+    fresh = dataclasses.replace(dom)
+    assert np.array_equal(solver._nd_order(fresh), order)
+    is_free = dom.tags < 0
+    free = order[is_free[order]]
+    u = np.random.default_rng(5).normal(size=dom.n_nodes)
+    h = solver._Assembly(dom, SpaceParams.from_h(0.4)).hessian(u, free)
+    rhs = np.random.default_rng(6).normal(size=free.size)
+    x = solver._factorize(h).solve(rhs)
+    assert np.linalg.norm(h @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_failed_symmetric_factorization_falls_back_to_plain_splu(monkeypatch):
+    calls = _counted_splu(monkeypatch, fail_symmetric=True)
+    sol = solve_dirichlet(flat_triangle(0.1), _js_data(2.0), params=FLAT_HALF)
+    assert sol.residual_norm < 1e-9
+    assert len(calls) >= 2 and calls[1::2] == [{}] * (len(calls) // 2)
+    assert all(kw["permc_spec"] == "NATURAL" for kw in calls[::2])
+
+
+def test_step_below_energy_round_off_is_taken_whole():
+    # the Armijo term 1e-4 * 1e-20 is far below eps * |E|, so the energy,
+    # here one ulp higher at every trial, cannot rank the step
+    higher = types.SimpleNamespace(energy=lambda u: 1.0 + 2.3e-16)
+    u, free, step = np.zeros(3), np.array([0, 2]), np.array([1e-10, -1e-10])
+    got = solver._armijo(higher, u, free, step, 1.0, -1e-20)
+    assert np.array_equal(got, [1e-10, 0.0, -1e-10])
+    assert solver._armijo(higher, u, free, step, 1.0, -1e-6) is None
+
+
+def test_stalled_stale_step_is_retried_with_a_fresh_factorization(monkeypatch):
+    # make every line search on a stale step stall; each iteration then
+    # falls through to a fresh factorization and the solve still converges
+    events = []
+    real_factorize, real_armijo = solver._factorize, solver._armijo
+
+    def factorize(h):
+        events.append("factor")
+        return real_factorize(h)
+
+    def armijo(*args):
+        stale = events[-1] != "factor"
+        events.append("stale" if stale else "fresh")
+        return None if stale else real_armijo(*args)
+
+    monkeypatch.setattr(solver, "_factorize", factorize)
+    monkeypatch.setattr(solver, "_armijo", armijo)
+    sol = solve_dirichlet(flat_triangle(0.05), _js_data(2.0), params=FLAT_HALF)
+    assert sol.residual_norm < 1e-9
+    assert "stale" in events
+    assert events.count("fresh") == sol.newton_iters
