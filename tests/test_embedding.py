@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ektlab import embedding as emb
 from ektlab.curves import PlanarCurve
 from ektlab.embedding import (critical_catenoid_domain, multiplicity_two_area,
                               report_json_dict, self_intersections,
@@ -64,6 +65,22 @@ def test_multiplicity_two_area_of_a_double_cover():
     d = 2.0 * math.atanh(0.4)
     exact = 4.0 * math.pi * math.sinh(d / 2.0) ** 2
     assert area == pytest.approx(exact, rel=0.02)
+
+
+def test_multiplicity_two_area_sums_the_full_grid_metric_bit_for_bit():
+    """Evaluating the metric only on the twice-covered cells gives the same
+    float as masking the full-grid metric, rim cells beyond r_cut included."""
+    t = np.linspace(0.0, 4.0 * math.pi, 4001)
+    pieces = [np.column_stack([0.999 * np.cos(t), 0.999 * np.sin(t)])]
+    grid, r_cut = 256, 1.0 - 2e-6
+    wind, centers = emb._winding_grid(emb._close_chains(pieces), grid)
+    c2 = centers * centers
+    r2 = c2[None, :] + c2[:, None]
+    with np.errstate(divide="ignore"):
+        lam2 = np.where(np.sqrt(r2) <= r_cut, 4.0 / (1.0 - r2) ** 2, 0.0)
+    full = float(np.sum((lam2 * (2.0 / grid) * (2.0 / grid))[np.abs(wind) >= 2]))
+    assert full > 0.0
+    assert multiplicity_two_area(pieces, grid=grid, r_cut=r_cut) == full
 
 
 def test_single_cover_has_no_multiplicity_two_area():

@@ -542,6 +542,36 @@ def test_nested_dissection_order_is_one_permutation_per_mesh():
     assert np.linalg.norm(h @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
+def _recursive_nd(ids, pts, a, b, leaf):
+    """Reference nested dissection, one part per call: low half less the
+    separator, high half, separator."""
+    if ids.size <= leaf:
+        return [ids]
+    axis = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
+    high = np.zeros(ids.size, dtype=bool)
+    high[np.argsort(pts[:, axis], kind="stable")[ids.size // 2:]] = True
+    sep = np.zeros(ids.size, dtype=bool)
+    sep[a[high[b] & ~high[a]]] = True
+    sep[b[high[a] & ~high[b]]] = True
+    out = []
+    for part in (~high & ~sep, high):
+        keep = part[a] & part[b]
+        local = np.cumsum(part) - 1
+        out += _recursive_nd(ids[part], pts[part], local[a[keep]],
+                             local[b[keep]], leaf)
+    return out + [ids[sep]]
+
+
+@pytest.mark.parametrize("h", [0.05, 0.02])
+def test_levelwise_dissection_matches_the_recursive_definition(h):
+    dom = triangulate(build_triangle(1.0, 1.0, 2, 4 * 0.4 ** 2 - 1), h)
+    e = dom.elements
+    ref = np.concatenate(_recursive_nd(np.arange(dom.n_nodes), dom.nodes,
+                                       e.ravel(), e[:, [1, 2, 0]].ravel(),
+                                       solver._ND_LEAF))
+    assert np.array_equal(solver._dissect(dom.nodes, e), ref)
+
+
 def test_failed_symmetric_factorization_falls_back_to_plain_splu(monkeypatch):
     calls = _counted_splu(monkeypatch, fail_symmetric=True)
     sol = solve_dirichlet(flat_triangle(0.1), _js_data(2.0), params=FLAT_HALF)
