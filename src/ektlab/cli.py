@@ -9,8 +9,10 @@ Subcommands
 
 Exit codes: 0 success, 1 numeric failure, 2 usage or I/O error.  Every file
 is written deterministically (repr floats, sorted JSON keys, no timestamps)
-so identical configs give byte-identical outputs at workers=1.  A config
-file of key=value lines overrides any flag of the active subcommand.
+so identical configs give byte-identical outputs at any worker count.  A
+config file of key=value lines overrides any flag of the active subcommand.
+Each numeric option's domain is declared once, in ``_DOMAINS``: a flag or a
+config value outside it exits 2 before any work starts.
 """
 from __future__ import annotations
 
@@ -49,13 +51,10 @@ class UsageError(Exception):
 # ---------------------------------------------------------------- plumbing
 
 def _parse_side(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
     try:
-        value = float(text)
+        return float(text)  # also reads "inf" and "infinity", any case
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a side length: {text!r}")
-    return value
 
 
 def _float_list(text: str) -> List[float]:
@@ -87,10 +86,6 @@ def _write_json(path: str, payload: dict) -> None:
     _write_text(path, json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _fmt_side(v: float) -> str:
-    return "inf" if math.isinf(v) else f"{v:g}"
-
-
 def _config_value(option: argparse.Action, text: str):
     """A config value parsed as the option's flag parses it; a repeatable
     option takes a number list and a switch a truth word."""
@@ -104,6 +99,15 @@ def _config_value(option: argparse.Action, text: str):
     return value
 
 
+def _options(args: argparse.Namespace,
+             parser: argparse.ArgumentParser) -> dict:
+    """The active subcommand's options, keyed by dest."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[args.command]._actions
+            if a.dest != "help"}
+
+
 def _apply_config(args: argparse.Namespace,
                   parser: argparse.ArgumentParser) -> None:
     if not getattr(args, "config", None):
@@ -113,11 +117,7 @@ def _apply_config(args: argparse.Namespace,
             lines = fh.read().splitlines()
     except OSError as exc:
         raise UsageError(f"cannot read config {args.config!r}: {exc}")
-    # the keys are the dests of the active subcommand's options
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    options = {a.dest: a for a in sub.choices[args.command]._actions
-               if a.dest != "help"}
+    options = _options(args, parser)
     for n, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -133,25 +133,36 @@ def _apply_config(args: argparse.Namespace,
             raise UsageError(f"{args.config}:{n}: {exc}")
 
 
-def _check_solve_params(a: float, b: float, k: int, H: float,
-                        M: Sequence[float], target_h: float,
-                        r_trunc: Optional[float] = None) -> None:
-    # "not x > 0" also rejects nan
-    if not 0.0 < H <= 0.5:
-        raise UsageError(f"--H {H:g} out of the conjugation range (0, 1/2]")
-    if math.isinf(a) and math.isinf(b):
-        raise UsageError("a and b cannot both be inf")
-    if not (a > 0 and b > 0):
-        raise UsageError("side lengths must be positive")
-    if k < 2:
-        raise UsageError("k must be an integer >= 2")
-    if len(M) == 0 or any(not m > 0 for m in M) or any(
-            not y > x for x, y in zip(M, M[1:])):
-        raise UsageError("M schedule must be positive and strictly increasing")
-    if not target_h > 0:
-        raise UsageError("--target-h must be positive")
-    if r_trunc is not None and not r_trunc > 0:
-        raise UsageError("--r-trunc must be positive")
+def _positive(v: float) -> bool:
+    return 0 < v < math.inf  # false for nan too
+
+
+def _distinct(ok):
+    """A non-empty list of distinct values that each pass ok."""
+    return lambda vs: 0 < len(vs) == len(set(vs)) and all(map(ok, vs))
+
+
+# Every numeric option's domain, keyed by dest: (test, what the value must
+# be).  Rules that span fields or belong to one figure stay in the commands.
+_DOMAINS = {
+    **dict.fromkeys(("mu", "fault_inject"), (math.isfinite, "finite")),
+    **dict.fromkeys(("spacing", "u_max", "b", "target_h", "r_trunc", "step",
+                     "s_cap"), (_positive, "positive and finite")),
+    # the helicoid window is used only when t_mu = inf; the sample cap bounds it
+    **dict.fromkeys(("a", "b_side", "window"),
+                    (lambda v: v > 0, "positive (inf allowed)")),
+    **dict.fromkeys(("a_grid", "b_grid"), (_distinct(_positive), "distinct, "
+                    "positive and finite; sweep grids must not be empty")),
+    "span": (lambda v: 0 < v < 1, "in (0, 1)"),
+    "k": (lambda k: k >= 2, "an integer >= 2"),
+    "workers": (lambda n: n >= 1, "at least 1"),
+    "m_sign": (lambda s: s in (1, -1), "1 or -1"),
+    "H": (lambda H: 0 < H <= 0.5, "in the conjugation range (0, 1/2]"),
+    "M": (lambda M: _distinct(_positive)(M) and M == sorted(M),
+          "a non-empty, strictly increasing list of positive finite values"),
+    "mus": (_distinct(lambda mu: 0.5 < abs(mu) < math.inf),
+            "non-empty and distinct, each with finite |mu| > 1/2"),
+}
 
 
 # ---------------------------------------------------------------- helicoid
@@ -186,23 +197,13 @@ def _write_obj(path: str, profile, u_max: float) -> None:
 
 def cmd_helicoid(args: argparse.Namespace) -> int:
     mu = args.mu
-    if not math.isfinite(mu):
-        raise UsageError("--mu must be finite")
-    if not (args.spacing > 0 and 0 < args.span < 1 and args.window > 0):
-        raise UsageError("grid controls must be positive (span in (0,1))")
-    if not 0 < args.u_max < math.inf:
-        raise UsageError("--u-max must be positive and finite")
     t = t_mu(mu)
     # residual_grid allocates 2 floor(vmax/spacing) + 1 samples
     vmax = args.window if math.isinf(t) else args.span * t
     if vmax / args.spacing >= _MAX_SAMPLES / 2:
         raise UsageError(f"the grid needs more than {_MAX_SAMPLES:,} samples: "
                          "raise --spacing or shrink --span/--window")
-    special = None
-    if mu == 0.0:
-        special = "umbrella"
-    elif abs(mu) == 0.5:
-        special = "invariant surface"
+    special = {0.0: "umbrella", 0.5: "invariant surface"}.get(abs(mu))
     v = residual_grid(mu, spacing=args.spacing, fraction=args.span,
                       window=args.window)
     profile = invert_profile(mu, v)
@@ -239,8 +240,8 @@ def cmd_helicoid(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------- solve
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    _check_solve_params(args.a, args.b_side, args.k, args.H, args.M,
-                        args.target_h, args.r_trunc)
+    if math.isinf(args.a) and math.isinf(args.b_side):
+        raise UsageError("a and b cannot both be inf")
     r_trunc = args.r_trunc
     if r_trunc is None and (math.isinf(args.a) or math.isinf(args.b_side)):
         r_trunc = 4.0
@@ -251,13 +252,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     report = solution_report_dict(sols)
     out = _prepare_out(args.out)
     stem = os.path.join(
-        out, f"solution_a{_fmt_side(args.a)}_b{_fmt_side(args.b_side)}"
-             f"_k{args.k}_H{args.H:g}")
+        out, f"solution_a{args.a:g}_b{args.b_side:g}_k{args.k}_H{args.H:g}")
     _write_text(stem + ".csv", "\n".join(solution_csv_lines(last)))
     _write_json(stem + ".json", report)
     ci = report["cauchy_indicator"]
     ci_txt = "n/a" if ci is None else f"{ci:.3e}"
-    print(f"T(a={_fmt_side(args.a)}, b={_fmt_side(args.b_side)}, k={args.k}, "
+    print(f"T(a={args.a:g}, b={args.b_side:g}, k={args.k}, "
           f"H={args.H:g})  nodes={last.domain.n_nodes}  "
           f"d={report['d_estimate']:.6f}  rho={report['rho_estimate']:.6f}  "
           f"cauchy={ci_txt}  wrote {stem}.csv, {stem}.json")
@@ -267,14 +267,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ figure
 
 def _figure_catenoid_domains(args: argparse.Namespace, out: str) -> int:
-    if args.k < 2:
-        raise UsageError("k must be an integer >= 2")
     mus = args.mus if args.mus else [-3.0, 3.0]
-    for mu in mus:
-        if not 0.5 < abs(mu) < math.inf:
-            raise UsageError(f"--mu {mu:g}: need finite |mu| > 1/2 for a vertex fiber")
-    if not (args.step > 0 and args.s_cap > 0):
-        raise UsageError("step and s-cap must be positive")
     panels = []
     verdicts = {}
     for mu in mus:
@@ -310,25 +303,18 @@ def _sweep_point(task):
 
 
 def _figure_sweep_d(args: argparse.Namespace, out: str) -> int:
-    if not args.a_grid or not args.b_grid:
-        raise UsageError("sweep grids must not be empty")
-    if args.workers < 1:
-        raise UsageError("--workers must be at least 1")
-    _check_solve_params(args.a_grid[0], args.b_grid[0], args.k, args.H, args.M,
-                        args.target_h)
     a_grid = sorted(args.a_grid)
     b_grid = sorted(args.b_grid)
-    if any(not 0 < v < math.inf for v in a_grid + b_grid):
-        raise UsageError("sweep grids must be finite positive side lengths")
     tasks = [(a, b, args.k, args.H, tuple(args.M), args.target_h)
              for a, b in itertools.product(a_grid, b_grid)]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # the pool forks all max_workers processes at the first submit
+    workers = min(args.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, tasks))
     else:
         results = [_sweep_point(t) for t in tasks]
     d = {(a, b): dv for a, b, dv, _ in results}
-    per_m = {(a, b): seq for a, b, _, seq in results}
     mono_a = all(d[(a2, b)] > d[(a1, b)]
                  for b in b_grid for a1, a2 in zip(a_grid, a_grid[1:]))
     mono_b = all(d[(a, b2)] > d[(a, b1)]
@@ -336,9 +322,7 @@ def _figure_sweep_d(args: argparse.Namespace, out: str) -> int:
     header = (f"# figure=sweep-d H={args.H!r} k={args.k} "
               f"M={list(args.M)!r} target_h={args.target_h!r} "
               f"a_grid={a_grid!r} b_grid={b_grid!r}")
-    rows = [header, "a,b,d"]
-    for a, b in itertools.product(a_grid, b_grid):
-        rows.append(f"{a!r},{b!r},{d[(a, b)]!r}")
+    rows = [header, "a,b,d"] + [f"{a!r},{b!r},{dv!r}" for a, b, dv, _ in results]
     csv_path = os.path.join(out, "sweep_d.csv")
     _write_text(csv_path, "\n".join(rows))
     verdict = {
@@ -346,7 +330,7 @@ def _figure_sweep_d(args: argparse.Namespace, out: str) -> int:
         "target_h": args.target_h, "a_grid": a_grid, "b_grid": b_grid,
         "monotone_in_a": mono_a, "monotone_in_b": mono_b,
         "max_d": max(d.values()),
-        "max_d_over_schedule": max(max(seq) for seq in per_m.values()),
+        "max_d_over_schedule": max(max(seq) for *_, seq in results),
     }
     _write_json(os.path.join(out, "sweep_d.json"), verdict)
     print(f"sweep d(a,b): monotone_in_a={mono_a} monotone_in_b={mono_b} "
@@ -355,32 +339,21 @@ def _figure_sweep_d(args: argparse.Namespace, out: str) -> int:
 
 
 def _figure_noid_domain(args: argparse.Namespace, out: str) -> int:
-    if not 0.0 < args.H < 0.5:
+    if not args.H < 0.5:
         raise UsageError("noid-domain needs H in (0, 1/2) (bounded domain)")
-    if not args.b > 0:
-        raise UsageError("--b must be positive")
-    if not args.step > 0:  # also rejects nan
-        raise UsageError("--step must be positive")
-    _check_solve_params(math.inf, args.b, args.k, args.H, args.M,
-                        args.target_h, args.r_trunc)
     r_trunc = args.r_trunc if args.r_trunc is not None else 4.0
     sols = solve_jenkins_serrin(math.inf, args.b, args.k, args.H,
                                 list(args.M), args.target_h, R_trunc=r_trunc)
-    last = sols[-1]
-    samples = boundary_theta_prime(last, "p2")
+    samples = boundary_theta_prime(sols[-1], "p2")
     s_vals, tp_vals = samples[:, 0], samples[:, 1]
     s_hi = min(float(s_vals.max()), abs(float(s_vals.min())))
     if s_hi <= 0:
         raise SolverError("theta' samples do not straddle the waist s=0")
-
-    def tp_fn(s: float) -> float:
-        return float(np.interp(s, s_vals, tp_vals))
-
     d_est = distance_d(sols)
     r0 = math.tanh(d_est / 2.0)
-    curve = conjugate_vertical_boundary(tp_fn, args.H, (0.0, s_hi),
-                                        ((r0, 0.0), math.pi / 2.0),
-                                        step=args.step)
+    curve = conjugate_vertical_boundary(
+        lambda s: float(np.interp(s, s_vals, tp_vals)), args.H, (0.0, s_hi),
+        ((r0, 0.0), math.pi / 2.0), step=args.step)
     asm = assemble_domain(curve, args.k)
     rep = self_intersections(asm)
     b_star = interior_angle_threshold_b(args.k, args.H)
@@ -405,15 +378,13 @@ def _figure_noid_domain(args: argparse.Namespace, out: str) -> int:
     return 0
 
 
+_FIGURES = {"catenoid-domains": _figure_catenoid_domains,
+            "sweep-d": _figure_sweep_d,
+            "noid-domain": _figure_noid_domain}
+
+
 def cmd_figure(args: argparse.Namespace) -> int:
-    out = _prepare_out(args.out)
-    if args.name == "catenoid-domains":
-        return _figure_catenoid_domains(args, out)
-    if args.name == "sweep-d":
-        return _figure_sweep_d(args, out)
-    if args.name == "noid-domain":
-        return _figure_noid_domain(args, out)
-    raise UsageError(f"unknown figure {args.name!r}")
+    return _FIGURES[args.name](args, _prepare_out(args.out))
 
 
 # ------------------------------------------------------------------- audit
@@ -471,8 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("figure", help="regenerate a named figure")
-    p.add_argument("name", choices=("catenoid-domains", "sweep-d",
-                                    "noid-domain"))
+    p.add_argument("name", choices=list(_FIGURES))
     p.add_argument("--mu", dest="mus", type=float, action="append",
                    default=None, help="catenoid-domains panel (repeatable)")
     p.add_argument("--k", type=int, default=2)
@@ -507,6 +477,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.M = [2.0, 4.0, 8.0, 16.0]
     try:
         _apply_config(args, parser)
+        options = _options(args, parser)
+        for dest, (ok, what) in _DOMAINS.items():
+            value = getattr(args, dest) if dest in options else None
+            if value is not None and not ok(value):
+                raise UsageError(f"{options[dest].option_strings[0]} must be "
+                                 f"{what}; got {value!r}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -301,39 +301,174 @@ _REQUIRED = {"helicoid": ["--mu", "1"], "figure": ["sweep-d"], "audit": [],
              "solve": ["--a", "1", "--b", "1", "--H", "0.5"]}
 
 
-def test_every_option_is_a_config_key_that_parses_as_its_flag(tmp_path):
-    parser = cli._build_parser()
+def _all_options(parser):
+    """(subcommand, option) for every option of every subcommand."""
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
-    cfg = tmp_path / "run.cfg"
-    checked = 0
     for command, sub_parser in sub.choices.items():
         for act in sub_parser._actions:
-            if act.dest == "help":
-                continue
-            if act.nargs == 0:  # a switch
-                flag, line = [act.option_strings[0]], "true"
-            elif isinstance(act, argparse._AppendAction):
-                flag, line = [act.option_strings[0], "2",
-                              act.option_strings[0], "4"], "2,4"
-            else:
-                value = (str(list(act.choices)[-1]) if act.choices
-                         else _FLAG_SAMPLES[act.type])
-                flag = act.option_strings[:1] + [value]
-                line = value
-            # the figure name is positional: its flag is the bare value
-            argv = [command] + (_REQUIRED[command] if act.option_strings
-                                else []) + flag
-            want = getattr(parser.parse_args(argv), act.dest)
-            args = parser.parse_args([command] + _REQUIRED[command])
-            assert getattr(args, act.dest) != want
-            cfg.write_text(f"{act.dest}={line}\n")
-            args.config = str(cfg)
-            cli._apply_config(args, parser)
-            got = getattr(args, act.dest)
-            assert got == want and type(got) is type(want), (command, act.dest)
-            checked += 1
+            if act.dest != "help":
+                yield command, act
+
+
+def test_every_option_is_a_config_key_that_parses_as_its_flag(tmp_path):
+    parser = cli._build_parser()
+    cfg = tmp_path / "run.cfg"
+    checked = 0
+    for command, act in _all_options(parser):
+        if act.nargs == 0:  # a switch
+            flag, line = [act.option_strings[0]], "true"
+        elif isinstance(act, argparse._AppendAction):
+            flag, line = [act.option_strings[0], "2",
+                          act.option_strings[0], "4"], "2,4"
+        else:
+            value = (str(list(act.choices)[-1]) if act.choices
+                     else _FLAG_SAMPLES[act.type])
+            flag = act.option_strings[:1] + [value]
+            line = value
+        # the figure name is positional: its flag is the bare value
+        argv = [command] + (_REQUIRED[command] if act.option_strings
+                            else []) + flag
+        want = getattr(parser.parse_args(argv), act.dest)
+        args = parser.parse_args([command] + _REQUIRED[command])
+        assert getattr(args, act.dest) != want
+        cfg.write_text(f"{act.dest}={line}\n")
+        args.config = str(cfg)
+        cli._apply_config(args, parser)
+        got = getattr(args, act.dest)
+        assert got == want and type(got) is type(want), (command, act.dest)
+        checked += 1
     assert checked == 36  # 8 helicoid, 10 solve, 15 figure, 3 audit options
+
+
+_NUMERIC = [(command, act.option_strings[0], act.dest)
+            for command, act in _all_options(cli._build_parser())
+            if act.type in (float, int, cli._parse_side, cli._float_list)]
+
+
+def test_every_numeric_option_has_one_declared_domain():
+    import ast
+    import inspect
+
+    # a dict literal keeps the last of two equal keys, so read the source
+    table = next(node.value for node in ast.parse(inspect.getsource(cli)).body
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "_DOMAINS")
+    declared = []
+    for key, value in zip(table.keys, table.values):
+        if key is None:  # **dict.fromkeys((dest, ...), domain)
+            declared += [ast.literal_eval(e) for e in value.args[0].elts]
+        else:
+            declared.append(ast.literal_eval(key))
+    assert len(declared) == len(set(declared)), "a dest with two entries"
+    assert set(declared) == set(cli._DOMAINS)
+    numeric = {dest for _, _, dest in _NUMERIC}
+    assert numeric - set(cli._DOMAINS) == set(), "options without a domain"
+    assert set(cli._DOMAINS) - numeric == set(), "domains of no option"
+
+
+@pytest.fixture
+def no_audit(monkeypatch):
+    """run_audit refuses as well: an accepted audit option shows as work."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(cli, "run_audit", refuse)
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's own type and choice errors
+        return exc.code
+
+
+# the probe values that each option's declared domain admits; every other
+# probe value exits 2 before any work
+_ADMITTED = {"mu": {"0", "-1"}, "fault_inject": {"0", "-1"},
+             "a": {"inf"}, "b_side": {"inf"}, "window": {"inf"},
+             "m_sign": {"-1"}, "mus": {"-1"}}
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("command,flag,dest", _NUMERIC,
+                         ids=[f"{c}-{d}" for c, _, d in _NUMERIC])
+def test_numeric_option_domain_is_checked_before_any_work(
+        tmp_path, no_work, no_audit, command, flag, dest, value, via):
+    argv = [command] + _REQUIRED[command]
+    if via == "flag":
+        argv.append(f"{flag}={value}")  # "=" keeps "-inf" from reading as a flag
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{dest}={value}\n")
+        argv += ["--config", str(cfg)]
+    argv += ["--out", str(tmp_path / "o")]
+    if value in _ADMITTED.get(dest, ()):
+        with pytest.raises(AssertionError, match="work started"):
+            _exit_code(argv)
+    else:
+        assert _exit_code(argv) == 2
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("figure", "catenoid-domains", "--step", "inf"),
+    ("figure", "catenoid-domains", "--s-cap", "inf"),
+    ("helicoid", "--mu", "1", "--spacing", "inf"),
+    ("solve", "--a", "1", "--b", "1", "--H", "0.4", "--target-h", "inf"),
+    ("solve", "--a", "1", "--b", "1", "--H", "0.4", "--M", "2", "--M", "inf"),
+    ("figure", "noid-domain", "--H", "0.4", "--step", "inf"),
+    ("audit", "--fault-inject", "nan"),
+], ids=["catenoid-step", "catenoid-s-cap", "helicoid-spacing", "solve-target-h",
+        "solve-M", "noid-domain-step", "audit-fault-inject"])
+def test_infinite_or_nan_control_is_a_usage_error(tmp_path, capsys, no_work,
+                                                 no_audit, argv):
+    assert run(*argv, "--out", str(tmp_path / "o")) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,config", [
+    (("figure", "sweep-d", "--a-grid", "1 1", "--b-grid", "1"), ""),
+    (("figure", "sweep-d", "--a-grid", "1", "--b-grid", "2,2"), ""),
+    (("figure", "catenoid-domains", "--mu", "3", "--mu", "3"), ""),
+    (("figure", "sweep-d"), "a_grid=0.5,1,0.5"),
+    (("figure", "catenoid-domains"), "mus=-3,3,-3"),
+], ids=["a-grid", "b-grid", "mu", "a-grid-config", "mu-config"])
+def test_repeated_list_values_are_a_usage_error(tmp_path, capsys, no_work,
+                                                argv, config):
+    if config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        argv += ("--config", str(cfg))
+    assert run(*argv, "--out", str(tmp_path / "o")) == 2
+    assert "distinct" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers,pool", [("100000", 3), ("2", 2), ("1", None)])
+def test_sweep_pool_is_no_larger_than_the_task_list(tmp_path, monkeypatch,
+                                                    workers, pool):
+    sizes = []
+
+    class InlinePool:  # records the size it was asked for, starts nothing
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "_sweep_point",
+                        lambda t: (t[0], t[1], t[0] + t[1], [t[0] + t[1]]))
+    assert run("figure", "sweep-d", "--a-grid", "1 2 3", "--b-grid", "1",
+               "--workers", workers, "--out", str(tmp_path / "o")) == 0
+    assert sizes == ([] if pool is None else [pool])
 
 
 def test_config_value_outside_the_choices_exits_2(tmp_path, capsys):
