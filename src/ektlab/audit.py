@@ -254,12 +254,10 @@ _CHECKS: List[Tuple[str, str, Callable[[], Tuple[float, bool]]]] = [
 
 
 def run_audit(fault_eps: float = 0.0) -> List[AuditRow]:
-    """Run every invariant check; optionally with the integrand fault active."""
+    """Run every invariant check; optionally with the integrand fault active
+    (eps = 0 leaves the integrand unchanged)."""
     rows = []
-    ctx = helicoid.fault_injection(fault_eps) if fault_eps else None
-    try:
-        if ctx is not None:
-            ctx.__enter__()
+    with helicoid.fault_injection(fault_eps):
         for name, thresh, fn in _CHECKS:
             try:
                 measured, ok = fn()
@@ -267,9 +265,6 @@ def run_audit(fault_eps: float = 0.0) -> List[AuditRow]:
                 rows.append(AuditRow(name, False, float("nan"), f"raised {type(exc).__name__}"))
                 continue
             rows.append(AuditRow(name, bool(ok), float(measured), thresh))
-    finally:
-        if ctx is not None:
-            ctx.__exit__(None, None, None)
     return rows
 
 

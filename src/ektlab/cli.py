@@ -160,8 +160,11 @@ _DOMAINS = {
     "H": (lambda H: 0 < H <= 0.5, "in the conjugation range (0, 1/2]"),
     "M": (lambda M: _distinct(_positive)(M) and M == sorted(M),
           "a non-empty, strictly increasing list of positive finite values"),
-    "mus": (_distinct(lambda mu: 0.5 < abs(mu) < math.inf),
-            "non-empty and distinct, each with finite |mu| > 1/2"),
+    # a panel's label and verdict key is f"{mu:g}"
+    "mus": (lambda mus: _distinct(lambda mu: 0.5 < abs(mu) < math.inf)(mus)
+            and len({f"{mu:g}" for mu in mus}) == len(mus),
+            "non-empty and distinct to 6 significant digits, each with finite "
+            "|mu| > 1/2"),
 }
 
 
@@ -339,12 +342,10 @@ def _figure_sweep_d(args: argparse.Namespace, out: str) -> int:
 
 
 def _figure_noid_domain(args: argparse.Namespace, out: str) -> int:
-    if not args.H < 0.5:
-        raise UsageError("noid-domain needs H in (0, 1/2) (bounded domain)")
     r_trunc = args.r_trunc if args.r_trunc is not None else 4.0
     sols = solve_jenkins_serrin(math.inf, args.b, args.k, args.H,
                                 list(args.M), args.target_h, R_trunc=r_trunc)
-    samples = boundary_theta_prime(sols[-1], "p2")
+    samples = boundary_theta_prime(sols[-1])
     s_vals, tp_vals = samples[:, 0], samples[:, 1]
     s_hi = min(float(s_vals.max()), abs(float(s_vals.min())))
     if s_hi <= 0:
@@ -355,7 +356,7 @@ def _figure_noid_domain(args: argparse.Namespace, out: str) -> int:
         lambda s: float(np.interp(s, s_vals, tp_vals)), args.H, (0.0, s_hi),
         ((r0, 0.0), math.pi / 2.0), step=args.step)
     asm = assemble_domain(curve, args.k)
-    rep = self_intersections(asm)
+    rep = self_intersections(asm.pieces)
     b_star = interior_angle_threshold_b(args.k, args.H)
     params = {"figure": "noid-domain", "H": args.H, "k": args.k, "b": args.b,
               "M": list(args.M), "target_h": args.target_h,
@@ -384,6 +385,8 @@ _FIGURES = {"catenoid-domains": _figure_catenoid_domains,
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
+    if args.name == "noid-domain" and not args.H < 0.5:
+        raise UsageError("noid-domain needs H in (0, 1/2) (bounded domain)")
     return _FIGURES[args.name](args, _prepare_out(args.out))
 
 

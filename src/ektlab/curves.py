@@ -57,75 +57,20 @@ def distance_to_geodesic_diameter(x, y, axis_angle: float = 0.0):
 class PlanarCurve:
     """Unit-speed sampled curve in the unit disk.
 
-    The arrays hold arclength, point and tangent angle per sample;
-    kg_samples holds the prescribed curvature at each sample.
+    The arrays hold arclength and point per sample; kg_samples holds the
+    prescribed curvature at each sample.
     """
 
     s: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    phi: np.ndarray
     kg_samples: np.ndarray
     truncated_reason: Optional[str] = None
     total_turning: Optional[float] = None
-    theta_prime_samples: Optional[np.ndarray] = None
 
     @property
     def points(self) -> np.ndarray:
         return np.column_stack([self.x, self.y])
-
-
-def _march(kg_fn, s0: float, s_end: float, state0, step: float,
-           eps_ideal: float, s_cap: float):
-    """Heun march from s0 toward s_end (may be +-inf); returns sample lists.
-
-    kg is called once per step: its value at the new s is the corrector's
-    k2, the new sample's kg and the next step's k1.
-    """
-    direction = 1.0 if s_end >= s0 else -1.0
-    h = direction * step
-    if abs(h) < 1e-14:
-        raise GeometryError("integration step underflow")
-    span_cap = s_cap if math.isinf(s_end) else abs(s_end - s0)
-    n_max = int(math.ceil(span_cap / step)) + 1
-    s = s0
-    x, y, phi = (float(v) for v in state0)
-    k1 = float(kg_fn(s0))
-    out_s = [s0]
-    out_state = [(x, y, phi)]
-    out_kg = [k1]
-    reason = None
-    for _ in range(n_max):
-        remaining = abs(s_end - s)
-        hh = h if math.isinf(s_end) or remaining > step else direction * remaining
-        if abs(hh) < 1e-15:
-            break
-        cos1, sin1 = math.cos(phi), math.sin(phi)
-        fac = 0.5 * (1.0 - x * x - y * y)
-        fx1, fy1, fphi1 = fac * cos1, fac * sin1, k1 - x * sin1 + y * cos1
-        px, py, pphi = x + hh * fx1, y + hh * fy1, phi + hh * fphi1
-        k2 = float(kg_fn(s + hh))
-        cos2, sin2 = math.cos(pphi), math.sin(pphi)
-        fac = 0.5 * (1.0 - px * px - py * py)
-        half = 0.5 * hh
-        nx = x + half * (fx1 + fac * cos2)
-        ny = y + half * (fy1 + fac * sin2)
-        nphi = phi + half * (fphi1 + (k2 - px * sin2 + py * cos2))
-        r = math.hypot(nx, ny)
-        if r >= 1.0:
-            reason = "left disk numerically"
-            break
-        s, x, y, phi, k1 = s + hh, nx, ny, nphi, k2
-        out_s.append(s)
-        out_state.append((x, y, phi))
-        out_kg.append(k1)
-        if 1.0 - r < eps_ideal:
-            reason = "ideal boundary"
-            break
-        if math.isinf(s_end) and abs(s - s0) >= s_cap:
-            reason = "arclength cap"
-            break
-    return out_s, out_state, out_kg, reason
 
 
 def integrate_prescribed_curvature(kg: Callable[[float], float],
@@ -133,37 +78,63 @@ def integrate_prescribed_curvature(kg: Callable[[float], float],
                                    init_point: Tuple[float, float],
                                    init_angle: float,
                                    step: float = _DEFAULT_STEP,
-                                   eps_ideal: float = _EPS_IDEAL,
                                    s_cap: float = _DEFAULT_S_CAP) -> PlanarCurve:
-    """Integrate the disk Frenet system with prescribed kg(s).
+    """March the disk Frenet system with prescribed kg(s) forward from the
+    initial data at s_range[0] to s_range[1].
 
-    The initial data sits at s_range[0] when finite, else at s = 0 with the
-    curve extended in both directions.  Unbounded ends stop at boundary
-    proximity 1 - |p| < eps_ideal (or the arclength cap, recorded in
-    truncated_reason).
+    One Heun step per sample, calling kg once per step: its value at the
+    new s is the corrector's k2, the new sample's kg and the next step's k1.
+    An unbounded end s_range[1] = inf stops at boundary proximity
+    1 - |p| < _EPS_IDEAL or at arclength s_cap; that stop, or a step that
+    leaves the disk, is recorded in truncated_reason.
     """
-    if step <= 0:
-        raise GeometryError("integration step must be positive")
-    s0, s1 = s_range
-    if s1 <= s0:
-        raise GeometryError("empty s_range")
+    if not step >= 1e-14:
+        raise GeometryError("integration step must be at least 1e-14")
+    s0, s_end = s_range
+    if not s0 < s_end or math.isinf(s0):
+        raise GeometryError("s_range must run forward from a finite start")
     if math.hypot(*init_point) >= 1.0:
         raise GeometryError("initial point outside the open unit disk")
-    state0 = (init_point[0], init_point[1], init_angle)
-    if math.isinf(s0):
-        anchor = 0.0 if math.isinf(s1) else s1
-        if not math.isinf(s1):
-            raise GeometryError("anchor the initial data at a finite s")
-        back = _march(kg, anchor, -math.inf, state0, step, eps_ideal, s_cap)
-        fwd = _march(kg, anchor, math.inf, state0, step, eps_ideal, s_cap)
-        out_s, out_state, out_kg = (b[::-1] + f[1:]
-                                    for b, f in zip(back[:3], fwd[:3]))
-        reason = back[3] or fwd[3]
-    else:
-        out_s, out_state, out_kg, reason = _march(kg, s0, s1, state0, step,
-                                                  eps_ideal, s_cap)
-    st = np.array(out_state)
-    return PlanarCurve(s=np.array(out_s), x=st[:, 0], y=st[:, 1], phi=st[:, 2],
+    n_max = int(math.ceil((s_cap if math.isinf(s_end) else s_end - s0)
+                          / step)) + 1
+    s = s0
+    x, y, phi = float(init_point[0]), float(init_point[1]), float(init_angle)
+    k1 = float(kg(s0))
+    out_s = [s0]
+    out_xy = [(x, y)]
+    out_kg = [k1]
+    reason = None
+    for _ in range(n_max):
+        h = min(step, s_end - s)
+        if h < 1e-15:
+            break
+        cos1, sin1 = math.cos(phi), math.sin(phi)
+        fac = 0.5 * (1.0 - x * x - y * y)
+        fx1, fy1, fphi1 = fac * cos1, fac * sin1, k1 - x * sin1 + y * cos1
+        px, py, pphi = x + h * fx1, y + h * fy1, phi + h * fphi1
+        k2 = float(kg(s + h))
+        cos2, sin2 = math.cos(pphi), math.sin(pphi)
+        fac = 0.5 * (1.0 - px * px - py * py)
+        half = 0.5 * h
+        nx = x + half * (fx1 + fac * cos2)
+        ny = y + half * (fy1 + fac * sin2)
+        nphi = phi + half * (fphi1 + (k2 - px * sin2 + py * cos2))
+        r = math.hypot(nx, ny)
+        if r >= 1.0:
+            reason = "left disk numerically"
+            break
+        s, x, y, phi, k1 = s + h, nx, ny, nphi, k2
+        out_s.append(s)
+        out_xy.append((x, y))
+        out_kg.append(k1)
+        if 1.0 - r < _EPS_IDEAL:
+            reason = "ideal boundary"
+            break
+        if math.isinf(s_end) and s - s0 >= s_cap:
+            reason = "arclength cap"
+            break
+    xy = np.array(out_xy)
+    return PlanarCurve(s=np.array(out_s), x=xy[:, 0], y=xy[:, 1],
                        kg_samples=np.array(out_kg), truncated_reason=reason)
 
 
@@ -182,22 +153,19 @@ def conjugate_vertical_boundary(theta_prime_fn: Callable[[float], float],
                                 s_range: Tuple[float, float],
                                 init: Tuple[Tuple[float, float], float],
                                 step: float = _DEFAULT_STEP,
-                                eps_ideal: float = _EPS_IDEAL,
                                 s_cap: float = _DEFAULT_S_CAP) -> PlanarCurve:
     """Symmetry curve conjugate to a vertical fiber: kg(s) = 2H - theta'(s).
 
-    Records the total turning (trapezoid of theta' over the realized range)
-    and the theta' samples on the curve.
+    Records the total turning (trapezoid of theta' over the realized range).
     """
     if not 0.0 <= H <= 0.5:
         raise GeometryError("H must lie in [0, 1/2]")
     init_point, init_angle = init
     curve = integrate_prescribed_curvature(
         lambda s: 2.0 * H - theta_prime_fn(s), s_range, init_point, init_angle,
-        step=step, eps_ideal=eps_ideal, s_cap=s_cap)
-    tp = 2.0 * H - curve.kg_samples
-    total = float(np.trapezoid(tp, curve.s))
-    return replace(curve, total_turning=total, theta_prime_samples=tp)
+        step=step, s_cap=s_cap)
+    total = float(np.trapezoid(2.0 * H - curve.kg_samples, curve.s))
+    return replace(curve, total_turning=total)
 
 
 @dataclass(frozen=True)
@@ -205,7 +173,6 @@ class AssembledBoundary:
     """Dihedral orbit of a fundamental curve, merged into boundary chains."""
 
     pieces: List[np.ndarray]
-    symmetry_k: int
     closed: bool
     max_gap: Optional[float]
 
@@ -262,20 +229,20 @@ def assemble_domain(fundamental_curve: PlanarCurve, k: int) -> AssembledBoundary
         gaps.append(gap)
         if gap > 1e-8:
             closed = False
-    return AssembledBoundary(pieces=merged, symmetry_k=k, closed=closed,
+    return AssembledBoundary(pieces=merged, closed=closed,
                              max_gap=max(gaps) if gaps else None)
 
 
-def _merge_chains(images: List[np.ndarray], tol: float = 1e-8) -> List[np.ndarray]:
+def _merge_chains(images: List[np.ndarray]) -> List[np.ndarray]:
     """Join pieces at shared endpoints, but only across degree-2 junctions.
 
-    Endpoints are clustered by chart distance <= tol, so integrator-level
+    Endpoints are clustered by chart distance <= 1e-8, so integrator-level
     jitter between symmetric images cannot split a junction.
     """
     idents = [(idx, end) for idx in range(len(images)) for end in (0, -1)]
     pts = np.array([images[idx][end] for idx, end in idents])
     diff = pts[:, None, :] - pts[None, :, :]
-    _, labels = connected_components(np.hypot(diff[..., 0], diff[..., 1]) <= tol,
+    _, labels = connected_components(np.hypot(diff[..., 0], diff[..., 1]) <= 1e-8,
                                      directed=False)
     cluster_of = dict(zip(idents, labels.tolist()))
     members: dict = {}

@@ -12,14 +12,13 @@ density (2/(1-r^2))^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .spaces import GeometryError
-from .curves import AssembledBoundary, PlanarCurve
 
 __all__ = [
     "EmbeddednessReport",
@@ -32,7 +31,11 @@ __all__ = [
 ]
 
 _EPS_GEOM = 1e-9
+_MIN_SEG = 1e-5      # chart length below which samples are thinned
 _PAIR_CHUNK = 1 << 18
+_GRID = 1024         # cells per side of the covered-twice raster
+_PANEL_PX = 720      # SVG panel side
+_FILL_GRID = 256     # cells per side of the SVG fill raster
 
 
 @dataclass(frozen=True)
@@ -42,64 +45,45 @@ class EmbeddednessReport:
     self_intersections: List[Tuple[float, float, Tuple[float, float]]]
     multiplicity_2_area: float
     embedded: bool
-    symmetry_k: int
-    uncertain: List[Tuple[float, float]] = field(default_factory=list)
+    uncertain: List[Tuple[float, float]]
 
     @property
     def crossings(self) -> int:
         return len(self.self_intersections)
 
 
-def _thin(points: np.ndarray, params: np.ndarray, min_seg: float):
-    """Drop samples closer than min_seg in cumulative chart length.
+def _thin(ell: np.ndarray) -> np.ndarray:
+    """Indices of the samples kept from a polyline with cumulative chart
+    length ell: the first in each _MIN_SEG of length, and the last.
 
     Curves integrated in the hyperbolic metric cluster exponentially near
     the ideal circle; without thinning, one midpoint neighborhood can hold
     thousands of segments and the pair sweep degenerates.  Chords of length
-    min_seg are far below any feature scale of the symmetry curves, so
+    _MIN_SEG are far below any feature scale of the symmetry curves, so
     crossings and their parameters survive the thinning.
     """
-    if min_seg <= 0 or points.shape[0] < 3:
-        return points, params
-    seg = np.hypot(*np.diff(points, axis=0).T)
-    ell = np.concatenate([[0.0], np.cumsum(seg)])
-    _, keep = np.unique(np.floor(ell / min_seg), return_index=True)
-    if keep[-1] != points.shape[0] - 1:
-        keep = np.append(keep, points.shape[0] - 1)
-    return points[keep], params[keep]
+    _, keep = np.unique(np.floor(ell / _MIN_SEG), return_index=True)
+    if keep[-1] != ell.size - 1:
+        keep = np.append(keep, ell.size - 1)
+    return keep
 
 
-def _as_pieces(obj, min_seg: float = 0.0) -> Tuple[List[np.ndarray], List[np.ndarray], int]:
-    """Normalize input to (point arrays, per-sample parameters, symmetry k).
-
-    PlanarCurve keeps its hyperbolic arclength parameter; polyline pieces
-    are parametrized by cumulative Euclidean chart length with consecutive
-    pieces offset so parameters stay distinct.
-    """
-    if isinstance(obj, PlanarCurve):
-        pieces = [obj.points]
-        params = [obj.s.copy()]
-        k = 1
-    else:
-        if isinstance(obj, AssembledBoundary):
-            pieces = obj.pieces
-            k = obj.symmetry_k
-        elif isinstance(obj, np.ndarray):
-            pieces = [obj]
-            k = 1
-        else:
-            pieces = [np.asarray(p, dtype=float) for p in obj]
-            k = 1
-        params = []
-        offset = 0.0
-        for p in pieces:
-            if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 2:
-                raise GeometryError("each piece needs at least two planar points")
-            ell = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(p, axis=0).T))])
-            params.append(ell + offset)
-            offset += ell[-1] + 1.0
-    thinned = [_thin(p, q, min_seg) for p, q in zip(pieces, params)]
-    return [t[0] for t in thinned], [t[1] for t in thinned], k
+def _parametrize(pieces: Sequence[np.ndarray]):
+    """Thinned point arrays and their per-sample parameters: cumulative
+    Euclidean chart length, with consecutive pieces offset so parameters
+    stay distinct."""
+    points, params = [], []
+    offset = 0.0
+    for p in pieces:
+        p = np.asarray(p, dtype=float)
+        if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 2:
+            raise GeometryError("each piece needs at least two planar points")
+        ell = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(p, axis=0).T))])
+        keep = _thin(ell)
+        points.append(p[keep])
+        params.append(ell[keep] + offset)
+        offset += ell[-1] + 1.0
+    return points, params
 
 
 def _candidate_pairs(A: np.ndarray, d: np.ndarray, lens: np.ndarray,
@@ -127,16 +111,18 @@ def _candidate_pairs(A: np.ndarray, d: np.ndarray, lens: np.ndarray,
     return np.divmod(key, lens.size)
 
 
-def self_intersections(obj: Union[PlanarCurve, AssembledBoundary, Sequence[np.ndarray]],
-                       eps_geom: float = _EPS_GEOM,
-                       grid: int = 1024,
-                       min_seg: float = 1e-5) -> EmbeddednessReport:
-    """Report transverse crossings and the doubly covered hyperbolic area.
+def self_intersections(pieces: Sequence[np.ndarray]) -> EmbeddednessReport:
+    """Report transverse crossings and the doubly covered hyperbolic area
+    of polyline pieces, each an (n, 2) array of chart points.
 
-    Near-tangential configurations (parameter or perpendicular clearance
-    within eps_geom) are listed as uncertain instead of decided.
+    Samples closer than _MIN_SEG in chart length are thinned first.  A
+    crossing carries the parameters of its two points: the cumulative chart
+    length along the pieces, each piece starting 1 past the end of the one
+    before.  Near-tangential configurations (parameter or perpendicular
+    clearance within _EPS_GEOM) are listed as uncertain instead of decided.
+    The area is multiplicity_two_area of the thinned pieces.
     """
-    pieces, params, k = _as_pieces(obj, min_seg=min_seg)
+    pieces, params = _parametrize(pieces)
     A = np.vstack([p[:-1] for p in pieces])
     B = np.vstack([p[1:] for p in pieces])
     sA = np.concatenate([q[:-1] for q in params])
@@ -147,7 +133,7 @@ def self_intersections(obj: Union[PlanarCurve, AssembledBoundary, Sequence[np.nd
     lens = np.hypot(d[:, 0], d[:, 1])
     if not np.any(lens > 0.0):
         raise GeometryError("degenerate polyline (zero-length segments only)")
-    first, second = _candidate_pairs(A, d, lens, 10 * eps_geom)
+    first, second = _candidate_pairs(A, d, lens, 10 * _EPS_GEOM)
     # drop chain neighbors within the same piece
     keep = ~((piece_id[first] == piece_id[second])
              & (np.abs(seg_idx[first] - seg_idx[second]) <= 1))
@@ -162,7 +148,7 @@ def self_intersections(obj: Union[PlanarCurve, AssembledBoundary, Sequence[np.nd
         a2, d2 = A[pj_], d[pj_]
         denom = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
         rhs = a2 - a1
-        near_par = np.abs(denom) <= eps_geom * np.maximum(lens[pi_] * lens[pj_], 1e-300)
+        near_par = np.abs(denom) <= _EPS_GEOM * np.maximum(lens[pi_] * lens[pj_], 1e-300)
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (rhs[:, 0] * d2[:, 1] - rhs[:, 1] * d2[:, 0]) / denom
             u = (rhs[:, 0] * d1[:, 1] - rhs[:, 1] * d1[:, 0]) / denom
@@ -174,25 +160,23 @@ def self_intersections(obj: Union[PlanarCurve, AssembledBoundary, Sequence[np.nd
         # the projection on the first segment and the start of the second
         t = np.where(near_par, para_t, t)
         u = np.where(near_par, 0.0, u)
-        for idx in np.nonzero(inside | (near_par & (gap < 10 * eps_geom)))[0]:
+        for idx in np.nonzero(inside | (near_par & (gap < 10 * _EPS_GEOM)))[0]:
             s1 = sA[pi_[idx]] + t[idx] * (sB[pi_[idx]] - sA[pi_[idx]])
             s2 = sA[pj_[idx]] + u[idx] * (sB[pj_[idx]] - sA[pj_[idx]])
-            if near_par[idx] or margin[idx] * min(lens[pi_[idx]], lens[pj_[idx]]) < eps_geom:
+            if near_par[idx] or margin[idx] * min(lens[pi_[idx]], lens[pj_[idx]]) < _EPS_GEOM:
                 uncertain.append((float(min(s1, s2)), float(max(s1, s2))))
                 continue
             pt = a1[idx] + t[idx] * d1[idx]
             lo, hi = sorted((float(s1), float(s2)))
             crossings.append((lo, hi, (float(pt[0]), float(pt[1]))))
     crossings.sort()
-    area = multiplicity_two_area(pieces, grid=grid)
-    embedded = not crossings
     return EmbeddednessReport(self_intersections=crossings,
-                              multiplicity_2_area=area,
-                              embedded=embedded, symmetry_k=k,
+                              multiplicity_2_area=multiplicity_two_area(pieces),
+                              embedded=not crossings,
                               uncertain=sorted(set(uncertain)))
 
 
-def _close_chains(pieces: List[np.ndarray], arc_step: float = 2.0 * math.pi / 2048) -> List[np.ndarray]:
+def _close_chains(pieces: List[np.ndarray]) -> List[np.ndarray]:
     """Close open chains through arcs just inside the ideal circle.
 
     Open ends are assumed to sit near the boundary circle (diverging
@@ -231,22 +215,22 @@ def _close_chains(pieces: List[np.ndarray], arc_step: float = 2.0 * math.pi / 20
             th_close = math.atan2(start_pt[1], start_pt[0])
             gap_close = (th_close - th_end) % (2.0 * math.pi)
             if best is None or gap_close <= best[0]:
-                arc = _ideal_arc(cur_end, start_pt, gap_close, arc_step)
-                chain.append(arc)
+                chain.append(_ideal_arc(cur_end, start_pt, gap_close))
                 break
             gap, i, flip = best
             q = open_pieces[i][::-1] if flip else open_pieces[i]
             used[i] = True
-            chain.append(_ideal_arc(cur_end, q[0], gap, arc_step))
+            chain.append(_ideal_arc(cur_end, q[0], gap))
             chain.append(q)
         loops.append(np.vstack(chain))
     return loops
 
 
-def _ideal_arc(p_from: np.ndarray, p_to: np.ndarray, gap: float, arc_step: float) -> np.ndarray:
+def _ideal_arc(p_from: np.ndarray, p_to: np.ndarray, gap: float) -> np.ndarray:
+    """Samples from p_from to p_to through the angle gap, one per 1/2048 turn."""
     r0, r1 = np.hypot(*p_from), np.hypot(*p_to)
     th0 = math.atan2(p_from[1], p_from[0])
-    n = max(2, int(math.ceil(gap / arc_step)) + 1)
+    n = max(2, int(math.ceil(gap / (2.0 * math.pi / 2048))) + 1)
     th = th0 + np.linspace(0.0, gap, n)
     rr = np.linspace(r0, r1, n)
     return np.column_stack([rr * np.cos(th), rr * np.sin(th)])
@@ -286,21 +270,22 @@ def _winding_grid(loops: Sequence[np.ndarray], grid: int):
     return np.cumsum(wind[:, :-1], axis=1), centers
 
 
-def multiplicity_two_area(pieces: Sequence[np.ndarray], grid: int = 1024,
-                          r_cut: float = 1.0 - 2e-6) -> float:
-    """Hyperbolic area covered with |winding| >= 2 by the closed-up chains."""
+def multiplicity_two_area(pieces: Sequence[np.ndarray]) -> float:
+    """Hyperbolic area covered with |winding| >= 2 by the closed-up chains,
+    on a _GRID x _GRID raster; cells centred beyond chart radius 1 - 2e-6
+    count no area."""
     loops = _close_chains([np.asarray(p, dtype=float) for p in pieces])
     if not loops:
         return 0.0
-    wind, centers = _winding_grid(loops, grid)
-    px = 2.0 / grid
+    wind, centers = _winding_grid(loops, _GRID)
+    px = 2.0 / _GRID
     c2 = centers * centers
     # the metric only on the cells covered twice, in row-major order as a
     # boolean mask would take them: full-grid arrays cost 8 MB each at
     # grid = 1024
     i, j = np.nonzero(np.abs(wind) >= 2)
     r2 = c2[j] + c2[i]
-    lam2 = np.where(np.sqrt(r2) <= r_cut, 4.0 / (1.0 - r2) ** 2, 0.0) * px * px
+    lam2 = np.where(np.sqrt(r2) <= 1.0 - 2e-6, 4.0 / (1.0 - r2) ** 2, 0.0) * px * px
     return float(np.sum(lam2))
 
 
@@ -314,11 +299,11 @@ def report_json_dict(report: EmbeddednessReport,
     }
 
 
-def _panel_markup(pieces: Sequence[np.ndarray], size: int, fill_grid: int,
-                  dx: float, label: Optional[str] = None) -> List[str]:
+def _panel_markup(pieces: Sequence[np.ndarray], dx: float,
+                  label: Optional[str]) -> List[str]:
     """Markup of one disk panel (fill, ideal circle, strokes) shifted by dx."""
     pieces = [np.asarray(p, dtype=float) for p in pieces]
-    half = size / 2.0
+    half = _PANEL_PX / 2.0
 
     def to_px(pts):
         return (pts[:, 0] * 0.95 + 1.0) * half + dx, (1.0 - pts[:, 1] * 0.95) * half
@@ -327,9 +312,9 @@ def _panel_markup(pieces: Sequence[np.ndarray], size: int, fill_grid: int,
     # covered-twice fill from a coarse winding pass
     loops = _close_chains(pieces)
     if loops:
-        wind, centers = _winding_grid(loops, fill_grid)
+        wind, centers = _winding_grid(loops, _FILL_GRID)
         hot = np.argwhere(np.abs(wind) >= 2)
-        cell_px = 0.95 * size / fill_grid
+        cell_px = 0.95 * _PANEL_PX / _FILL_GRID
         for i, j in hot:
             cx = (centers[j] * 0.95 + 1.0) * half + dx - cell_px / 2.0
             cy = (1.0 - centers[i] * 0.95) * half - cell_px / 2.0
@@ -347,30 +332,29 @@ def _panel_markup(pieces: Sequence[np.ndarray], size: int, fill_grid: int,
         out.append(f'<polyline points="{pts}" fill="none" stroke="#1040a0" '
                    'stroke-width="1.2"/>')
     if label is not None:
-        out.append(f'<text x="{half + dx:.2f}" y="{size - 6}" '
+        out.append(f'<text x="{half + dx:.2f}" y="{_PANEL_PX - 6}" '
                    'font-family="monospace" font-size="14" '
                    f'text-anchor="middle">{label}</text>')
     return out
 
 
-def write_domain_svg(path: str, pieces: Sequence[np.ndarray], params: dict,
-                     size: int = 720, fill_grid: int = 256) -> None:
+def write_domain_svg(path: str, pieces: Sequence[np.ndarray], params: dict) -> None:
     """SVG figure: ideal circle, curve strokes, covered-twice region fill.
 
     The full parameter set is embedded as a comment header; output is
     deterministic for fixed inputs.
     """
-    write_domain_panels_svg(path, [(None, pieces)], params, size, fill_grid)
+    write_domain_panels_svg(path, [(None, pieces)], params)
 
 
 def write_domain_panels_svg(path: str,
                             panels: Sequence[Tuple[Optional[str],
                                                    Sequence[np.ndarray]]],
-                            params: dict, size: int = 720,
-                            fill_grid: int = 256) -> None:
+                            params: dict) -> None:
     """Side-by-side disk panels (label, pieces) in one deterministic SVG."""
     if not panels:
         raise GeometryError("no panels to draw")
+    size = _PANEL_PX
     width = size * len(panels)
     header = " ".join(f"{k}={params[k]!r}" for k in sorted(params))
     out = ['<?xml version="1.0" encoding="UTF-8"?>',
@@ -379,14 +363,14 @@ def write_domain_panels_svg(path: str,
            f'viewBox="0 0 {width} {size}">',
            f'<rect width="{width}" height="{size}" fill="white"/>']
     for n, (label, pieces) in enumerate(panels):
-        out.extend(_panel_markup(pieces, size, fill_grid, float(n * size), label))
+        out.extend(_panel_markup(pieces, float(n * size), label))
     out.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(out) + "\n")
 
 
 def critical_catenoid_domain(mu: float, k: int = 2, step: float = 5e-4,
-                             s_cap: float = 60.0, grid: int = 1024):
+                             s_cap: float = 60.0):
     """Boundary of the conjugate disk domain for the critical catenoid data.
 
     The fiber rotation speed theta'(s) of the mu-helicoid prescribes
@@ -410,5 +394,5 @@ def critical_catenoid_domain(mu: float, k: int = 2, step: float = 5e-4,
                                         ((r0, 0.0), phi0),
                                         step=step, s_cap=s_cap)
     assembled = assemble_domain(curve, k)
-    report = self_intersections(assembled, grid=grid)
+    report = self_intersections(assembled.pieces)
     return curve, assembled, report

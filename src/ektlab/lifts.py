@@ -38,6 +38,8 @@ _GL5_W /= 2.0
 
 _LOCAL_TOL = 1e-8
 _MAX_DEPTH = 30
+_AREA_SEG = 5e-4    # chart length of the subdivided segments in enclosed_area
+_CIRCLE_SEGS = 20001
 
 
 def _as_xy(path: Sequence[BasePoint]) -> np.ndarray:
@@ -111,19 +113,18 @@ def holonomy_gap(path: Sequence[BasePoint], params: SpaceParams) -> float:
     return lifted[-1].z - lifted[0].z
 
 
-def enclosed_area(path: Sequence[BasePoint], params: SpaceParams,
-                  max_seg: float = 5e-4) -> float:
+def enclosed_area(path: Sequence[BasePoint], params: SpaceParams) -> float:
     """Signed metric area enclosed by a closed chart polygon.
 
     Midpoint shoelace weighted by lambda after subdividing every segment to
-    chart length <= max_seg.  Counterclockwise traversal is positive.
+    chart length <= _AREA_SEG.  Counterclockwise traversal is positive.
     """
     pts = _as_xy(path)
     if not np.allclose(pts[0], pts[-1], rtol=0.0, atol=1e-9):
         raise GeometryError("enclosed_area needs a closed path")
     total = 0.0
     for p, q in zip(pts[:-1], pts[1:]):
-        n = max(1, int(math.ceil(math.hypot(*(q - p)) / max_seg)))
+        n = max(1, int(math.ceil(math.hypot(*(q - p)) / _AREA_SEG)))
         t = np.linspace(0.0, 1.0, n + 1)
         xs = p[0] + t * (q[0] - p[0])
         ys = p[1] + t * (q[1] - p[1])
@@ -135,13 +136,13 @@ def enclosed_area(path: Sequence[BasePoint], params: SpaceParams,
     return total
 
 
-def circle_path(radius: float, n: int = 20001, center=(0.0, 0.0),
-                clockwise: bool = False) -> list:
-    """Closed polygonal circle with n segments (first sample repeated last)."""
-    t = np.linspace(0.0, 2.0 * math.pi, n + 1)
+def circle_path(radius: float, clockwise: bool = False) -> list:
+    """Closed polygonal circle about the origin with _CIRCLE_SEGS segments
+    (first sample repeated last)."""
+    t = np.linspace(0.0, 2.0 * math.pi, _CIRCLE_SEGS + 1)
     if clockwise:
         t = t[::-1]
-    xs = center[0] + radius * np.cos(t)
-    ys = center[1] + radius * np.sin(t)
+    xs = radius * np.cos(t)
+    ys = radius * np.sin(t)
     xs[-1], ys[-1] = xs[0], ys[0]
     return [BasePoint(x, y) for x, y in zip(xs, ys)]

@@ -68,11 +68,13 @@ __all__ = [
 ]
 
 _ARMIJO = 1e-4
+_TOL = 1e-9         # |grad E| over the free nodes that ends Newton
 _MAX_ITERS = 60
 _T_MIN = 1e-6
 _THETA = 0.25       # largest contraction |du_{k+1}| / |du_k| that keeps the LU
 _EPS = float(np.finfo(float).eps)
 _ND_LEAF = 16       # parts this small are not dissected further
+_N_RAYS = 32        # rays of the theta' probe fan over p2
 
 
 class SolverError(RuntimeError):
@@ -337,8 +339,7 @@ def _armijo(asm: _Assembly, u: np.ndarray, free: np.ndarray,
     return None
 
 
-def _newton(asm: _Assembly, u0: np.ndarray, fixed: np.ndarray,
-            tol: float, max_iters: int):
+def _newton(asm: _Assembly, u0: np.ndarray, fixed: np.ndarray):
     """Damped simplified Newton from u0 with u[fixed] held; returns
     (u, residual, iterations, energy history).
 
@@ -349,7 +350,7 @@ def _newton(asm: _Assembly, u0: np.ndarray, fixed: np.ndarray,
     eps |E| of the energy, below which no decrease can show; otherwise the
     Hessian is refactored at u and the step solved again.  A stale step
     whose line search stalls gets one retry with a fresh factorization.
-    Stops when |grad E| over the free nodes falls below tol.  The energy
+    Stops when |grad E| over the free nodes falls below _TOL.  The energy
     history decreases strictly until a step falls below the round-off of
     E; such a step is taken whole and may change E by a few ulps.
     """
@@ -362,12 +363,12 @@ def _newton(asm: _Assembly, u0: np.ndarray, fixed: np.ndarray,
     u = u0.copy()
     energies = []
     lu, step_norm = None, 0.0
-    for it in range(max_iters):
+    for it in range(_MAX_ITERS):
         energy, g = asm.energy_grad(u)
         energies.append(energy)
         rhs = -g[free]
         res = float(np.linalg.norm(rhs))
-        if res < tol:
+        if res < _TOL:
             return u, res, it, energies
         last_norm = step_norm
         for fresh in ((True,) if lu is None else (False, True)):
@@ -390,9 +391,9 @@ def _newton(asm: _Assembly, u0: np.ndarray, fixed: np.ndarray,
                               step_norm=step_norm)
     energy, g = asm.energy_grad(u)
     res = float(np.linalg.norm(g[free]))
-    if res < tol:
-        return u, res, max_iters, energies
-    raise SolverError(f"Newton did not reach tol={tol:g}", iteration=max_iters,
+    if res < _TOL:
+        return u, res, _MAX_ITERS, energies
+    raise SolverError(f"Newton did not reach tol={_TOL:g}", iteration=_MAX_ITERS,
                       residual=res, energy=energy, step_norm=step_norm)
 
 
@@ -421,9 +422,7 @@ def _dirichlet_arrays(domain: TriangulatedDomain,
 def solve_dirichlet(domain: TriangulatedDomain,
                     boundary_values: Mapping[str, BoundaryValue],
                     params: SpaceParams,
-                    initial: Optional[np.ndarray] = None,
-                    tol: float = 1e-9,
-                    max_iters: int = _MAX_ITERS) -> GraphSolution:
+                    initial: Optional[np.ndarray] = None) -> GraphSolution:
     """Minimize graph area in the space params subject to per-tag Dirichlet
     data.
 
@@ -433,15 +432,14 @@ def solve_dirichlet(domain: TriangulatedDomain,
     nodes with that tag at once and return one value per node.
     """
     u, res, iters, energies = _dirichlet_newton(domain, boundary_values, params,
-                                                initial, tol, max_iters)
+                                                initial)
     return GraphSolution(domain=domain, u=u, params=params, residual_norm=res,
                          newton_iters=iters, energy_history=energies)
 
 
 def _dirichlet_newton(domain: TriangulatedDomain,
                       boundary_values: Mapping[str, BoundaryValue],
-                      params: SpaceParams, initial: Optional[np.ndarray],
-                      tol: float, max_iters: int):
+                      params: SpaceParams, initial: Optional[np.ndarray]):
     """Newton for per-tag Dirichlet data from initial (zeros when None);
     returns what _newton does."""
     fixed, vals = _dirichlet_arrays(domain, boundary_values)
@@ -450,12 +448,12 @@ def _dirichlet_newton(domain: TriangulatedDomain,
         raise SolverError("initial guess has the wrong shape")
     if fixed.size:
         u0[fixed] = vals
-    return _newton(_Assembly(domain, params), u0, fixed, tol, max_iters)
+    return _newton(_Assembly(domain, params), u0, fixed)
 
 
 def _coarse_start(domain: TriangulatedDomain,
                   boundary_values: Mapping[str, BoundaryValue],
-                  params: SpaceParams, tol: float) -> Optional[np.ndarray]:
+                  params: SpaceParams) -> Optional[np.ndarray]:
     """Nested-iteration start: the same Dirichlet problem solved from zeros
     on the triangle meshed at 4h, interpolated linearly onto the nodes of
     domain (a node outside the coarse hull takes its nearest coarse node).
@@ -467,8 +465,7 @@ def _coarse_start(domain: TriangulatedDomain,
     try:
         coarse = triangulate(domain.triangle, 4 * domain.target_h,
                              domain.r_trunc)
-        u = _dirichlet_newton(coarse, boundary_values, params, None, tol,
-                              _MAX_ITERS)[0]
+        u = _dirichlet_newton(coarse, boundary_values, params, None)[0]
     except (GeometryError, SolverError):
         return None
     guess = LinearNDInterpolator(coarse.nodes, u)(domain.nodes)
@@ -494,10 +491,7 @@ def _distance_to_tag(domain: TriangulatedDomain, tag: str) -> np.ndarray:
 def solve_jenkins_serrin(a: float, b: float, k: int, H: float,
                          M_schedule: Sequence[float], target_h: float,
                          R_trunc: Optional[float] = None,
-                         m_sign: int = 1,
-                         tol: float = 1e-9,
-                         domain: Optional[TriangulatedDomain] = None
-                         ) -> List[GraphSolution]:
+                         m_sign: int = 1) -> List[GraphSolution]:
     """Solve the triangle problem (0 on the p0 sides, m_sign*M on the far side)
     for an increasing schedule of M.
 
@@ -522,10 +516,8 @@ def solve_jenkins_serrin(a: float, b: float, k: int, H: float,
     ms = [float(m) for m in M_schedule]
     if not ms or any(m <= 0 for m in ms) or any(y <= x for x, y in zip(ms, ms[1:])):
         raise SolverError("M_schedule must be positive and strictly increasing")
-    kappa = 4.0 * H * H - 1.0
-    if domain is None:
-        triangle = build_triangle(a, b, k, kappa)
-        domain = triangulate(triangle, target_h, R_trunc)
+    domain = triangulate(build_triangle(a, b, k, 4.0 * H * H - 1.0), target_h,
+                         R_trunc)
     params = SpaceParams.from_h(H)
     sols: List[GraphSolution] = []
     prev_m, prev_u = 0.0, np.zeros(domain.n_nodes)
@@ -534,10 +526,9 @@ def solve_jenkins_serrin(a: float, b: float, k: int, H: float,
         if sols:
             guess = prev_u + (m - prev_m) * du_dm
         else:
-            guess = _coarse_start(domain, data, params, tol)
+            guess = _coarse_start(domain, data, params)
         try:
-            sol = solve_dirichlet(domain, data, params=params, initial=guess,
-                                  tol=tol)
+            sol = solve_dirichlet(domain, data, params=params, initial=guess)
         except SolverError as exc:
             raise SolverError(exc.message, M=m, **exc.context) from exc
         sol.M = m
@@ -640,47 +631,42 @@ def richardson_extrapolate(vals: Sequence[float]) -> float:
 
 def distance_d(solutions: Sequence[GraphSolution]) -> float:
     """Richardson-refined integral of nu along the p0-p2 side over an
-    increasing M schedule (last two truncation levels)."""
+    increasing M schedule; only the last two truncation levels are read."""
     if not solutions:
         raise SolverError("empty solution sequence")
-    return richardson_extrapolate([distance_d_single(s) for s in solutions])
+    return richardson_extrapolate([distance_d_single(s) for s in solutions[-2:]])
 
 
 def rho_estimate(solutions: Sequence[GraphSolution]) -> float:
+    """distance_d for the p0-p1 side."""
     if not solutions:
         raise SolverError("empty solution sequence")
-    return richardson_extrapolate([rho_estimate_single(s) for s in solutions])
+    return richardson_extrapolate([rho_estimate_single(s) for s in solutions[-2:]])
 
 
-def boundary_theta_prime(sol: GraphSolution, vertex: str = "p2",
-                         n_rays: int = 32) -> np.ndarray:
-    """Sampled conormal-angle derivative s -> theta'(s) at a finite vertex.
+def boundary_theta_prime(sol: GraphSolution) -> np.ndarray:
+    """Sampled conormal-angle derivative s -> theta'(s) over the vertex p2,
+    which must be finite.
 
-    Over the vertex where the zero side meets the capped side the level
+    Over p2, where the zero side p0p2 meets the capped side, the level
     curves of u fan out along chart rays, so the horizontal part of the
     graph normal points anti-radially: the angle theta at fiber height s is
     (up to an additive constant) the chart angle of the ray whose height
-    intercept is s.  Each ray in the fan is therefore probed for u alone;
+    intercept is s.  Each of _N_RAYS rays in the fan is probed for u alone;
     the intercept comes from a least-squares line over radii 4h..12h (the
     nodal gradient itself is self-similarly noisy at radii proportional to
     h and never converges there).  theta' is a windowed regression slope of
     the (intercept, ray angle) cloud.  Rows are (s, theta_prime).
 
     Rays that exit the domain, break intercept monotonicity, or land within
-    30% of the data cap are dropped; what survives is the resolved range.
+    30% of the data cap are dropped; what survives is the resolved range,
+    and fewer than _N_RAYS // 3 survivors raise SolverError.
     """
     dom = sol.domain
     tri = dom.triangle
-    if vertex == "p2":
-        if tri.b_infinite:
-            raise SolverError("p2 is ideal; no vertex fiber to probe")
-        v = np.array([tri.p2.x, tri.p2.y])
-    elif vertex == "p1":
-        if tri.a_infinite:
-            raise SolverError("p1 is ideal; no vertex fiber to probe")
-        v = np.array([tri.p1.x, tri.p1.y])
-    else:
-        raise SolverError("vertex must be 'p1' or 'p2'")
+    if tri.b_infinite:
+        raise SolverError("p2 is ideal; no vertex fiber to probe")
+    v = np.array([tri.p2.x, tri.p2.y])
     h = dom.target_h
     # adjacent boundary directions: toward p0 and along the far side
     d0 = -v / np.hypot(*v)
@@ -698,7 +684,7 @@ def boundary_theta_prime(sol: GraphSolution, vertex: str = "p2",
     rad_chart = rad_metric / lam_v
     interp_u = LinearNDInterpolator(dom.nodes, sol.u)
     u_top = float(np.max(np.abs(sol.u)))
-    fracs = np.linspace(0.08, 0.92, n_rays)
+    fracs = np.linspace(0.08, 0.92, _N_RAYS)
     s0s, th0s = [], []
     s_seen = []
     for f in fracs:
@@ -716,7 +702,7 @@ def boundary_theta_prime(sol: GraphSolution, vertex: str = "p2",
             continue
         s0s.append(s0)
         th0s.append(ang + math.pi)
-    if len(s0s) < max(5, n_rays // 3):
+    if len(s0s) < _N_RAYS // 3:
         lo = min(s_seen) if s_seen else float("nan")
         hi = max(s_seen) if s_seen else float("nan")
         raise SolverError(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -48,31 +47,17 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class SpaceParams:
-    """Parameters (kappa, tau) of E(kappa, tau), optionally tied to an H.
-
-    When ``h_partner`` is set the record describes the space E(4H^2-1, H)
-    used by the conjugation machinery, and the fields must satisfy
-    kappa = 4H^2 - 1, tau = H with H in [0, 1/2].
-    """
+    """Parameters (kappa, tau) of E(kappa, tau)."""
 
     kappa: float
     tau: float
-    h_partner: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.h_partner is not None:
-            h = self.h_partner
-            if not (0.0 <= h <= 0.5):
-                raise GeometryError(f"h_partner must lie in [0, 1/2], got {h}")
-            if abs(self.kappa - (4.0 * h * h - 1.0)) > 1e-12:
-                raise GeometryError("kappa does not match 4 h_partner^2 - 1")
-            if abs(self.tau - h) > 1e-12:
-                raise GeometryError("tau does not match h_partner")
 
     @classmethod
     def from_h(cls, h: float) -> "SpaceParams":
-        """Space E(4H^2-1, H) paired with H-surfaces in H2xR."""
-        return cls(kappa=4.0 * h * h - 1.0, tau=h, h_partner=h)
+        """Space E(4H^2-1, H) paired with H-surfaces in H2xR, 0 <= H <= 1/2."""
+        if not 0.0 <= h <= 0.5:
+            raise GeometryError(f"H must lie in [0, 1/2], got {h}")
+        return cls(kappa=4.0 * h * h - 1.0, tau=h)
 
 
 @dataclass(frozen=True)

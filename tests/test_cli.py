@@ -434,7 +434,10 @@ def test_infinite_or_nan_control_is_a_usage_error(tmp_path, capsys, no_work,
     (("figure", "catenoid-domains", "--mu", "3", "--mu", "3"), ""),
     (("figure", "sweep-d"), "a_grid=0.5,1,0.5"),
     (("figure", "catenoid-domains"), "mus=-3,3,-3"),
-], ids=["a-grid", "b-grid", "mu", "a-grid-config", "mu-config"])
+    # distinct values with one label f"{mu:g}", the key of their verdicts
+    (("figure", "catenoid-domains", "--mu", "3", "--mu", "3.0000001",
+      "--step", "1e-2", "--s-cap", "5"), ""),
+], ids=["a-grid", "b-grid", "mu", "a-grid-config", "mu-config", "mu-label"])
 def test_repeated_list_values_are_a_usage_error(tmp_path, capsys, no_work,
                                                 argv, config):
     if config:
@@ -443,6 +446,14 @@ def test_repeated_list_values_are_a_usage_error(tmp_path, capsys, no_work,
         argv += ("--config", str(cfg))
     assert run(*argv, "--out", str(tmp_path / "o")) == 2
     assert "distinct" in capsys.readouterr().err
+
+
+def test_noid_domain_at_h_one_half_exits_2_before_making_out(tmp_path, capsys,
+                                                          no_work):
+    assert run("figure", "noid-domain", "--H", "0.5",
+               "--out", str(tmp_path / "o")) == 2
+    assert "noid-domain needs H in (0, 1/2)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("workers,pool", [("100000", 3), ("2", 2), ("1", None)])

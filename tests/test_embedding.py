@@ -5,18 +5,14 @@ import numpy as np
 import pytest
 
 from ektlab import embedding as emb
-from ektlab.curves import PlanarCurve
 from ektlab.embedding import (critical_catenoid_domain, multiplicity_two_area,
                               report_json_dict, self_intersections,
                               write_domain_panels_svg, write_domain_svg)
 
 
-def curve_from_xy(x, y):
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
-    s = np.concatenate([[0.0], np.cumsum(np.hypot(np.diff(x), np.diff(y)))])
-    return PlanarCurve(s=s, x=x, y=y, phi=np.zeros_like(x),
-                       kg_samples=np.zeros_like(x))
+def polyline_from_xy(x, y):
+    """One polyline piece through the points (x, y)."""
+    return [np.column_stack([np.asarray(x, float), np.asarray(y, float)])]
 
 
 def test_figure_eight_has_one_crossing():
@@ -24,7 +20,7 @@ def test_figure_eight_has_one_crossing():
     t = np.linspace(0.3, 0.3 + 2.0 * math.pi, 2000)
     x = 0.6 * np.sin(2 * t) / 2.0
     y = 0.6 * np.sin(t)
-    rep = self_intersections(curve_from_xy(x, y))
+    rep = self_intersections(polyline_from_xy(x, y))
     assert not rep.embedded
     assert rep.crossings == 1
     (s1, s2, (cx, cy)) = rep.self_intersections[0]
@@ -34,7 +30,7 @@ def test_figure_eight_has_one_crossing():
 
 def test_convex_loop_is_embedded():
     t = np.linspace(0.0, 2.0 * math.pi, 1501)
-    rep = self_intersections(curve_from_xy(0.5 * np.cos(t), 0.3 * np.sin(t)))
+    rep = self_intersections(polyline_from_xy(0.5 * np.cos(t), 0.3 * np.sin(t)))
     assert rep.embedded
     assert rep.crossings == 0
     assert rep.multiplicity_2_area == 0.0
@@ -44,30 +40,32 @@ def test_adjacent_segments_do_not_count_as_crossings():
     # a tight zigzag shares endpoints between neighbors but never crosses
     x = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
     y = np.array([0.0, 0.1, 0.0, 0.1, 0.0])
-    rep = self_intersections(curve_from_xy(x, y))
+    rep = self_intersections(polyline_from_xy(x, y))
     assert rep.embedded
 
 
-def test_short_segments_are_thinned_before_the_sweep():
+def test_short_segments_are_thinned_before_the_sweep(monkeypatch):
     t = np.linspace(0.0, 2.0 * math.pi, 200001)  # ~3e-5 chord length
     x, y = 0.5 * np.cos(t), 0.5 * np.sin(t)
-    rep = self_intersections(curve_from_xy(x, y), min_seg=1e-3)
+    monkeypatch.setattr(emb, "_MIN_SEG", 1e-3)
+    rep = self_intersections(polyline_from_xy(x, y))
     assert rep.embedded
     assert rep.crossings == 0
 
 
-def test_multiplicity_two_area_of_a_double_cover():
+def test_multiplicity_two_area_of_a_double_cover(monkeypatch):
     """Tracing a circle twice covers its disk twice; area matches chart area."""
     t = np.linspace(0.0, 4.0 * math.pi, 4001)
     pieces = [np.column_stack([0.4 * np.cos(t), 0.4 * np.sin(t)])]
-    area = multiplicity_two_area(pieces, grid=512)
+    monkeypatch.setattr(emb, "_GRID", 512)
+    area = multiplicity_two_area(pieces)
     # hyperbolic area of the chart-radius-0.4 disk in the unit Poincare disk
     d = 2.0 * math.atanh(0.4)
     exact = 4.0 * math.pi * math.sinh(d / 2.0) ** 2
     assert area == pytest.approx(exact, rel=0.02)
 
 
-def test_multiplicity_two_area_sums_the_full_grid_metric_bit_for_bit():
+def test_multiplicity_two_area_sums_the_full_grid_metric_bit_for_bit(monkeypatch):
     """Evaluating the metric only on the twice-covered cells gives the same
     float as masking the full-grid metric, rim cells beyond r_cut included."""
     t = np.linspace(0.0, 4.0 * math.pi, 4001)
@@ -80,13 +78,15 @@ def test_multiplicity_two_area_sums_the_full_grid_metric_bit_for_bit():
         lam2 = np.where(np.sqrt(r2) <= r_cut, 4.0 / (1.0 - r2) ** 2, 0.0)
     full = float(np.sum((lam2 * (2.0 / grid) * (2.0 / grid))[np.abs(wind) >= 2]))
     assert full > 0.0
-    assert multiplicity_two_area(pieces, grid=grid, r_cut=r_cut) == full
+    monkeypatch.setattr(emb, "_GRID", grid)
+    assert multiplicity_two_area(pieces) == full
 
 
-def test_single_cover_has_no_multiplicity_two_area():
+def test_single_cover_has_no_multiplicity_two_area(monkeypatch):
     t = np.linspace(0.0, 2.0 * math.pi, 2001)
     pieces = [np.column_stack([0.4 * np.cos(t), 0.4 * np.sin(t)])]
-    assert multiplicity_two_area(pieces, grid=512) == 0.0
+    monkeypatch.setattr(emb, "_GRID", 512)
+    assert multiplicity_two_area(pieces) == 0.0
 
 
 def test_near_parallel_pairs_are_uncertain_with_finite_parameters():
@@ -109,7 +109,6 @@ def test_critical_catenoid_domain_verdicts(mu, embedded, crossings):
     curve, assembled, rep = critical_catenoid_domain(mu, k=2, step=2e-3)
     assert rep.embedded is embedded
     assert rep.crossings == crossings
-    assert rep.symmetry_k == 2
     if not embedded:
         assert rep.multiplicity_2_area > 0.0
         # crossings sit on the x-axis, mirrored
@@ -128,26 +127,27 @@ def test_critical_catenoid_area_regression():
 
 def test_report_json_dict_fields():
     t = np.linspace(0.0, 2.0 * math.pi, 801)
-    rep = self_intersections(curve_from_xy(0.5 * np.cos(t), 0.3 * np.sin(t)))
+    rep = self_intersections(polyline_from_xy(0.5 * np.cos(t), 0.3 * np.sin(t)))
     d = report_json_dict(rep, total_turning=1.25)
     assert d == {"embedded": True, "crossings": 0,
                  "multiplicity_2_area": 0.0, "total_turning": 1.25}
 
 
-def test_svg_fill_marks_the_covered_twice_disk(tmp_path):
+def test_svg_fill_marks_the_covered_twice_disk(tmp_path, monkeypatch):
+    monkeypatch.setattr(emb, "_FILL_GRID", 256)
     double = np.linspace(0.0, 4.0 * math.pi, 4001)
     single = np.linspace(0.0, 2.0 * math.pi, 2001)
     cells = []
     for t in (double, single):
         path = tmp_path / "fill.svg"
         write_domain_svg(str(path), [np.column_stack([0.4 * np.cos(t), 0.4 * np.sin(t)])],
-                         {}, fill_grid=256)
+                         {})
         cells.append(path.read_text().count('fill="#b0b0b0"'))
     assert cells[0] * (2.0 / 256) ** 2 == pytest.approx(math.pi * 0.4 ** 2, rel=0.02)
     assert cells[1] == 0
 
 
-def test_svg_writers_are_deterministic(tmp_path):
+def test_svg_writers_are_deterministic(tmp_path, monkeypatch):
     t = np.linspace(0.0, 2.0 * math.pi, 401)
     pieces = [np.column_stack([0.5 * np.cos(t), 0.5 * np.sin(t)])]
     params = {"k": 2, "mu": -3.0}
@@ -163,7 +163,8 @@ def test_svg_writers_are_deterministic(tmp_path):
 
     panels = [("left", pieces), ("right", pieces)]
     p3 = tmp_path / "c.svg"
-    write_domain_panels_svg(str(p3), panels, params, size=300)
+    monkeypatch.setattr(emb, "_PANEL_PX", 300)
+    write_domain_panels_svg(str(p3), panels, params)
     body = p3.read_text()
     assert 'width="600"' in body
     assert body.count("<circle") == 2
@@ -219,7 +220,7 @@ def _all_pairs_reference(pieces, eps_geom=1e-9):
 
 
 @pytest.mark.parametrize("seed", [3, 11, 2024])
-def test_probe_search_matches_all_pairs(seed):
+def test_probe_search_matches_all_pairs(seed, monkeypatch):
     rng = np.random.default_rng(seed)
     # a random walk whose step lengths span over two decades, so the probe
     # search splits its long segments into several parts
@@ -246,7 +247,9 @@ def test_probe_search_matches_all_pairs(seed):
     stub = np.array([mid, mid, mid + [0.01, 0.03]])
     pieces = [walk, overlap, bend, straight, stub]
 
-    rep = self_intersections(pieces, grid=64, min_seg=0.0)
+    monkeypatch.setattr(emb, "_GRID", 64)
+    monkeypatch.setattr(emb, "_thin", lambda ell: np.arange(ell.size))
+    rep = self_intersections(pieces)
     crossings, uncertain, ratios = _all_pairs_reference(pieces)
     assert len(crossings) >= 3 and max(ratios) > 10.0
     # the overlap, the straight continuation and the stub are uncertain;
@@ -267,6 +270,7 @@ def test_probe_search_matches_all_pairs(seed):
     [np.array([[0.0, 0.0], [0.5, 0.0]])],
     [np.array([[0.0, 0.0], [0.1, 0.0]]), np.array([[0.0, 0.5], [0.1, 0.5]])],
 ], ids=["one-segment", "two-far-pieces"])
-def test_polyline_without_candidate_pairs_is_embedded(pieces):
-    rep = self_intersections(pieces, grid=64)
+def test_polyline_without_candidate_pairs_is_embedded(pieces, monkeypatch):
+    monkeypatch.setattr(emb, "_GRID", 64)
+    rep = self_intersections(pieces)
     assert rep.embedded and rep.uncertain == []

@@ -1,9 +1,11 @@
 """Every name a module lists in __all__ exists in that module, every name
-it imports is used there or exported, and every top-level definition has a
-consumer in the program."""
+it imports is used there or exported, every top-level definition has a
+consumer in the program, and every optional parameter has a caller there
+that passes it."""
 import ast
 import importlib
 import inspect
+import math
 import pkgutil
 
 import pytest
@@ -90,3 +92,62 @@ def test_every_definition_has_a_program_consumer():
     assert sorted(missing - {ENTRY_POINT} - set(REFERENCE_IMPLEMENTATIONS)) == []
     # an entry whose definition gained a consumer or was deleted leaves the dict
     assert set(REFERENCE_IMPLEMENTATIONS) <= missing
+
+
+def _optional_parameters_without_caller():
+    """module.function.parameter of each parameter with a default, of any
+    function or method of the package, that no call site in the package
+    passes by keyword or by position.  A call site is matched by the called
+    name (a method's through an attribute, __init__ through its class); a
+    call that passes *args or **kwargs counts as passing every parameter."""
+    trees = {name: ast.parse(inspect.getsource(
+        importlib.import_module(f"ektlab.{name}"))) for name in MODULES}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(called, []).append(node)
+
+    def passed(call, index, name):
+        return (index < len(call.args)
+                or any(isinstance(a, ast.Starred) for a in call.args)
+                or any(kw.arg in (name, None) for kw in call.keywords))
+
+    missing = set()
+
+    def visit(node, qualname, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{qualname}.{child.name}", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                here = f"{qualname}.{child.name}"
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in child.decorator_list)
+                # a bound call leaves self (or cls) out of its arguments
+                shift = 1 if owner and not static else 0
+                names = [child.name] + ([owner] if child.name == "__init__"
+                                        else [])
+                sites = [c for n in names for c in calls.get(n, [])]
+                a = child.args
+                positional = a.posonlyargs + a.args
+                optional = [(i - shift, p.arg) for i, p in enumerate(
+                    positional) if i >= len(positional) - len(a.defaults)]
+                optional += [(math.inf, p.arg) for p, d in zip(
+                    a.kwonlyargs, a.kw_defaults) if d is not None]
+                for index, param in optional:
+                    if not any(passed(c, index, param) for c in sites):
+                        missing.add(f"{here}.{param}")
+                visit(child, here, None)
+
+    for name, tree in trees.items():
+        visit(tree, name, None)
+    return missing
+
+
+def test_every_optional_parameter_has_a_program_caller():
+    exempt = (ENTRY_POINT,) + tuple(REFERENCE_IMPLEMENTATIONS)
+    missing = _optional_parameters_without_caller()
+    assert sorted(m for m in missing
+                  if not m.startswith(tuple(e + "." for e in exempt))) == []

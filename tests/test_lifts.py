@@ -22,7 +22,7 @@ def square_path(side: float, n_per_edge: int = 400):
 
 
 def test_lift_starts_at_z0_and_projects_to_the_path():
-    path = circle_path(1.0, n=801)
+    path = circle_path(1.0)
     lift = horizontal_lift(path, 0.7, NIL)
     assert lift[0].z == 0.7
     assert lift[0].x == path[0].x and lift[0].y == path[0].y
@@ -53,7 +53,8 @@ def test_square_loop_gap_and_area():
 def test_off_center_loop_sees_only_its_own_area():
     """Translating the loop moves the connection form but not the gap."""
     gap0 = holonomy_gap(circle_path(0.6), NIL)
-    gap1 = holonomy_gap(circle_path(0.6, center=(0.9, -0.4)), NIL)
+    shifted = [BasePoint(p.x + 0.9, p.y - 0.4) for p in circle_path(0.6)]
+    gap1 = holonomy_gap(shifted, NIL)
     assert gap1 == pytest.approx(gap0, abs=1e-7)
 
 

@@ -155,11 +155,10 @@ def test_vertex_angle_rate_matches_helicoid_oracle():
     dom = triangulate(build_triangle(math.inf, t, 2, 0.0), 0.05, R_trunc=4.0)
     y = np.minimum(dom.nodes[:, 1], t - 1e-4)
     f_at = hc.invert_profile(mu, y).f
-    tags = ("side_p0p1", "side_p0p2", "side_p1p2", "truncation")
-    sol = solve_dirichlet(dom, {t_: 0.0 for t_ in tags}, FLAT_HALF,
-                          max_iters=1)
-    sol.u = np.minimum(dom.nodes[:, 0] * (f_at - y) / 2.0, 12.0)
-    samples = boundary_theta_prime(sol, "p2")
+    sol = solver.GraphSolution(
+        domain=dom, u=np.minimum(dom.nodes[:, 0] * (f_at - y) / 2.0, 12.0),
+        params=FLAT_HALF, residual_norm=0.0, newton_iters=0)
+    samples = boundary_theta_prime(sol)
     s, tp = samples[:, 0], samples[:, 1]
     ref = np.array([hc.theta_prime(v, mu) for v in s])
     assert s.min() < 0.25 and s.max() > 7.0
@@ -171,7 +170,7 @@ def test_vertex_angle_rate_on_solved_strip(strip_solves):
     # through the solver the capped side carries an O(h) boundary layer, so
     # only sign, decay and coarse magnitude survive at this resolution
     mu = -1.5
-    samples = boundary_theta_prime(strip_solves[-1], "p2")
+    samples = boundary_theta_prime(strip_solves[-1])
     s, tp = samples[:, 0], samples[:, 1]
     ref = np.array([hc.theta_prime(v, mu) for v in s])
     assert s.min() < 0.4 and s.max() > 4.0
@@ -180,19 +179,16 @@ def test_vertex_angle_rate_on_solved_strip(strip_solves):
     assert np.abs(tp - ref).max() < 0.35
 
 
-def test_vertex_angle_rate_signs_at_both_finite_vertices():
+def test_vertex_angle_rate_sign_on_a_finite_triangle():
     sols = solve_jenkins_serrin(1.0, 2.0, 2, 0.5, [2.0, 4.0, 8.0], 0.05)
-    at_p1 = boundary_theta_prime(sols[-1], "p1")
-    at_p2 = boundary_theta_prime(sols[-1], "p2")
-    assert np.all(at_p1[:, 1] < 0.0)
+    at_p2 = boundary_theta_prime(sols[-1])
     assert np.all(at_p2[:, 1] > 0.0)
 
 
-def test_vertex_probe_rejections(strip_solves, dual_sign_solves):
-    with pytest.raises(SolverError):
-        boundary_theta_prime(strip_solves[-1], "p1")  # ideal vertex
-    with pytest.raises(SolverError):
-        boundary_theta_prime(dual_sign_solves[0][-1], "p0")
+def test_vertex_probe_rejections():
+    sols = solve_jenkins_serrin(1.0, math.inf, 2, 0.4, [2.0], 0.1, R_trunc=3.0)
+    with pytest.raises(SolverError, match="p2 is ideal"):
+        boundary_theta_prime(sols[-1])
 
 
 def test_max_nu_sits_at_origin(dual_sign_solves):
@@ -321,7 +317,7 @@ def test_nodes_outside_the_coarse_hull_take_the_nearest_coarse_value():
                       0.1, 4.0)
     coarse = triangulate(dom.triangle, 0.4, 4.0)
     params = SpaceParams.from_h(0.4)
-    guess = solver._coarse_start(dom, _js_data(2.0), params, 1e-9)
+    guess = solver._coarse_start(dom, _js_data(2.0), params)
     coarse_u = solve_dirichlet(coarse, _js_data(2.0), params=params).u
     outside = np.isnan(LinearNDInterpolator(coarse.nodes, coarse_u)(dom.nodes))
     assert outside.any() and np.all(np.isfinite(guess))
@@ -336,8 +332,7 @@ def test_coarse_mesh_without_free_nodes_falls_back_to_zeros():
     assert coarse.n_nodes == 4 and np.count_nonzero(coarse.tags >= 0) == 4
     sols = solve_jenkins_serrin(0.5, 0.5, 2, 0.4, [2.0, 4.0], 0.1)
     params = SpaceParams.from_h(0.4)
-    assert solver._coarse_start(sols[0].domain, _js_data(2.0), params,
-                                1e-9) is None
+    assert solver._coarse_start(sols[0].domain, _js_data(2.0), params) is None
     zero = solve_dirichlet(sols[0].domain, _js_data(2.0), params=params)
     assert np.array_equal(sols[0].u, zero.u)
     assert sols[0].newton_iters == zero.newton_iters
@@ -397,8 +392,13 @@ def test_hessian_pattern_is_built_once_per_newton_solve(monkeypatch):
     assert sol.newton_iters > 1 and len(calls) == 1
 
 
-def test_post_processing_builds_one_assembly_per_solution(monkeypatch):
-    sols = solve_jenkins_serrin(1.0, 1.0, 2, 0.4, [2.0, 4.0], 0.08)
+@pytest.mark.parametrize("schedule,builds", [([2.0, 4.0], 2),
+                                             ([2.0, 4.0, 8.0, 16.0], 2)],
+                         ids=["2-M", "4-M"])
+def test_post_processing_builds_one_assembly_per_solution_it_reads(
+        monkeypatch, schedule, builds):
+    # d and rho read the last two solutions only
+    sols = solve_jenkins_serrin(1.0, 1.0, 2, 0.4, schedule, 0.08)
     calls = []
     real = solver._Assembly.__init__
 
@@ -410,7 +410,7 @@ def test_post_processing_builds_one_assembly_per_solution(monkeypatch):
     distance_d(sols)
     rho_estimate(sols)
     solution_csv_lines(sols[-1])
-    assert len(calls) == len(sols)
+    assert len(calls) == builds
 
 
 def test_boundary_mass_matches_the_edge_loop():

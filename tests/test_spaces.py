@@ -21,7 +21,6 @@ def test_space_params_from_h_ties_kappa_and_tau():
     p = SpaceParams.from_h(0.25)
     assert p.kappa == 4 * 0.25**2 - 1
     assert p.tau == 0.25
-    assert p.h_partner == 0.25
     with pytest.raises(GeometryError):
         SpaceParams.from_h(0.75)
 
