@@ -18,7 +18,7 @@ import numpy as np
 from . import curves, graphs, helicoid, lifts, solver
 from .spaces import (BasePoint, SpaceParams, conformal_factor,
                      interior_angle_at_p2, interior_angle_threshold_b,
-                     law_of_cosines)
+                     law_of_cosines, metric_distance)
 
 __all__ = ["AuditRow", "run_audit", "format_table"]
 
@@ -198,14 +198,34 @@ def _check_angle_range() -> Tuple[float, bool]:
 
 
 def _check_integrator_order() -> Tuple[float, bool]:
-    end_true = math.tanh(1.0)  # geodesic through 0: r = tanh(s/2) at s = 2
-    errs = []
-    for step in (2e-3, 1e-3):
+    # kg_critical(mu = 3) from the catenoid start, to s = 10: each halving of
+    # the step moves the endpoint about 16x less than the one before
+    mu = 3.0
+    r0 = math.tanh(helicoid.vertex_base_distance(mu) / 2.0)
+    ends = []
+    for step in (4e-2, 2e-2, 1e-2):
         c = curves.integrate_prescribed_curvature(
-            lambda s: 0.0, (0.0, 2.0), (0.0, 0.0), 0.0, step=step)
-        errs.append(abs(c.x[-1] - end_true))
-    ratio = errs[0] / errs[1]
-    return ratio, 3.0 <= ratio <= 5.0
+            lambda s: curves.kg_critical(s, mu), (0.0, 10.0), (r0, 0.0),
+            -math.pi / 2.0, step=step)
+        ends.append(2.0 * c.points[-1])  # the radius-2 chart of curvature -1
+    moves = metric_distance(np.array(ends[:-1]), np.array(ends[1:]), -1.0)
+    ratio = moves[0] / moves[1]
+    return ratio, 12.0 <= ratio <= 20.0
+
+
+def _check_constant_kg_exact() -> Tuple[float, bool]:
+    # constant kg is integrated exactly: the geodesic through 0 reaches
+    # r = tanh(s/2) at s = 2, and a full circle of radius 0.8 closes
+    geo = curves.integrate_prescribed_curvature(
+        np.zeros_like, (0.0, 2.0), (0.0, 0.0), 0.0, step=1e-3)
+    rho = 0.8
+    circle = curves.integrate_prescribed_curvature(
+        lambda s: np.full_like(s, 1.0 / math.tanh(rho)),
+        (0.0, 2.0 * math.pi * math.sinh(rho)), (math.tanh(rho / 2.0), 0.0),
+        math.pi / 2.0, step=1e-3)
+    worst = max(abs(geo.x[-1] - math.tanh(1.0)),
+                float(np.hypot(*(circle.points[-1] - circle.points[0]))))
+    return worst, worst < 1e-12
 
 
 def _check_dihedral_closure() -> Tuple[float, bool]:
@@ -215,7 +235,8 @@ def _check_dihedral_closure() -> Tuple[float, bool]:
     r0 = math.tanh(rho / 2.0)
     quarter = math.pi / 2.0 * math.sinh(rho)
     c = curves.integrate_prescribed_curvature(
-        lambda s: kg, (0.0, quarter), (r0, 0.0), math.pi / 2.0, step=2e-4)
+        lambda s: np.full_like(s, kg), (0.0, quarter), (r0, 0.0), math.pi / 2.0,
+        step=2e-4)
     asm = curves.assemble_domain(c, 2)
     return asm.max_gap, asm.closed and asm.max_gap <= 1e-8
 
@@ -247,7 +268,8 @@ _CHECKS: List[Tuple[str, str, Callable[[], Tuple[float, bool]]]] = [
     ("helicoid-residuals-mu-quarter", "< 1e-6", _check_residuals_quarter),
     ("critical-curvature-identity", "< 1e-12", _check_curvature_identity),
     ("angle-function-range", "nu <= 1, max at 0", _check_angle_range),
-    ("frenet-integrator-order", "ratio in [3, 5]", _check_integrator_order),
+    ("frenet-integrator-order", "ratio in [12, 20]", _check_integrator_order),
+    ("frenet-constant-kg-exact", "< 1e-12", _check_constant_kg_exact),
     ("dihedral-assembly-closure", "gap <= 1e-8", _check_dihedral_closure),
     ("solver-nu-energy-distance", "max-nu at p0", _check_solver_roundtrip),
 ]

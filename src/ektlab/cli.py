@@ -28,7 +28,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .audit import format_table, run_audit
-from .curves import assemble_domain, conjugate_vertical_boundary
+from .curves import (DEFAULT_S_CAP, DEFAULT_STEP, assemble_domain,
+                     conjugate_vertical_boundary)
 from .embedding import (critical_catenoid_domain, report_json_dict,
                         self_intersections, write_domain_panels_svg,
                         write_domain_svg)
@@ -353,7 +354,7 @@ def _figure_noid_domain(args: argparse.Namespace, out: str) -> int:
     d_est = distance_d(sols)
     r0 = math.tanh(d_est / 2.0)
     curve = conjugate_vertical_boundary(
-        lambda s: float(np.interp(s, s_vals, tp_vals)), args.H, (0.0, s_hi),
+        lambda s: np.interp(s, s_vals, tp_vals), args.H, (0.0, s_hi),
         ((r0, 0.0), math.pi / 2.0), step=args.step)
     asm = assemble_domain(curve, args.k)
     rep = self_intersections(asm.pieces)
@@ -458,8 +459,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=[0.5, 1.0, 2.0])
     p.add_argument("--target-h", dest="target_h", type=float, default=0.02)
     p.add_argument("--r-trunc", dest="r_trunc", type=float, default=None)
-    p.add_argument("--step", type=float, default=5e-4)
-    p.add_argument("--s-cap", dest="s_cap", type=float, default=60.0)
+    p.add_argument("--step", type=float, default=DEFAULT_STEP)
+    p.add_argument("--s-cap", dest="s_cap", type=float, default=DEFAULT_S_CAP)
     p.add_argument("--workers", type=int, default=1)
     common(p)
     p.set_defaults(func=cmd_figure)

@@ -18,6 +18,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .curves import (DEFAULT_S_CAP, DEFAULT_STEP, assemble_domain,
+                     conjugate_vertical_boundary)
 from .spaces import GeometryError
 
 __all__ = [
@@ -369,8 +371,9 @@ def write_domain_panels_svg(path: str,
         fh.write("\n".join(out) + "\n")
 
 
-def critical_catenoid_domain(mu: float, k: int = 2, step: float = 5e-4,
-                             s_cap: float = 60.0):
+def critical_catenoid_domain(mu: float, k: int = 2,
+                             step: float = DEFAULT_STEP,
+                             s_cap: float = DEFAULT_S_CAP):
     """Boundary of the conjugate disk domain for the critical catenoid data.
 
     The fiber rotation speed theta'(s) of the mu-helicoid prescribes
@@ -380,7 +383,6 @@ def critical_catenoid_domain(mu: float, k: int = 2, step: float = 5e-4,
 
     Returns (curve, assembled, report).
     """
-    from .curves import conjugate_vertical_boundary, assemble_domain
     from .helicoid import theta_prime_fn, vertex_base_distance
 
     d0 = vertex_base_distance(mu)

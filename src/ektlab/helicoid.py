@@ -346,9 +346,10 @@ def sigma(mu: float) -> float:
     return (1.0 + 2.0 * mu) ** 2 / (4.0 * mu)
 
 
-def theta_prime_fn(mu: float) -> Callable[[float], float]:
-    """s -> theta_prime(s, mu) with the mu check and sigma done once; plain
-    floats in, plain floats out (the Frenet march calls it per step)."""
+def theta_prime_fn(mu: float) -> Callable[[np.ndarray], np.ndarray]:
+    """s -> theta_prime(s, mu) with the mu check and sigma done once; an
+    array of s in, an array of the same shape out (the Frenet march calls
+    it once per array pass, on its samples and Gauss points)."""
     if abs(mu) <= 0.5:
         raise GeometryError("theta_prime needs |mu| > 1/2 (no vertical fiber otherwise)")
     sg = sigma(mu)

@@ -744,7 +744,8 @@ def _side_repr(v: float):
 
 
 def solution_report_dict(solutions: Sequence[GraphSolution]) -> dict:
-    """Report of the last solve with the d and rho estimates of the sweep."""
+    """Report of the last solve with the d and rho estimates of the sweep;
+    discretization_failure is true when u dropped as M grew anywhere in it."""
     sol = solutions[-1]
     tri = sol.domain.triangle
     return {
@@ -758,4 +759,6 @@ def solution_report_dict(solutions: Sequence[GraphSolution]) -> dict:
         "d_estimate": distance_d(solutions),
         "rho_estimate": rho_estimate(solutions),
         "cauchy_indicator": sol.cauchy_indicator,
+        "discretization_failure": any(s.discretization_failure
+                                      for s in solutions),
     }

@@ -65,8 +65,28 @@ def test_solve_report_fields(tmp_path):
     assert rep["cauchy_indicator"] is not None
     assert rep["cauchy_indicator"] >= 0.0
     assert 0.0 < rep["d_estimate"] < 2.0
+    assert rep["discretization_failure"] is False
     csv = (out / "solution_a2_b2_k2_H0.25.csv").read_text().splitlines()
     assert "x,y,u,nu,tag" in csv[:5]
+
+
+def test_solve_reports_a_discretization_failure(tmp_path, monkeypatch):
+    # u drops by 1e-6 from M = 2 to M = 4, past the sweep's 1e-8 allowance
+    from ektlab import solver
+    solve = solver.solve_dirichlet
+
+    def dropping(domain, data, **kwargs):
+        sol = solve(domain, data, **kwargs)
+        if data["side_p1p2"] == 4.0:
+            sol.u = sol.u - 1e-6
+        return sol
+
+    monkeypatch.setattr(solver, "solve_dirichlet", dropping)
+    out = tmp_path / "o"
+    assert run("solve", "--a", "2", "--b", "2", "--H", "0.25", "--M", "2",
+               "--M", "4", "--target-h", "0.05", "--out", str(out)) == 0
+    rep = json.loads((out / "solution_a2_b2_k2_H0.25.json").read_text())
+    assert rep["discretization_failure"] is True
 
 
 def test_solve_accepts_inf_literal(tmp_path):
@@ -137,9 +157,9 @@ def test_audit_clean_run(tmp_path):
     out = tmp_path / "o"
     assert run("audit", "--out", str(out)) == 0
     text = (out / "audit.txt").read_text()
-    assert text.count("PASS") == 14
+    assert text.count("PASS") == 15
     assert "FAIL" not in text
-    assert "all 14 checks passed" in text
+    assert "all 15 checks passed" in text
 
 
 def test_audit_fault_injection_flips_one_row(tmp_path):

@@ -2,6 +2,7 @@
 
 Oracle curves with known closed forms (geodesics, metric circles,
 equidistants, horocycles) pin the integrator; everything else layers on it.
+kg maps an array of arclengths to an array of the same shape.
 """
 import math
 
@@ -12,7 +13,13 @@ from ektlab import curves
 from ektlab.curves import (assemble_domain, conjugate_vertical_boundary,
                            distance_to_geodesic_diameter,
                            integrate_prescribed_curvature, kg_critical)
-from ektlab.spaces import GeometryError, min_metric_distance
+from ektlab.helicoid import vertex_base_distance
+from ektlab.spaces import GeometryError, metric_distance, min_metric_distance
+
+
+def const(k: float):
+    """Constant curvature k, as an array like its argument."""
+    return lambda s: np.full_like(s, k)
 
 
 def circle_kg(R: float) -> float:
@@ -23,12 +30,27 @@ def circle_arc(R: float, arc_fraction: float, step: float = 1e-3):
     """Counterclockwise arc of the metric circle of radius R about 0."""
     length = arc_fraction * 2.0 * math.pi * math.sinh(R)
     return integrate_prescribed_curvature(
-        lambda s: circle_kg(R), (0.0, length),
+        const(circle_kg(R)), (0.0, length),
         (math.tanh(R / 2.0), 0.0), math.pi / 2.0, step=step)
 
 
+def catenoid_march(step: float, s_end: float):
+    """The mu = 3 critical-catenoid curve (kg_critical from the figure's
+    start) to arclength s_end."""
+    r0 = math.tanh(vertex_base_distance(3.0) / 2.0)
+    return integrate_prescribed_curvature(
+        lambda s: kg_critical(s, 3.0), (0.0, s_end), (r0, 0.0),
+        -math.pi / 2.0, step=step)
+
+
+def endpoint_distance(a, b) -> float:
+    """Hyperbolic distance between the last samples of two disk curves."""
+    # the unit disk is the radius-2 chart of curvature -1 scaled by 1/2
+    return float(metric_distance(2.0 * a.points[-1], 2.0 * b.points[-1], -1.0))
+
+
 def test_geodesic_through_origin():
-    c = integrate_prescribed_curvature(lambda s: 0.0, (0.0, 1.5),
+    c = integrate_prescribed_curvature(const(0.0), (0.0, 1.5),
                                        (0.0, 0.0), 0.0, step=1e-3)
     assert np.max(np.abs(c.y)) == 0.0
     assert c.x[-1] == pytest.approx(math.tanh(0.75), abs=1e-7)
@@ -50,37 +72,60 @@ def test_equidistant_curve_keeps_its_distance():
     D = 0.7
     sh = math.sinh(D)
     y0 = (math.sqrt(1.0 + sh * sh) - 1.0) / sh  # chart height at distance D
-    c = integrate_prescribed_curvature(lambda s: -math.tanh(D), (0.0, 2.0),
+    c = integrate_prescribed_curvature(const(-math.tanh(D)), (0.0, 2.0),
                                        (0.0, y0), 0.0, step=1e-3)
     d = distance_to_geodesic_diameter(c.x, c.y)
     assert np.max(np.abs(d - D)) < 1e-6
 
 
 def test_horocycle_is_a_tangent_euclidean_circle():
-    c = integrate_prescribed_curvature(lambda s: 1.0, (0.0, 6.0),
+    c = integrate_prescribed_curvature(const(1.0), (0.0, 6.0),
                                        (0.0, 0.0), 0.0, step=1e-3)
     drift = np.abs(np.hypot(c.x, c.y - 0.5) - 0.5)
     assert np.max(drift) < 1e-7
 
 
-def test_integrator_is_second_order():
-    """Full-circle closure error drops ~4x when the step halves."""
-    R = 0.8
+def test_integrator_is_fourth_order():
+    """On non-constant kg, each halving of the step moves the endpoint
+    about 16x less than the halving before."""
+    ends = [catenoid_march(step, 10.0) for step in (4e-2, 2e-2, 1e-2)]
+    ratio = endpoint_distance(*ends[:2]) / endpoint_distance(*ends[1:])
+    assert 12.0 <= ratio <= 20.0
 
-    def closure(step):
-        c = circle_arc(R, 1.0, step=step)
-        return math.hypot(c.x[-1] - c.x[0], c.y[-1] - c.y[0])
 
-    ratio = closure(2e-3) / closure(1e-3)
-    assert 3.0 < ratio < 5.0
+def test_constant_kg_is_integrated_exactly():
+    g = integrate_prescribed_curvature(const(0.0), (0.0, 2.0), (0.0, 0.0),
+                                       0.0, step=1e-3)
+    assert abs(g.x[-1] - math.tanh(1.0)) < 1e-12
+    c = circle_arc(0.8, 1.0)
+    assert math.hypot(c.x[-1] - c.x[0], c.y[-1] - c.y[0]) < 1e-12
+
+
+def test_catenoid_march_has_converged_in_the_step(monkeypatch):
+    """At the figure's step 5e-4 the mu = 3 point at s = 60 is within 1e-6
+    of a run at a quarter of the step, and the marched frames keep
+    <gamma, gamma> = -1 on the hyperboloid."""
+    drift = []
+    prefix = curves._prefix_frames
+
+    def spy(frame, steps):
+        p, last = prefix(frame, steps)
+        drift.append(np.max(np.abs(p[:, 1] ** 2 + p[:, 2] ** 2
+                                   - p[:, 0] ** 2 + 1.0)))
+        return p, last
+
+    monkeypatch.setattr(curves, "_prefix_frames", spy)
+    coarse = catenoid_march(5e-4, 60.0)
+    assert max(drift) < 1e-9
+    assert endpoint_distance(coarse, catenoid_march(1.25e-4, 60.0)) < 1e-6
 
 
 def test_unbounded_ranges_truncate_with_a_reason():
-    g = integrate_prescribed_curvature(lambda s: 0.0, (0.0, math.inf),
+    g = integrate_prescribed_curvature(const(0.0), (0.0, math.inf),
                                        (0.0, 0.0), 0.0, step=1e-3)
     assert g.truncated_reason == "ideal boundary"
     assert 1.0 - math.hypot(g.x[-1], g.y[-1]) < 2e-6
-    c = integrate_prescribed_curvature(lambda s: 2.0, (0.0, math.inf),
+    c = integrate_prescribed_curvature(const(2.0), (0.0, math.inf),
                                        (0.0, 0.0), 0.0, step=1e-3, s_cap=7.0)
     assert c.truncated_reason == "arclength cap"
     assert c.s[-1] == pytest.approx(7.0, abs=1e-2)
@@ -100,25 +145,26 @@ def test_bad_integrator_input_is_rejected():
                                        (0, 0), 0.0)
 
 
-def test_kg_is_called_once_per_sample():
+def test_kg_is_called_on_arrays_once_per_array_pass():
     calls = []
 
     def kg(s):
         calls.append(s)
         return 1.0 + s
 
-    c = integrate_prescribed_curvature(kg, (0.0, 1.0), (0.0, 0.0), 0.0,
-                                       step=0.1)
-    assert len(c.s) == 11
-    assert len(calls) == len(c.s)
-    assert c.kg_samples.tolist() == [1.0 + s for s in c.s.tolist()]
+    c = integrate_prescribed_curvature(kg, (0.0, 10.0), (0.0, 0.0), 0.0,
+                                       step=1e-3)
+    assert len(c.s) > 2 * curves._CHUNK
+    assert all(isinstance(s, np.ndarray) for s in calls)
+    assert len(calls) <= math.ceil(len(c.s) / curves._CHUNK) + 1
+    assert np.array_equal(c.kg_samples, kg(c.s))
 
 
 def test_a_step_past_the_ideal_circle_stops_the_march(monkeypatch):
     # a unit hyperbolic step near the ideal circle overshoots it long before
     # 1 - |p| falls below a vanishing _EPS_IDEAL
     monkeypatch.setattr(curves, "_EPS_IDEAL", 1e-300)
-    c = integrate_prescribed_curvature(lambda s: 0.0, (0.0, math.inf),
+    c = integrate_prescribed_curvature(const(0.0), (0.0, math.inf),
                                        (0.0, 0.0), 0.0, step=1.0)
     assert c.truncated_reason == "left disk numerically"
     assert len(c.s) > 2
@@ -152,16 +198,16 @@ def test_kg_critical_limits_and_domain():
 
 def test_conjugate_vertical_boundary_records_turning():
     # theta' = 0 and H = 1/2 integrates a horocycle and zero turning
-    c = conjugate_vertical_boundary(lambda s: 0.0, 0.5, (0.0, 4.0),
+    c = conjugate_vertical_boundary(const(0.0), 0.5, (0.0, 4.0),
                                     ((0.0, 0.0), 0.0), step=1e-3)
     assert c.total_turning == pytest.approx(0.0, abs=1e-12)
     assert np.max(np.abs(np.hypot(c.x, c.y - 0.5) - 0.5)) < 1e-7
     # constant theta' integrates to theta' * length
-    c2 = conjugate_vertical_boundary(lambda s: 0.25, 0.5, (0.0, 2.0),
+    c2 = conjugate_vertical_boundary(const(0.25), 0.5, (0.0, 2.0),
                                      ((0.0, 0.0), 0.0), step=1e-3)
     assert c2.total_turning == pytest.approx(0.5, abs=1e-6)
     with pytest.raises(GeometryError):
-        conjugate_vertical_boundary(lambda s: 0.0, 0.7, (0.0, 1.0),
+        conjugate_vertical_boundary(const(0.0), 0.7, (0.0, 1.0),
                                     ((0.0, 0.0), 0.0))
 
 
@@ -169,8 +215,8 @@ def test_assemble_domain_closes_a_circle_wedge():
     """A (1/2k)-period circle arc between two mirror rays tiles to the circle.
 
     The chain merge tolerance is 1e-8, so the arc endpoint must land on the
-    second ray well within that; step 1e-4 puts the Heun endpoint error
-    around 1e-10.
+    second ray well within that; constant kg is marched exactly, so only
+    round-off separates them.
     """
     k = 3
     arc = circle_arc(1.0, 1.0 / (2 * k), step=1e-4)
@@ -186,7 +232,7 @@ def test_assemble_domain_closes_a_circle_wedge():
 
 
 def test_assemble_domain_rejects_off_ray_starts():
-    arc = integrate_prescribed_curvature(lambda s: 0.0, (0.0, 0.5),
+    arc = integrate_prescribed_curvature(const(0.0), (0.0, 0.5),
                                          (0.3, 0.2), 0.3, step=1e-3)
     with pytest.raises(GeometryError):
         assemble_domain(arc, 4)

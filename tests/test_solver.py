@@ -224,7 +224,7 @@ def test_report_dict_and_csv_schema(dual_sign_solves):
     rep = solution_report_dict([sol])
     assert set(rep) == {"a", "b", "k", "H", "M", "residual_norm",
                         "newton_iters", "d_estimate", "rho_estimate",
-                        "cauchy_indicator"}
+                        "cauchy_indicator", "discretization_failure"}
     assert rep["a"] == 1.0 and rep["b"] == 1.0
     assert rep["k"] == 2 and rep["H"] == 0.25 and rep["M"] == 2.0
     lines = solution_csv_lines(sol)
