@@ -1,11 +1,11 @@
 """Self-intersection detection and coverage multiplicity for disk curves.
 
-Crossings are found by a vectorized sweep over candidate segment pairs from
-a k-d tree over sub-segment probes: each segment is split into equal parts
-no longer than the mean segment length, so the search radius follows the
-mean length rather than the longest segment.  Covered-twice regions are
-measured by winding-number rasterization: open chains are closed through
-arcs just inside the ideal circle, each scanline accumulates signed
+Crossings are found by a vectorized sweep over candidate segment pairs.
+The candidates come from a top-down refinement of blocks of consecutive
+segments: block pairs whose bounding boxes are apart drop out, and so do
+runs of segments too straight for any two of them to meet.  Covered-twice
+regions are measured by winding-number rasterization: open chains are closed
+through arcs just inside the ideal circle, each scanline accumulates signed
 crossings, and pixels with |winding| >= 2 are summed with the hyperbolic
 density (2/(1-r^2))^2.
 """
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .curves import (DEFAULT_S_CAP, DEFAULT_STEP, assemble_domain,
                      conjugate_vertical_boundary)
@@ -88,29 +87,62 @@ def _parametrize(pieces: Sequence[np.ndarray]):
     return points, params
 
 
-def _candidate_pairs(A: np.ndarray, d: np.ndarray, lens: np.ndarray,
+def _candidate_pairs(A: np.ndarray, B: np.ndarray, d: np.ndarray,
+                     lens: np.ndarray, piece_id: np.ndarray,
                      slack: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Segment pairs (i, j), i < j, each once in ascending order, that can
-    cross or come within slack of each other.
+    """Segment pairs (i, j), i < j, each once and in no set order, that
+    can cross or come within slack of each other; chain neighbours within
+    a piece (j = i + 1) are left out.
 
-    Segment i is split into ceil(L_i / mean length) equal parts, with a probe
-    at each part's midpoint.  Two crossing segments have crossing parts,
-    whose midpoints lie within (s1 + s2)/2 <= s_max, the longest part; two
-    segments within slack have probes within s_max + slack.  One k-d tree
-    query at that radius therefore finds every pair the sweep can report.
+    Level 0 holds the segments in index order; each block of level L + 1
+    joins two of level L, and an odd count repeats its last block, which
+    can only overstate that block's turning.  A block carries its bounding
+    box, its shortest segment, the turning W at the vertices inside it and
+    the turning U at the vertices after each of its segments.  A vertex
+    turns by the wrapped change of direction, and by pi between two pieces,
+    so a run across pieces never clears.  From the top block paired with
+    itself, each level drops the block pairs P <= Q whose boxes are more
+    than slack apart per coordinate, and the pairs with Q - P <= 1 whose
+    run of segments is cleared: it turns by theta < pi in total and
+    cos(theta/2) * (its shortest segment) > slack.  The rest split into
+    their 3 (P = Q) or 4 child pairs.
+
+    A cleared run is exact to drop: its directions lie within theta/2 of one
+    unit vector u, so any points of its segments i and j >= i + 2 are at
+    least cos(theta/2) * sum_{i<m<j} len_m > slack apart along u.
     """
-    parts = np.maximum(np.ceil(lens / lens.mean()), 1.0).astype(np.int64)
-    owner = np.repeat(np.arange(lens.size), parts)
-    frac = (np.arange(owner.size) - np.repeat(np.cumsum(parts) - parts, parts)
-            + 0.5) / parts[owner]
-    probes = A[owner] + frac[:, None] * d[owner]
-    pairs = cKDTree(probes).query_pairs(r=float(np.max(lens / parts)) + slack,
-                                        output_type="ndarray")
-    ends = owner[pairs]
-    lo, hi = ends.min(axis=1), ends.max(axis=1)
-    key = np.sort(lo[lo != hi] * lens.size + hi[lo != hi])
-    key = key[np.diff(key, prepend=-1) != 0]
-    return np.divmod(key, lens.size)
+    ang = np.arctan2(d[:, 1], d[:, 0])
+    turn = np.abs((np.diff(ang) + np.pi) % (2.0 * np.pi) - np.pi)
+    turn[piece_id[1:] != piece_id[:-1]] = np.pi
+    levels = [(np.minimum(A, B), np.maximum(A, B), lens,
+               np.zeros_like(lens), np.append(turn, np.pi))]
+    while levels[-1][2].size > 1:
+        lo, hi, mn, W, U = (np.concatenate([x, x[-1:]]) if x.shape[0] % 2 else x
+                            for x in levels[-1])
+        levels.append((np.minimum(lo[0::2], lo[1::2]), np.maximum(hi[0::2], hi[1::2]),
+                       np.minimum(mn[0::2], mn[1::2]), U[0::2] + W[1::2],
+                       U[0::2] + U[1::2]))
+    P = Q = np.zeros(1, dtype=np.int64)
+    for L in range(len(levels) - 1, -1, -1):
+        lo, hi, mn, W, U = levels[L]
+        near = np.all((lo[P] <= hi[Q] + slack) & (lo[Q] <= hi[P] + slack), axis=1)
+        P, Q = P[near], Q[near]
+        if L == 0:
+            break
+        theta = np.where(P == Q, W[P], U[P] + W[Q])
+        cleared = ((Q - P <= 1) & (theta < np.pi)
+                   & (np.cos(theta / 2.0) * np.minimum(mn[P], mn[Q]) > slack))
+        P, Q = P[~cleared], Q[~cleared]
+        same = P == Q
+        # (2P, 2P), (2P, 2P + 1), (2P + 1, 2P + 1) for P = Q; all four else
+        P = np.concatenate([(2 * P[same, None] + [0, 0, 1]).ravel(),
+                            (2 * P[~same, None] + [0, 0, 1, 1]).ravel()])
+        Q = np.concatenate([(2 * Q[same, None] + [0, 1, 1]).ravel(),
+                            (2 * Q[~same, None] + [0, 1, 0, 1]).ravel()])
+        inside = Q < levels[L - 1][2].size
+        P, Q = P[inside], Q[inside]
+    keep = (P < Q) & ((Q - P > 1) | (piece_id[P] != piece_id[Q]))
+    return P[keep], Q[keep]
 
 
 def self_intersections(pieces: Sequence[np.ndarray]) -> EmbeddednessReport:
@@ -130,16 +162,13 @@ def self_intersections(pieces: Sequence[np.ndarray]) -> EmbeddednessReport:
     sA = np.concatenate([q[:-1] for q in params])
     sB = np.concatenate([q[1:] for q in params])
     piece_id = np.concatenate([np.full(p.shape[0] - 1, n) for n, p in enumerate(pieces)])
-    seg_idx = np.concatenate([np.arange(p.shape[0] - 1) for p in pieces])
     d = B - A
     lens = np.hypot(d[:, 0], d[:, 1])
     if not np.any(lens > 0.0):
         raise GeometryError("degenerate polyline (zero-length segments only)")
-    first, second = _candidate_pairs(A, d, lens, 10 * _EPS_GEOM)
-    # drop chain neighbors within the same piece
-    keep = ~((piece_id[first] == piece_id[second])
-             & (np.abs(seg_idx[first] - seg_idx[second]) <= 1))
-    first, second = first[keep], second[keep]
+    # twice the sweep's 10 * _EPS_GEOM gap, so that round-off in the boxes
+    # and the turning cannot drop a pair the sweep reports
+    first, second = _candidate_pairs(A, B, d, lens, piece_id, 20 * _EPS_GEOM)
     crossings = []
     uncertain = []
     # fixed-size slices of the pair list bound the sweep's temporaries

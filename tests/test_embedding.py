@@ -222,8 +222,8 @@ def _all_pairs_reference(pieces, eps_geom=1e-9):
 @pytest.mark.parametrize("seed", [3, 11, 2024])
 def test_probe_search_matches_all_pairs(seed, monkeypatch):
     rng = np.random.default_rng(seed)
-    # a random walk whose step lengths span over two decades, so the probe
-    # search splits its long segments into several parts
+    # a random walk whose step lengths span over two decades, so long and
+    # short segments share the candidate search
     steps = 10.0 ** rng.uniform(-3.5, -1.0, 300)
     turn = rng.uniform(0.0, 2.0 * math.pi, 300)
     walk = np.vstack([[0.0, 0.0], np.cumsum(
@@ -274,3 +274,96 @@ def test_polyline_without_candidate_pairs_is_embedded(pieces, monkeypatch):
     monkeypatch.setattr(emb, "_GRID", 64)
     rep = self_intersections(pieces)
     assert rep.embedded and rep.uncertain == []
+
+
+def _swept_pairs(monkeypatch):
+    """The (i, j) segment pairs that _candidate_pairs hands to the sweep."""
+    swept = []
+    search = emb._candidate_pairs
+
+    def recorded(*args):
+        first, second = search(*args)
+        swept.extend(zip(first.tolist(), second.tolist()))
+        return first, second
+
+    monkeypatch.setattr(emb, "_candidate_pairs", recorded)
+    return swept
+
+
+def _assert_matches_all_pairs(pieces, monkeypatch):
+    """self_intersections on every sample equals the all-pairs loop, bit
+    for bit; returns the report."""
+    monkeypatch.setattr(emb, "_GRID", 64)
+    monkeypatch.setattr(emb, "_thin", lambda ell: np.arange(ell.size))
+    rep = self_intersections(pieces)
+    crossings, uncertain, _ = _all_pairs_reference(pieces)
+    assert rep.self_intersections == crossings
+    assert rep.uncertain == uncertain
+    return rep
+
+
+def test_hairpin_turning_past_pi_inside_one_block_crosses_itself(monkeypatch):
+    # one loop of a prolate trochoid in 31 segments: it turns by more than
+    # pi inside a single 32-segment block
+    t = np.linspace(-2.2, 2.2, 32)
+    pieces = [0.2 * np.column_stack([t - 1.6 * np.sin(t), 1.0 - 1.6 * np.cos(t)])]
+    rep = _assert_matches_all_pairs(pieces, monkeypatch)
+    assert rep.crossings == 1
+
+
+def test_tight_spiral_inside_one_block(monkeypatch):
+    # 6 turns of 16 segments, 5e-9 apart, so every block's box holds
+    # several turns; matching segments of neighbouring turns are uncertain
+    th = np.linspace(0.0, 12.0 * math.pi, 97)
+    r = 0.5 + 5e-9 * th / (2.0 * math.pi)
+    pieces = [np.column_stack([r * np.cos(th), r * np.sin(th)])]
+    rep = _assert_matches_all_pairs(pieces, monkeypatch)
+    assert rep.crossings == 0
+    assert len(rep.uncertain) >= 80
+
+
+def test_run_with_a_short_middle_segment_is_not_cleared(monkeypatch):
+    # 64 segments of 0.01 turning far less than pi, straight around a 1e-9
+    # middle segment: cos(theta/2) * 1e-9 <= 20 * _EPS_GEOM, so the run may
+    # not be cleared, and its (31, 33) pair is uncertain
+    lens = np.full(64, 0.01)
+    lens[32] = 1e-9
+    x = np.concatenate([[0.0], np.cumsum(lens)]) - 0.32
+    y = 1e-3 * np.maximum(np.abs(x) - 0.015, 0.0) ** 2
+    pieces = [np.column_stack([x, y])]
+    swept = _swept_pairs(monkeypatch)
+    rep = _assert_matches_all_pairs(pieces, monkeypatch)
+    assert (31, 33) in swept
+    assert rep.crossings == 0
+    ell = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(pieces[0], axis=0).T))])
+    assert rep.uncertain == [(ell[32], ell[33])]
+
+
+def test_closed_loop_sweeps_its_first_and_last_segments(monkeypatch):
+    t = np.linspace(0.0, 2.0 * math.pi, 200)
+    loop = np.column_stack([0.5 * np.cos(t), 0.3 * np.sin(t)])
+    loop[-1] = loop[0]
+    swept = _swept_pairs(monkeypatch)
+    rep = _assert_matches_all_pairs([loop], monkeypatch)
+    assert (0, 198) in swept
+    assert rep.embedded
+
+
+def test_pieces_that_continue_each_other_in_a_line(monkeypatch):
+    pieces = [np.column_stack([np.linspace(-0.8, 0.0, 41), np.full(41, 0.1)]),
+              np.column_stack([np.linspace(0.0, 0.8, 41), np.full(41, 0.1)])]
+    swept = _swept_pairs(monkeypatch)
+    rep = _assert_matches_all_pairs(pieces, monkeypatch)
+    assert (39, 40) in swept
+    assert rep.crossings == 0
+    assert rep.uncertain == [(pytest.approx(0.8), pytest.approx(1.8))]
+
+
+def test_smooth_boundary_sends_few_pairs_to_the_sweep(monkeypatch):
+    """Chain-local pairs of a long smooth curve never reach the sweep: on
+    the mu = 3 boundary only the pairs near its two crossings do."""
+    swept = _swept_pairs(monkeypatch)
+    _, assembled, rep = critical_catenoid_domain(3.0, k=2, step=2e-3, s_cap=20.0)
+    assert sum(p.shape[0] - 1 for p in assembled.pieces) > 40000
+    assert rep.crossings == 2
+    assert 2 <= len(swept) <= 36
