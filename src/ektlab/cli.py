@@ -278,7 +278,7 @@ def _figure_catenoid_domains(args: argparse.Namespace, out: str) -> int:
         curve, asm, rep = critical_catenoid_domain(mu, k=args.k,
                                                    step=args.step,
                                                    s_cap=args.s_cap)
-        panels.append((f"mu={mu:g}", asm.pieces))
+        panels.append((f"mu={mu:g}", asm.pieces, rep))
         entry = report_json_dict(rep, curve.total_turning)
         entry["crossing_points"] = [list(c[2]) for c in rep.self_intersections]
         verdicts[f"{mu:g}"] = entry
@@ -364,7 +364,7 @@ def _figure_noid_domain(args: argparse.Namespace, out: str) -> int:
               "R_trunc": r_trunc, "step": args.step,
               "gauge": "waist on +x axis at distance d_estimate"}
     svg = os.path.join(out, "noid_domain.svg")
-    write_domain_svg(svg, asm.pieces, params)
+    write_domain_svg(svg, asm.pieces, rep, params)
     payload = report_json_dict(rep, curve.total_turning)
     payload.update({"b": args.b, "b_star": b_star,
                     "threshold_predicts_embedded": args.b >= b_star,

@@ -7,7 +7,9 @@ runs of segments too straight for any two of them to meet.  Covered-twice
 regions are measured by winding-number rasterization: open chains are closed
 through arcs just inside the ideal circle, each scanline accumulates signed
 crossings, and pixels with |winding| >= 2 are summed with the hyperbolic
-density (2/(1-r^2))^2.
+density (2/(1-r^2))^2.  That one raster per boundary also gives the SVG
+fill: a figure cell is a 4 x 4 block of raster pixels of which at least 8
+have |winding| >= 2.
 """
 from __future__ import annotations
 
@@ -36,17 +38,21 @@ _MIN_SEG = 1e-5      # chart length below which samples are thinned
 _PAIR_CHUNK = 1 << 18
 _GRID = 1024         # cells per side of the covered-twice raster
 _PANEL_PX = 720      # SVG panel side
-_FILL_GRID = 256     # cells per side of the SVG fill raster
 
 
 @dataclass(frozen=True)
 class EmbeddednessReport:
-    """Crossing list, doubly covered hyperbolic area, and the verdict."""
+    """Crossing list, doubly covered hyperbolic area, and the verdict.
+
+    fill_cells holds the (row, column) of each covered-twice cell of the
+    figure, an (n, 2) int array on a _GRID // 4 raster, rows in y.
+    """
 
     self_intersections: List[Tuple[float, float, Tuple[float, float]]]
     multiplicity_2_area: float
     embedded: bool
     uncertain: List[Tuple[float, float]]
+    fill_cells: np.ndarray
 
     @property
     def crossings(self) -> int:
@@ -63,7 +69,9 @@ def _thin(ell: np.ndarray) -> np.ndarray:
     _MIN_SEG are far below any feature scale of the symmetry curves, so
     crossings and their parameters survive the thinning.
     """
-    _, keep = np.unique(np.floor(ell / _MIN_SEG), return_index=True)
+    cell = np.floor(ell / _MIN_SEG)
+    # ell is non-decreasing, so each cell's first sample starts a run
+    keep = np.flatnonzero(np.concatenate([[True], cell[1:] != cell[:-1]]))
     if keep[-1] != ell.size - 1:
         keep = np.append(keep, ell.size - 1)
     return keep
@@ -154,7 +162,8 @@ def self_intersections(pieces: Sequence[np.ndarray]) -> EmbeddednessReport:
     length along the pieces, each piece starting 1 past the end of the one
     before.  Near-tangential configurations (parameter or perpendicular
     clearance within _EPS_GEOM) are listed as uncertain instead of decided.
-    The area is multiplicity_two_area of the thinned pieces.
+    The area and the figure's fill cells come from one multiplicity_two_area
+    raster of the thinned pieces.
     """
     pieces, params = _parametrize(pieces)
     A = np.vstack([p[:-1] for p in pieces])
@@ -191,20 +200,24 @@ def self_intersections(pieces: Sequence[np.ndarray]) -> EmbeddednessReport:
         # the projection on the first segment and the start of the second
         t = np.where(near_par, para_t, t)
         u = np.where(near_par, 0.0, u)
-        for idx in np.nonzero(inside | (near_par & (gap < 10 * _EPS_GEOM)))[0]:
-            s1 = sA[pi_[idx]] + t[idx] * (sB[pi_[idx]] - sA[pi_[idx]])
-            s2 = sA[pj_[idx]] + u[idx] * (sB[pj_[idx]] - sA[pj_[idx]])
-            if near_par[idx] or margin[idx] * min(lens[pi_[idx]], lens[pj_[idx]]) < _EPS_GEOM:
-                uncertain.append((float(min(s1, s2)), float(max(s1, s2))))
-                continue
-            pt = a1[idx] + t[idx] * d1[idx]
-            lo, hi = sorted((float(s1), float(s2)))
-            crossings.append((lo, hi, (float(pt[0]), float(pt[1]))))
+        hit = np.flatnonzero(inside | (near_par & (gap < 10 * _EPS_GEOM)))
+        pi_, pj_, t, u = pi_[hit], pj_[hit], t[hit], u[hit]
+        s1 = sA[pi_] + t * (sB[pi_] - sA[pi_])
+        s2 = sA[pj_] + u * (sB[pj_] - sA[pj_])
+        lo, hi = np.minimum(s1, s2), np.maximum(s1, s2)
+        unsure = near_par[hit] | (margin[hit] * np.minimum(lens[pi_], lens[pj_]) < _EPS_GEOM)
+        sure = ~unsure
+        x, y = (a1[hit[sure]] + t[sure, None] * d1[hit[sure]]).T
+        crossings.extend(zip(lo[sure].tolist(), hi[sure].tolist(),
+                             zip(x.tolist(), y.tolist())))
+        uncertain.extend(zip(lo[unsure].tolist(), hi[unsure].tolist()))
     crossings.sort()
+    area, fill_cells = multiplicity_two_area(pieces)
     return EmbeddednessReport(self_intersections=crossings,
-                              multiplicity_2_area=multiplicity_two_area(pieces),
+                              multiplicity_2_area=area,
                               embedded=not crossings,
-                              uncertain=sorted(set(uncertain)))
+                              uncertain=sorted(set(uncertain)),
+                              fill_cells=fill_cells)
 
 
 def _close_chains(pieces: List[np.ndarray]) -> List[np.ndarray]:
@@ -301,13 +314,18 @@ def _winding_grid(loops: Sequence[np.ndarray], grid: int):
     return np.cumsum(wind[:, :-1], axis=1), centers
 
 
-def multiplicity_two_area(pieces: Sequence[np.ndarray]) -> float:
+def multiplicity_two_area(pieces: Sequence[np.ndarray]) -> Tuple[float, np.ndarray]:
     """Hyperbolic area covered with |winding| >= 2 by the closed-up chains,
-    on a _GRID x _GRID raster; cells centred beyond chart radius 1 - 2e-6
-    count no area."""
+    on a _GRID x _GRID raster, and the fill cells of the figure.
+
+    Cells centred beyond chart radius 1 - 2e-6 count no area.  A fill cell
+    is a 4 x 4 block of the raster in which at least 8 of the 16 pixels
+    have |winding| >= 2; the cells come as (row, column) pairs on the
+    _GRID // 4 raster, in row-major order.
+    """
     loops = _close_chains([np.asarray(p, dtype=float) for p in pieces])
     if not loops:
-        return 0.0
+        return 0.0, np.zeros((0, 2), dtype=np.int64)
     wind, centers = _winding_grid(loops, _GRID)
     px = 2.0 / _GRID
     c2 = centers * centers
@@ -317,7 +335,9 @@ def multiplicity_two_area(pieces: Sequence[np.ndarray]) -> float:
     i, j = np.nonzero(np.abs(wind) >= 2)
     r2 = c2[j] + c2[i]
     lam2 = np.where(np.sqrt(r2) <= 1.0 - 2e-6, 4.0 / (1.0 - r2) ** 2, 0.0) * px * px
-    return float(np.sum(lam2))
+    side = _GRID // 4
+    hits = np.bincount((i // 4) * side + j // 4, minlength=side * side)
+    return float(np.sum(lam2)), np.argwhere(hits.reshape(side, side) >= 8)
 
 
 def report_json_dict(report: EmbeddednessReport,
@@ -330,30 +350,27 @@ def report_json_dict(report: EmbeddednessReport,
     }
 
 
-def _panel_markup(pieces: Sequence[np.ndarray], dx: float,
-                  label: Optional[str]) -> List[str]:
+def _panel_markup(pieces: Sequence[np.ndarray], fill_cells: np.ndarray,
+                  dx: float, label: Optional[str]) -> List[str]:
     """Markup of one disk panel (fill, ideal circle, strokes) shifted by dx."""
-    pieces = [np.asarray(p, dtype=float) for p in pieces]
     half = _PANEL_PX / 2.0
+    side = _GRID // 4
+    centers = -1.0 + (np.arange(side) + 0.5) * (2.0 / side)
+    cell_px = 0.95 * _PANEL_PX / side
 
     def to_px(pts):
         return (pts[:, 0] * 0.95 + 1.0) * half + dx, (1.0 - pts[:, 1] * 0.95) * half
 
     out = []
-    # covered-twice fill from a coarse winding pass
-    loops = _close_chains(pieces)
-    if loops:
-        wind, centers = _winding_grid(loops, _FILL_GRID)
-        hot = np.argwhere(np.abs(wind) >= 2)
-        cell_px = 0.95 * _PANEL_PX / _FILL_GRID
-        for i, j in hot:
-            cx = (centers[j] * 0.95 + 1.0) * half + dx - cell_px / 2.0
-            cy = (1.0 - centers[i] * 0.95) * half - cell_px / 2.0
-            out.append(f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{cell_px:.2f}" '
-                       f'height="{cell_px:.2f}" fill="#b0b0b0" stroke="none"/>')
+    for i, j in fill_cells:
+        cx = (centers[j] * 0.95 + 1.0) * half + dx - cell_px / 2.0
+        cy = (1.0 - centers[i] * 0.95) * half - cell_px / 2.0
+        out.append(f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{cell_px:.2f}" '
+                   f'height="{cell_px:.2f}" fill="#b0b0b0" stroke="none"/>')
     out.append(f'<circle cx="{half + dx}" cy="{half}" r="{0.95 * half}" fill="none" '
                'stroke="black" stroke-width="1"/>')
     for p in pieces:
+        p = np.asarray(p, dtype=float)
         stride = max(1, p.shape[0] // 4000)
         q = p[::stride] if stride > 1 else p
         if not np.array_equal(q[-1], p[-1]):
@@ -369,20 +386,24 @@ def _panel_markup(pieces: Sequence[np.ndarray], dx: float,
     return out
 
 
-def write_domain_svg(path: str, pieces: Sequence[np.ndarray], params: dict) -> None:
-    """SVG figure: ideal circle, curve strokes, covered-twice region fill.
+def write_domain_svg(path: str, pieces: Sequence[np.ndarray],
+                     report: EmbeddednessReport, params: dict) -> None:
+    """SVG figure: ideal circle, curve strokes, and the covered-twice fill
+    of report, the self_intersections report of the pieces.
 
     The full parameter set is embedded as a comment header; output is
     deterministic for fixed inputs.
     """
-    write_domain_panels_svg(path, [(None, pieces)], params)
+    write_domain_panels_svg(path, [(None, pieces, report)], params)
 
 
 def write_domain_panels_svg(path: str,
                             panels: Sequence[Tuple[Optional[str],
-                                                   Sequence[np.ndarray]]],
+                                                   Sequence[np.ndarray],
+                                                   EmbeddednessReport]],
                             params: dict) -> None:
-    """Side-by-side disk panels (label, pieces) in one deterministic SVG."""
+    """Side-by-side disk panels (label, pieces, report) in one deterministic
+    SVG; each panel's fill is its report's fill cells."""
     if not panels:
         raise GeometryError("no panels to draw")
     size = _PANEL_PX
@@ -393,8 +414,8 @@ def write_domain_panels_svg(path: str,
            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{size}" '
            f'viewBox="0 0 {width} {size}">',
            f'<rect width="{width}" height="{size}" fill="white"/>']
-    for n, (label, pieces) in enumerate(panels):
-        out.extend(_panel_markup(pieces, float(n * size), label))
+    for n, (label, pieces, report) in enumerate(panels):
+        out.extend(_panel_markup(pieces, report.fill_cells, float(n * size), label))
     out.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(out) + "\n")

@@ -53,12 +53,40 @@ def test_short_segments_are_thinned_before_the_sweep(monkeypatch):
     assert rep.crossings == 0
 
 
+@pytest.mark.parametrize("ell", [
+    np.array([0.0, 3e-6, 9e-6, 1e-5, 1.5e-5, 2e-5, 2e-5, 2e-5]),
+    np.array([0.0, 3e-6, 9e-6, 1e-5, 1.5e-5, 2e-5, 2.5e-5]),
+    np.array([0.0, 3e-6, 9e-6, 1e-5, 1.5e-5, 2e-5]),
+    np.array([0.0, 0.0, 0.0]),
+    np.array([0.0, 4e-6]),
+], ids=["zero-length-tail", "last-inside-a-run", "last-starts-a-run",
+        "zero-length", "one-cell"])
+def test_thin_keeps_what_unique_keeps(ell):
+    _, first = np.unique(np.floor(ell / emb._MIN_SEG), return_index=True)
+    if first[-1] != ell.size - 1:
+        first = np.append(first, ell.size - 1)
+    keep = emb._thin(ell)
+    assert keep.dtype == first.dtype
+    assert np.array_equal(keep, first)
+
+
+def test_thin_keeps_what_unique_keeps_on_a_random_polyline():
+    rng = np.random.default_rng(5)
+    steps = np.where(rng.random(20000) < 0.3, 0.0, 10.0 ** rng.uniform(-8, -4, 20000))
+    ell = np.concatenate([[0.0], np.cumsum(steps), np.full(5, np.sum(steps))])
+    _, first = np.unique(np.floor(ell / emb._MIN_SEG), return_index=True)
+    first = np.append(first, ell.size - 1)
+    keep = emb._thin(ell)
+    assert 1000 < keep.size < ell.size
+    assert np.array_equal(keep, first)
+
+
 def test_multiplicity_two_area_of_a_double_cover(monkeypatch):
     """Tracing a circle twice covers its disk twice; area matches chart area."""
     t = np.linspace(0.0, 4.0 * math.pi, 4001)
     pieces = [np.column_stack([0.4 * np.cos(t), 0.4 * np.sin(t)])]
     monkeypatch.setattr(emb, "_GRID", 512)
-    area = multiplicity_two_area(pieces)
+    area, _ = multiplicity_two_area(pieces)
     # hyperbolic area of the chart-radius-0.4 disk in the unit Poincare disk
     d = 2.0 * math.atanh(0.4)
     exact = 4.0 * math.pi * math.sinh(d / 2.0) ** 2
@@ -79,14 +107,16 @@ def test_multiplicity_two_area_sums_the_full_grid_metric_bit_for_bit(monkeypatch
     full = float(np.sum((lam2 * (2.0 / grid) * (2.0 / grid))[np.abs(wind) >= 2]))
     assert full > 0.0
     monkeypatch.setattr(emb, "_GRID", grid)
-    assert multiplicity_two_area(pieces) == full
+    assert multiplicity_two_area(pieces)[0] == full
 
 
 def test_single_cover_has_no_multiplicity_two_area(monkeypatch):
     t = np.linspace(0.0, 2.0 * math.pi, 2001)
     pieces = [np.column_stack([0.4 * np.cos(t), 0.4 * np.sin(t)])]
     monkeypatch.setattr(emb, "_GRID", 512)
-    assert multiplicity_two_area(pieces) == 0.0
+    area, cells = multiplicity_two_area(pieces)
+    assert area == 0.0
+    assert cells.shape == (0, 2)
 
 
 def test_near_parallel_pairs_are_uncertain_with_finite_parameters():
@@ -133,27 +163,62 @@ def test_report_json_dict_fields():
                  "multiplicity_2_area": 0.0, "total_turning": 1.25}
 
 
-def test_svg_fill_marks_the_covered_twice_disk(tmp_path, monkeypatch):
-    monkeypatch.setattr(emb, "_FILL_GRID", 256)
+def test_svg_fill_marks_the_covered_twice_disk(tmp_path):
     double = np.linspace(0.0, 4.0 * math.pi, 4001)
     single = np.linspace(0.0, 2.0 * math.pi, 2001)
     cells = []
     for t in (double, single):
         path = tmp_path / "fill.svg"
-        write_domain_svg(str(path), [np.column_stack([0.4 * np.cos(t), 0.4 * np.sin(t)])],
-                         {})
+        pieces = [np.column_stack([0.4 * np.cos(t), 0.4 * np.sin(t)])]
+        write_domain_svg(str(path), pieces, self_intersections(pieces), {})
         cells.append(path.read_text().count('fill="#b0b0b0"'))
     assert cells[0] * (2.0 / 256) ** 2 == pytest.approx(math.pi * 0.4 ** 2, rel=0.02)
     assert cells[1] == 0
 
 
+def test_fill_cells_are_the_majority_blocks_of_the_area_raster():
+    """A fill cell is a 4 x 4 block of the _GRID raster of the thinned
+    pieces with at least 8 pixels covered twice."""
+    t = np.linspace(0.0, 4.0 * math.pi, 40001)
+    r = 0.5 + 0.3 * np.cos(3.0 * t)
+    pieces = [np.column_stack([r * np.cos(t), r * np.sin(t)])]
+    rep = self_intersections(pieces)
+    thinned, _ = emb._parametrize(pieces)
+    wind, _ = emb._winding_grid(emb._close_chains(thinned), emb._GRID)
+    side = emb._GRID // 4
+    blocks = (np.abs(wind) >= 2).reshape(side, 4, side, 4).sum(axis=(1, 3))
+    expected = np.argwhere(blocks >= 8)
+    assert 0 < len(expected) < np.count_nonzero(blocks)
+    assert rep.fill_cells.dtype.kind == "i"
+    assert np.array_equal(rep.fill_cells, expected)
+
+
+def test_svg_writers_draw_the_report_without_rasterizing(tmp_path, monkeypatch):
+    t = np.linspace(0.0, 4.0 * math.pi, 4001)
+    pieces = [np.column_stack([0.4 * np.cos(t), 0.4 * np.sin(t)])]
+    rep = self_intersections(pieces)
+    assert len(rep.fill_cells) > 0
+
+    def no_raster(*args):
+        raise AssertionError("the figure rasterized the boundary again")
+
+    monkeypatch.setattr(emb, "_winding_grid", no_raster)
+    write_domain_svg(str(tmp_path / "a.svg"), pieces, rep, {})
+    write_domain_panels_svg(str(tmp_path / "b.svg"), [("x", pieces, rep),
+                                                      ("y", pieces, rep)], {})
+    one = (tmp_path / "a.svg").read_text().count('fill="#b0b0b0"')
+    two = (tmp_path / "b.svg").read_text().count('fill="#b0b0b0"')
+    assert one == len(rep.fill_cells) and two == 2 * one
+
+
 def test_svg_writers_are_deterministic(tmp_path, monkeypatch):
     t = np.linspace(0.0, 2.0 * math.pi, 401)
     pieces = [np.column_stack([0.5 * np.cos(t), 0.5 * np.sin(t)])]
+    rep = self_intersections(pieces)
     params = {"k": 2, "mu": -3.0}
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-    write_domain_svg(str(p1), pieces, params)
-    write_domain_svg(str(p2), pieces, params)
+    write_domain_svg(str(p1), pieces, rep, params)
+    write_domain_svg(str(p2), pieces, rep, params)
     b1, b2 = p1.read_bytes(), p2.read_bytes()
     assert b1 == b2
     text = b1.decode()
@@ -161,7 +226,7 @@ def test_svg_writers_are_deterministic(tmp_path, monkeypatch):
     assert "<!-- params: k=2 mu=-3.0 -->" in text
     assert "<circle" in text and "<polyline" in text
 
-    panels = [("left", pieces), ("right", pieces)]
+    panels = [("left", pieces, rep), ("right", pieces, rep)]
     p3 = tmp_path / "c.svg"
     monkeypatch.setattr(emb, "_PANEL_PX", 300)
     write_domain_panels_svg(str(p3), panels, params)
@@ -264,6 +329,7 @@ def test_probe_search_matches_all_pairs(seed, monkeypatch):
     assert rep.uncertain == uncertain
     for (s1, s2, (x, y)), (r1, r2, (rx, ry)) in zip(rep.self_intersections, crossings):
         assert (s1, s2, x, y) == pytest.approx((r1, r2, rx, ry), abs=1e-12, rel=0)
+    assert (rep.self_intersections, rep.uncertain) == _scalar_decisions(pieces)
 
 
 @pytest.mark.parametrize("pieces", [
@@ -290,6 +356,51 @@ def _swept_pairs(monkeypatch):
     return swept
 
 
+def _scalar_decisions(pieces):
+    """The crossing and uncertain lists of self_intersections as its
+    per-pair Python loop decided them, before that loop was vectorized."""
+    pieces, params = emb._parametrize(pieces)
+    A = np.vstack([p[:-1] for p in pieces])
+    B = np.vstack([p[1:] for p in pieces])
+    sA = np.concatenate([q[:-1] for q in params])
+    sB = np.concatenate([q[1:] for q in params])
+    piece_id = np.concatenate([np.full(p.shape[0] - 1, n) for n, p in enumerate(pieces)])
+    d = B - A
+    lens = np.hypot(d[:, 0], d[:, 1])
+    eps = emb._EPS_GEOM
+    first, second = emb._candidate_pairs(A, B, d, lens, piece_id, 20 * eps)
+    crossings = []
+    uncertain = []
+    for start in range(0, first.size, emb._PAIR_CHUNK):
+        pi_ = first[start:start + emb._PAIR_CHUNK]
+        pj_ = second[start:start + emb._PAIR_CHUNK]
+        a1, d1 = A[pi_], d[pi_]
+        a2, d2 = A[pj_], d[pj_]
+        denom = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        rhs = a2 - a1
+        near_par = np.abs(denom) <= eps * np.maximum(lens[pi_] * lens[pj_], 1e-300)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (rhs[:, 0] * d2[:, 1] - rhs[:, 1] * d2[:, 0]) / denom
+            u = (rhs[:, 0] * d1[:, 1] - rhs[:, 1] * d1[:, 0]) / denom
+        inside = (t > 0.0) & (t < 1.0) & (u > 0.0) & (u < 1.0) & ~near_par
+        margin = np.minimum.reduce([t, 1.0 - t, u, 1.0 - u])
+        para_t = np.clip((rhs * d1).sum(axis=1) / np.maximum(lens[pi_] ** 2, 1e-300), 0, 1)
+        gap = np.hypot(*(a1 + para_t[:, None] * d1 - a2).T)
+        t = np.where(near_par, para_t, t)
+        u = np.where(near_par, 0.0, u)
+        for idx in np.nonzero(inside | (near_par & (gap < 10 * eps)))[0]:
+            s1 = sA[pi_[idx]] + t[idx] * (sB[pi_[idx]] - sA[pi_[idx]])
+            s2 = sA[pj_[idx]] + u[idx] * (sB[pj_[idx]] - sA[pj_[idx]])
+            if near_par[idx] or margin[idx] * min(lens[pi_[idx]], lens[pj_[idx]]) < eps:
+                uncertain.append((float(min(s1, s2)), float(max(s1, s2))))
+                continue
+            pt = a1[idx] + t[idx] * d1[idx]
+            lo, hi = sorted((float(s1), float(s2)))
+            crossings.append((lo, hi, (float(pt[0]), float(pt[1]))))
+    crossings.sort()
+    return crossings, sorted(set(uncertain))
+
+
 def _assert_matches_all_pairs(pieces, monkeypatch):
     """self_intersections on every sample equals the all-pairs loop, bit
     for bit; returns the report."""
@@ -299,6 +410,7 @@ def _assert_matches_all_pairs(pieces, monkeypatch):
     crossings, uncertain, _ = _all_pairs_reference(pieces)
     assert rep.self_intersections == crossings
     assert rep.uncertain == uncertain
+    assert (rep.self_intersections, rep.uncertain) == _scalar_decisions(pieces)
     return rep
 
 
@@ -359,6 +471,18 @@ def test_pieces_that_continue_each_other_in_a_line(monkeypatch):
     assert rep.uncertain == [(pytest.approx(0.8), pytest.approx(1.8))]
 
 
+def test_crossing_within_eps_of_the_shorter_segments_end_is_uncertain(monkeypatch):
+    # the short piece starts 1e-10 below the long one: the crossing is at
+    # 1e-8 of the short segment, so margin * shorter length is 1e-10, but
+    # margin * longer length would be 1e-8
+    pieces = [np.array([[-0.5, 0.0], [0.5, 0.0]]),
+              np.array([[0.0, -1e-10], [0.0, 0.01 - 1e-10]]),
+              np.array([[0.2, -0.1], [0.2, 0.1]])]
+    rep = _assert_matches_all_pairs(pieces, monkeypatch)
+    assert rep.crossings == 1 and rep.self_intersections[0][2] == pytest.approx((0.2, 0.0))
+    assert rep.uncertain == [(pytest.approx(0.5), pytest.approx(2.0 + 1e-10))]
+
+
 def test_smooth_boundary_sends_few_pairs_to_the_sweep(monkeypatch):
     """Chain-local pairs of a long smooth curve never reach the sweep: on
     the mu = 3 boundary only the pairs near its two crossings do."""
@@ -367,3 +491,21 @@ def test_smooth_boundary_sends_few_pairs_to_the_sweep(monkeypatch):
     assert sum(p.shape[0] - 1 for p in assembled.pieces) > 40000
     assert rep.crossings == 2
     assert 2 <= len(swept) <= 36
+
+
+@pytest.mark.parametrize("pitch,per_turn,min_uncertain", [(8e-8, 499.9, 0),
+                                                          (3e-9, 400.5, 1000)])
+def test_tight_spiral_decisions_match_the_scalar_loop(pitch, per_turn, min_uncertain,
+                                                      monkeypatch):
+    """Ten turns of a spiral whose samples drift against the turns: tens of
+    thousands of crossings between adjacent turns and, at the smaller pitch,
+    near-parallel pairs too, decided as the per-pair loop decided them."""
+    monkeypatch.setattr(emb, "_GRID", 64)
+    th = np.arange(int(10 * per_turn) + 1) * (2.0 * math.pi / per_turn)
+    r = 0.5 + pitch * th / (2.0 * math.pi)
+    pieces = [np.column_stack([r * np.cos(th), r * np.sin(th)])]
+    rep = self_intersections(pieces)
+    crossings, uncertain = _scalar_decisions(pieces)
+    assert len(crossings) > 10000 and len(uncertain) >= min_uncertain
+    assert rep.self_intersections == crossings
+    assert rep.uncertain == uncertain
