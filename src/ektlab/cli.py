@@ -28,10 +28,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .audit import format_table, run_audit
-from .curves import (DEFAULT_S_CAP, DEFAULT_STEP, assemble_domain,
-                     conjugate_vertical_boundary)
-from .embedding import (critical_catenoid_domain, report_json_dict,
-                        self_intersections, write_domain_panels_svg,
+from .curves import DEFAULT_S_CAP, DEFAULT_STEP
+from .embedding import (critical_catenoid_domain, fiber_domain,
+                        report_json_dict, write_domain_panels_svg,
                         write_domain_svg)
 from .helicoid import (QuadratureError, c_of_mu, first_integral_residual,
                        invert_profile, minimality_residual, model_height,
@@ -352,12 +351,9 @@ def _figure_noid_domain(args: argparse.Namespace, out: str) -> int:
     if s_hi <= 0:
         raise SolverError("theta' samples do not straddle the waist s=0")
     d_est = distance_d(sols)
-    r0 = math.tanh(d_est / 2.0)
-    curve = conjugate_vertical_boundary(
-        lambda s: np.interp(s, s_vals, tp_vals), args.H, (0.0, s_hi),
-        ((r0, 0.0), math.pi / 2.0), step=args.step)
-    asm = assemble_domain(curve, args.k)
-    rep = self_intersections(asm.pieces)
+    curve, asm, rep = fiber_domain(
+        lambda s: np.interp(s, s_vals, tp_vals), args.H, d_est,
+        math.pi / 2.0, s_hi, args.k, args.step, args.s_cap)
     b_star = interior_angle_threshold_b(args.k, args.H)
     params = {"figure": "noid-domain", "H": args.H, "k": args.k, "b": args.b,
               "M": list(args.M), "target_h": args.target_h,

@@ -1,10 +1,10 @@
 """Prescribed-curvature curves in the hyperbolic plane and symmetry assembly.
 
-Conjugate symmetry curves of the vertical-plane boundaries live in the
-Poincare disk of curvature -1 (chart radius 1).  The march runs in the
-hyperboloid model <p, p> = -1, p0 > 0, with <u, v> = -u0 v0 + u1 v1 + u2 v2:
-the frame F = [gamma, T, N] of a unit-speed curve with signed geodesic
-curvature kg lies in SO(2,1) and solves
+The curves live in the Poincare disk of curvature -1 (chart radius 1).
+The march runs in the hyperboloid model <p, p> = -1, p0 > 0, with
+<u, v> = -u0 v0 + u1 v1 + u2 v2: the frame F = [gamma, T, N] of a
+unit-speed curve with signed geodesic curvature kg lies in SO(2,1) and
+solves
 
     F' = F A(s),    A = E1 + kg(s) R,
 
@@ -26,15 +26,19 @@ a closed form, so a step is exact when kg is constant (geodesics, circles,
 equidistants, horocycles) up to round-off, and halving the step cuts
 endpoint errors about 16x otherwise.  The steps of one array pass multiply
 into the frames as a blocked prefix product.
+
+assemble_domain tiles a curve by the dihedral group of order 2k.  Image
+endpoints within chart distance 1e-8 are joined, that relation is closed
+transitively by boolean matrix products, and a junction of exactly two
+endpoints joins their images.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .spaces import GeometryError
 
@@ -43,7 +47,6 @@ __all__ = [
     "AssembledBoundary",
     "integrate_prescribed_curvature",
     "kg_critical",
-    "conjugate_vertical_boundary",
     "assemble_domain",
     "distance_to_geodesic_diameter",
 ]
@@ -285,26 +288,6 @@ def kg_critical(s, mu: float):
     return float(out) if out.ndim == 0 else out
 
 
-def conjugate_vertical_boundary(theta_prime_fn: Callable[[np.ndarray], np.ndarray],
-                                H: float,
-                                s_range: Tuple[float, float],
-                                init: Tuple[Tuple[float, float], float],
-                                step: float = DEFAULT_STEP,
-                                s_cap: float = DEFAULT_S_CAP) -> PlanarCurve:
-    """Symmetry curve conjugate to a vertical fiber: kg(s) = 2H - theta'(s).
-
-    Records the total turning (trapezoid of theta' over the realized range).
-    """
-    if not 0.0 <= H <= 0.5:
-        raise GeometryError("H must lie in [0, 1/2]")
-    init_point, init_angle = init
-    curve = integrate_prescribed_curvature(
-        lambda s: 2.0 * H - theta_prime_fn(s), s_range, init_point, init_angle,
-        step=step, s_cap=s_cap)
-    total = float(np.trapezoid(2.0 * H - curve.kg_samples, curve.s))
-    return replace(curve, total_turning=total)
-
-
 @dataclass(frozen=True)
 class AssembledBoundary:
     """Dihedral orbit of a fundamental curve, merged into boundary chains."""
@@ -373,50 +356,43 @@ def assemble_domain(fundamental_curve: PlanarCurve, k: int) -> AssembledBoundary
 def _merge_chains(images: List[np.ndarray]) -> List[np.ndarray]:
     """Join pieces at shared endpoints, but only across degree-2 junctions.
 
-    Endpoints are clustered by chart distance <= 1e-8, so integrator-level
-    jitter between symmetric images cannot split a junction.
+    Endpoint 2i is the start of piece i and 2i + 1 its end.  The closure of
+    the 1e-8 relation keeps integrator-level jitter between symmetric
+    images from splitting a junction.
     """
-    idents = [(idx, end) for idx in range(len(images)) for end in (0, -1)]
-    pts = np.array([images[idx][end] for idx, end in idents])
-    diff = pts[:, None, :] - pts[None, :, :]
-    _, labels = connected_components(np.hypot(diff[..., 0], diff[..., 1]) <= 1e-8,
-                                     directed=False)
-    cluster_of = dict(zip(idents, labels.tolist()))
-    members: dict = {}
-    for ident, label in cluster_of.items():
-        members.setdefault(label, []).append(ident)
-
-    def endpoint_id(piece_idx, orient, which):
-        if orient == +1:
-            return (piece_idx, 0 if which == "head" else -1)
-        return (piece_idx, -1 if which == "head" else 0)
-
+    ends = np.array([p[e] for p in images for e in (0, -1)])
+    diff = ends[:, None, :] - ends[None, :, :]
+    joined = np.hypot(diff[..., 0], diff[..., 1]) <= 1e-8
+    while True:
+        closure = joined @ joined
+        if np.array_equal(closure, joined):
+            break
+        joined = closure
     used = [False] * len(images)
     chains = []
     for start in range(len(images)):
         if used[start]:
             continue
         used[start] = True
-        seq = [(start, +1)]
-        for which, grow_tail in (("tail", True), ("head", False)):
+        seq = [(start, True)]  # (piece, forward)
+        for tail in (True, False):
             while True:
-                pi, orient = seq[-1] if grow_tail else seq[0]
-                ident = endpoint_id(pi, orient, which)
-                mem = members[cluster_of[ident]]
-                if len(mem) != 2:
+                piece, forward = seq[-1] if tail else seq[0]
+                end = 2 * piece + (forward == tail)
+                junction = np.flatnonzero(joined[end])
+                if junction.size != 2:
                     break
-                other = [m for m in mem if m != ident]
-                if len(other) != 1 or used[other[0][0]]:
+                mate = int(junction[junction != end][0])
+                if used[mate // 2]:
                     break
-                oi, oe = other[0]
-                used[oi] = True
-                if grow_tail:
-                    seq.append((oi, +1 if oe == 0 else -1))
-                else:
-                    seq.insert(0, (oi, +1 if oe == -1 else -1))
+                used[mate // 2] = True
+                # a tail grows by a piece that starts at the junction, a
+                # head by one that ends there
+                seq.insert(len(seq) if tail else 0,
+                           (mate // 2, (mate % 2 == 0) == tail))
         arrs = []
-        for n_, (pi, orient) in enumerate(seq):
-            arr = images[pi] if orient == +1 else images[pi][::-1]
+        for n_, (piece, forward) in enumerate(seq):
+            arr = images[piece] if forward else images[piece][::-1]
             arrs.append(arr if n_ == 0 else arr[1:])
         chains.append(np.vstack(arrs))
     return chains

@@ -1,5 +1,10 @@
 """Self-intersection detection and coverage multiplicity for disk curves.
 
+fiber_domain takes the rotation speed theta'(s) of a vertical fiber to the
+verdict on its conjugate curve: it marches kg = 2H - theta'(s) from the
+waist, tiles the curve by the dihedral group of order 2k (assemble_domain)
+and judges the tiled boundary (self_intersections).
+
 Crossings are found by a vectorized sweep over candidate segment pairs.
 The candidates come from a top-down refinement of blocks of consecutive
 segments: block pairs whose bounding boxes are apart drop out, and so do
@@ -14,13 +19,13 @@ have |winding| >= 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .curves import (DEFAULT_S_CAP, DEFAULT_STEP, assemble_domain,
-                     conjugate_vertical_boundary)
+                     integrate_prescribed_curvature)
 from .spaces import GeometryError
 
 __all__ = [
@@ -30,6 +35,7 @@ __all__ = [
     "report_json_dict",
     "write_domain_svg",
     "write_domain_panels_svg",
+    "fiber_domain",
     "critical_catenoid_domain",
 ]
 
@@ -83,10 +89,14 @@ def _parametrize(pieces: Sequence[np.ndarray]):
     stay distinct."""
     points, params = [], []
     offset = 0.0
-    for p in pieces:
+    for n, p in enumerate(pieces):
         p = np.asarray(p, dtype=float)
         if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 2:
             raise GeometryError("each piece needs at least two planar points")
+        bad = np.flatnonzero(~np.isfinite(p).all(axis=1))
+        if bad.size:
+            raise GeometryError(f"piece {n} has a non-finite point at "
+                                f"sample {bad[0]}")
         ell = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(p, axis=0).T))])
         keep = _thin(ell)
         points.append(p[keep])
@@ -340,8 +350,7 @@ def multiplicity_two_area(pieces: Sequence[np.ndarray]) -> Tuple[float, np.ndarr
     return float(np.sum(lam2)), np.argwhere(hits.reshape(side, side) >= 8)
 
 
-def report_json_dict(report: EmbeddednessReport,
-                     total_turning: Optional[float] = None) -> dict:
+def report_json_dict(report: EmbeddednessReport, total_turning: float) -> dict:
     return {
         "embedded": report.embedded,
         "crossings": report.crossings,
@@ -421,30 +430,39 @@ def write_domain_panels_svg(path: str,
         fh.write("\n".join(out) + "\n")
 
 
+def fiber_domain(theta_prime: Callable[[np.ndarray], np.ndarray], H: float,
+                 d: float, phi0: float, s_end: float, k: int, step: float,
+                 s_cap: float):
+    """March kg(s) = 2H - theta'(s) over [0, s_end] from the waist
+    (tanh(d/2), 0) with chart tangent angle phi0, tile the curve by the
+    dihedral group of order 2k and judge it.
+
+    s_end = inf runs to the ideal boundary or to arclength s_cap.  The
+    curve's total_turning is the trapezoid of theta' over its samples.
+    Returns (curve, assembled, report).
+    """
+    if not 0.0 <= H <= 0.5:
+        raise GeometryError("H must lie in [0, 1/2]")
+    curve = integrate_prescribed_curvature(
+        lambda s: 2.0 * H - theta_prime(s), (0.0, s_end),
+        (math.tanh(d / 2.0), 0.0), phi0, step=step, s_cap=s_cap)
+    curve = replace(curve, total_turning=float(
+        np.trapezoid(2.0 * H - curve.kg_samples, curve.s)))
+    assembled = assemble_domain(curve, k)
+    return curve, assembled, self_intersections(assembled.pieces)
+
+
 def critical_catenoid_domain(mu: float, k: int = 2,
                              step: float = DEFAULT_STEP,
                              s_cap: float = DEFAULT_S_CAP):
-    """Boundary of the conjugate disk domain for the critical catenoid data.
-
-    The fiber rotation speed theta'(s) of the mu-helicoid prescribes
-    kg = kg_critical along the symmetry curve (H = 1/2 case); the curve is
-    integrated over the full fiber, tiled by the dihedral group of order 2k,
-    and analyzed for self-intersections and doubly covered hyperbolic area.
-
-    Returns (curve, assembled, report).
-    """
+    """Boundary of the conjugate disk domain for the critical catenoid data:
+    fiber_domain at H = 1/2 with the exact theta' and d of the mu-helicoid,
+    over the full fiber.  Returns (curve, assembled, report)."""
     from .helicoid import theta_prime_fn, vertex_base_distance
 
-    d0 = vertex_base_distance(mu)
-    r0 = math.tanh(d0 / 2.0)
-    phi0 = math.pi / 2.0 if mu < 0 else -math.pi / 2.0
     # theta' is even in s and the initial tangent is vertical, so the s<0
     # half of the fiber is the x-axis mirror of the s>0 half; the dihedral
-    # tiling below restores it
-    curve = conjugate_vertical_boundary(theta_prime_fn(mu),
-                                        0.5, (0.0, math.inf),
-                                        ((r0, 0.0), phi0),
-                                        step=step, s_cap=s_cap)
-    assembled = assemble_domain(curve, k)
-    report = self_intersections(assembled.pieces)
-    return curve, assembled, report
+    # tiling restores it
+    return fiber_domain(theta_prime_fn(mu), 0.5, vertex_base_distance(mu),
+                        math.pi / 2.0 if mu < 0 else -math.pi / 2.0,
+                        math.inf, k, step, s_cap)

@@ -5,14 +5,21 @@ equidistants, horocycles) pin the integrator; everything else layers on it.
 kg maps an array of arclengths to an array of the same shape.
 """
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
+import ektlab
 from ektlab import curves
-from ektlab.curves import (assemble_domain, conjugate_vertical_boundary,
-                           distance_to_geodesic_diameter,
+from ektlab.curves import (DEFAULT_S_CAP, DEFAULT_STEP, _merge_chains,
+                           assemble_domain, distance_to_geodesic_diameter,
                            integrate_prescribed_curvature, kg_critical)
+from ektlab.embedding import fiber_domain
 from ektlab.helicoid import vertex_base_distance
 from ektlab.spaces import GeometryError, metric_distance, min_metric_distance
 
@@ -196,19 +203,20 @@ def test_kg_critical_limits_and_domain():
     assert arr.shape == (2,)
 
 
-def test_conjugate_vertical_boundary_records_turning():
-    # theta' = 0 and H = 1/2 integrates a horocycle and zero turning
-    c = conjugate_vertical_boundary(const(0.0), 0.5, (0.0, 4.0),
-                                    ((0.0, 0.0), 0.0), step=1e-3)
+def test_fiber_domain_records_turning():
+    # theta' = 0 and H = 1/2 integrates a horocycle and zero turning; with
+    # d = 0 the curve starts at the origin
+    c, _, _ = fiber_domain(const(0.0), 0.5, 0.0, 0.0, 4.0, 2, 1e-3,
+                           DEFAULT_S_CAP)
     assert c.total_turning == pytest.approx(0.0, abs=1e-12)
     assert np.max(np.abs(np.hypot(c.x, c.y - 0.5) - 0.5)) < 1e-7
     # constant theta' integrates to theta' * length
-    c2 = conjugate_vertical_boundary(const(0.25), 0.5, (0.0, 2.0),
-                                     ((0.0, 0.0), 0.0), step=1e-3)
+    c2, _, _ = fiber_domain(const(0.25), 0.5, 0.0, 0.0, 2.0, 2, 1e-3,
+                            DEFAULT_S_CAP)
     assert c2.total_turning == pytest.approx(0.5, abs=1e-6)
     with pytest.raises(GeometryError):
-        conjugate_vertical_boundary(const(0.0), 0.7, (0.0, 1.0),
-                                    ((0.0, 0.0), 0.0))
+        fiber_domain(const(0.0), 0.7, 0.0, 0.0, 1.0, 2, DEFAULT_STEP,
+                     DEFAULT_S_CAP)
 
 
 def test_assemble_domain_closes_a_circle_wedge():
@@ -239,3 +247,103 @@ def test_assemble_domain_rejects_off_ray_starts():
     with pytest.raises(GeometryError):
         assemble_domain(arc, 1)
 
+
+
+def merge_chains_reference(images):
+    """The endpoint merge by scipy's connected components: the clusters of
+    the <= 1e-8 graph, joined across clusters of exactly two endpoints."""
+    idents = [(idx, end) for idx in range(len(images)) for end in (0, -1)]
+    pts = np.array([images[idx][end] for idx, end in idents])
+    diff = pts[:, None, :] - pts[None, :, :]
+    _, labels = connected_components(
+        np.hypot(diff[..., 0], diff[..., 1]) <= 1e-8, directed=False)
+    members = {}
+    for ident, label in zip(idents, labels.tolist()):
+        members.setdefault(label, []).append(ident)
+    cluster_of = dict(zip(idents, labels.tolist()))
+    used = [False] * len(images)
+    chains = []
+    for start in range(len(images)):
+        if used[start]:
+            continue
+        used[start] = True
+        seq = [(start, +1)]
+        for grow_tail in (True, False):
+            while True:
+                pi, orient = seq[-1] if grow_tail else seq[0]
+                ident = (pi, -1 if (orient == +1) == grow_tail else 0)
+                mem = members[cluster_of[ident]]
+                if len(mem) != 2:
+                    break
+                oi, oe = next(m for m in mem if m != ident)
+                if used[oi]:
+                    break
+                used[oi] = True
+                if grow_tail:
+                    seq.append((oi, +1 if oe == 0 else -1))
+                else:
+                    seq.insert(0, (oi, +1 if oe == -1 else -1))
+        chains.append(np.vstack([
+            (images[pi] if orient == +1 else images[pi][::-1])[n > 0:]
+            for n, (pi, orient) in enumerate(seq)]))
+    return chains
+
+
+def assert_same_chains(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_merge_chains_matches_connected_components(seed):
+    """Pieces between a few junctions, each endpoint jittered by 1e-12 to
+    8e-9, so that some junctions split, some chain through a middle
+    endpoint and some meet three or more ends."""
+    rng = np.random.default_rng(seed)
+    junctions = rng.uniform(-0.5, 0.5, (rng.integers(2, 6), 2))
+    images = []
+    for _ in range(rng.integers(1, 9)):
+        ends = junctions[rng.integers(0, len(junctions), 2)]
+        angle = rng.uniform(0.0, 2.0 * math.pi, 2)
+        jitter = rng.uniform(1e-12, 8e-9, (2, 1)) * np.column_stack(
+            [np.cos(angle), np.sin(angle)])
+        mid = rng.uniform(-0.5, 0.5, (rng.integers(1, 4), 2))
+        images.append(np.vstack([ends[0] + jitter[0], mid, ends[1] + jitter[1]]))
+    assert_same_chains(_merge_chains(images), merge_chains_reference(images))
+
+
+def test_merge_chains_closes_the_junction_relation_transitively():
+    # three ends 0.8e-8 apart in a row: the outer two are 1.6e-8 apart,
+    # but all three form one junction of degree 3, so nothing joins
+    tails = [np.array([[0.0, 0.0]]), np.array([[0.8e-8, 0.0]]),
+             np.array([[1.6e-8, 0.0]])]
+    images = [np.vstack([[0.1 * n, 0.3], tail]) for n, tail in
+              enumerate(tails, 1)]
+    got = _merge_chains(images)
+    assert_same_chains(got, images)
+    assert_same_chains(got, merge_chains_reference(images))
+
+
+def test_origin_start_joins_no_image():
+    # all 2k images start at the origin, one junction of degree 2k
+    k = 3
+    arc = integrate_prescribed_curvature(const(0.5), (0.0, 0.5), (0.0, 0.0),
+                                         0.3, step=1e-3)
+    asm = assemble_domain(arc, k)
+    assert len(asm.pieces) == 2 * k
+    assert not asm.closed
+    for p in asm.pieces:
+        np.testing.assert_array_equal(p[0], [0.0, 0.0])
+        assert p.shape == arc.points.shape
+
+
+def test_importing_the_cli_does_not_load_csgraph():
+    src = str(pathlib.Path(ektlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ektlab.cli; "
+         "print('scipy.sparse.csgraph' in sys.modules)"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

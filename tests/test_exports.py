@@ -6,7 +6,11 @@ import ast
 import importlib
 import inspect
 import math
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -151,3 +155,31 @@ def test_every_optional_parameter_has_a_program_caller():
     missing = _optional_parameters_without_caller()
     assert sorted(m for m in missing
                   if not m.startswith(tuple(e + "." for e in exempt))) == []
+
+
+def _bench_layers():
+    """The LAYERS table of bench/layers.py, read from its source text."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "layers.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "LAYERS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/layers.py defines no LAYERS")
+
+
+def test_bench_hooks_resolve_after_importing_the_cli():
+    """The benchmark wraps these functions in the modules that importing
+    the CLI loads; a deleted or renamed hook would break its run."""
+    hooks = [tuple(e) for entries in _bench_layers().values() for e in entries]
+    assert hooks
+    hooks.append(("ektlab.solver", "solve_jenkins_serrin"))
+    check = ("import sys, ektlab.cli\n"
+             f"hooks = {hooks!r}\n"
+             "print([f'{m}.{a}' for m, a in hooks if m not in sys.modules\n"
+             "       or not callable(getattr(sys.modules[m], a, None))])\n")
+    src = str(pathlib.Path(ektlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", check],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
