@@ -34,6 +34,14 @@ are taken in that order, so the Hessian block is assembled already
 permuted, and SuperLU factors it symmetrically, without pivoting, which
 is safe because the block is SPD.
 
+Each iterate costs one tilt (alpha, beta, W) evaluation.  The assembly
+holds the tilt of the last array it evaluated, and the Armijo trial that
+is accepted is the next iterate, so its gradient and Hessian reuse the
+tilt its energy computed.  The two largest transients of a solve, the
+free-free pattern build and the factorization, never meet the held tilt:
+the pattern is built before the first tilt, and the Hessian drops the
+tilt before its block is factorized.
+
 Jenkins-Serrin sweeps solve the same problem for an increasing schedule of
 far-side data M with zero data on the two sides through p0.  The first M
 starts from the same problem solved on the triangle meshed at 4h and
@@ -110,15 +118,15 @@ class GraphSolution:
         if self._grads is None:
             dom = self.domain
             asm = _Assembly(dom, self.params)
-            eg = asm.element_gradients(self.u)
-            acc = np.zeros((dom.n_nodes, 2))
-            wt = np.zeros(dom.n_nodes)
-            for loc in range(3):
-                idx = dom.elements[:, loc]
-                np.add.at(acc, idx, eg * asm.area[:, None])
-                np.add.at(wt, idx, asm.area)
+            ea = asm.element_gradients(self.u) * asm.area[:, None]
+            # corner-major, as one scatter per corner would add them
+            idx = dom.elements.T.ravel()
+            wt = np.bincount(idx, np.tile(asm.area, 3), dom.n_nodes)
+            acc = np.column_stack([
+                np.bincount(idx, np.tile(ea[:, c], 3), dom.n_nodes) / wt
+                for c in range(2)])
             _, g = asm.energy_grad(np.asarray(self.u, dtype=float))
-            self._grads = (acc / wt[:, None], g)
+            self._grads = (acc, g)
         return self._grads
 
     def nu(self) -> np.ndarray:
@@ -159,6 +167,7 @@ class _Assembly:
         self.elems = elems
         self.n = domain.n_nodes
         self._pattern = None
+        self._held = None   # (u, tilt at u) of the last array evaluated
 
     def element_gradients(self, u: np.ndarray) -> np.ndarray:
         ue = u[self.elems]                                  # (E, 3)
@@ -172,22 +181,28 @@ class _Assembly:
         w = np.sqrt(1.0 + alpha ** 2 + beta ** 2)
         return alpha, beta, w
 
+    def _held_tilt(self, u):
+        """(alpha, beta, W) at u, held until the next array: an accepted
+        Armijo trial is the next iterate, whose gradient and Hessian then
+        reuse the tilt its energy computed."""
+        if self._held is None or not np.array_equal(self._held[0], u):
+            self._held = None  # the old tilt goes before the new one is made
+            self._held = (np.array(u, dtype=float), self._tilted(u))
+        return self._held[1]
+
     def energy(self, u: np.ndarray) -> float:
-        _, _, w = self._tilted(u)
-        return float(np.sum(self.area / 3.0 * np.sum(self.lam ** 2 * w, axis=1)))
+        _, _, w = self._held_tilt(u)
+        return float(np.sum(self.area / 3.0 * _rowsum(self.lam ** 2 * w)))
 
     def energy_grad(self, u: np.ndarray):
-        alpha, beta, w = self._tilted(u)
-        fx = self.lam * alpha / w                           # (E, 3q)
-        fy = self.lam * beta / w
+        alpha, beta, w = self._held_tilt(u)
         coef = self.area[:, None] / 3.0
         # local gradient: g_i = A/3 sum_q lam_q (alpha_q b_ix + beta_q b_iy) / W_q
-        sx = (coef * fx).sum(axis=1)
-        sy = (coef * fy).sum(axis=1)
+        sx = _rowsum(coef * (self.lam * alpha / w))
+        sy = _rowsum(coef * (self.lam * beta / w))
         gi = sx[:, None] * self.bgrad[:, :, 0] + sy[:, None] * self.bgrad[:, :, 1]
-        g = np.zeros(self.n)
-        np.add.at(g, self.elems.ravel(), gi.ravel())
-        energy = float(np.sum(self.area / 3.0 * np.sum(self.lam ** 2 * w, axis=1)))
+        g = np.bincount(self.elems.ravel(), weights=gi.ravel(), minlength=self.n)
+        energy = float(np.sum(self.area / 3.0 * _rowsum(self.lam ** 2 * w)))
         return energy, g
 
     def _free_pattern(self, free: np.ndarray):
@@ -201,30 +216,35 @@ class _Assembly:
         # column-major keys, so np.unique sorts the entries into CSC order
         keys, slot = np.unique(cols[kept] * free.size + rows[kept],
                                return_inverse=True)
-        slots = np.full(rows.size, keys.size)
+        slots = np.full(rows.size, keys.size, dtype=np.int32)
         slots[kept] = slot
         indptr = np.zeros(free.size + 1, dtype=np.int32)
         np.cumsum(np.bincount(keys // free.size, minlength=free.size),
                   out=indptr[1:])
         return free, (keys % free.size).astype(np.int32), indptr, slots
 
-    def hessian(self, u: np.ndarray, free: np.ndarray) -> sp.csc_matrix:
-        """Free-free block of the Hessian; the pattern is built once per
-        free set and each call fills only the values."""
+    def pattern(self, free: np.ndarray):
+        """The free-free pattern, built once per free set."""
         if self._pattern is None or not np.array_equal(self._pattern[0], free):
             self._pattern = self._free_pattern(free)
-        _, indices, indptr, slots = self._pattern
-        alpha, beta, w = self._tilted(u)
+        return self._pattern
+
+    def hessian(self, u: np.ndarray, free: np.ndarray) -> sp.csc_matrix:
+        """Free-free block of the Hessian; the pattern is built once per
+        free set and each call fills only the values.  The held tilt is
+        dropped: the block goes to a factorization, whose workspace is the
+        largest transient of a solve."""
+        _, indices, indptr, slots = self.pattern(free)
+        alpha, beta, w = self._held_tilt(u)
+        self._held = None
         coef = self.area[:, None] / 3.0
         # M_q = (I - v v^T / W^2) / W per quadrature point (lambda^2 cancels)
-        c0 = coef * (1.0 / w - alpha ** 2 / w ** 3)         # (E, 3q) xx
-        c1 = coef * (-alpha * beta / w ** 3)                # xy
-        c2 = coef * (1.0 / w - beta ** 2 / w ** 3)          # yy
+        w3 = w ** 3
+        hxx = _rowsum(coef * (1.0 / w - alpha ** 2 / w3))[:, None]
+        hxy = _rowsum(coef * (-alpha * beta / w3))[:, None]
+        hyy = _rowsum(coef * (1.0 / w - beta ** 2 / w3))[:, None]
         bx = self.bgrad[:, :, 0]
         by = self.bgrad[:, :, 1]
-        hxx = c0.sum(axis=1)[:, None]
-        hxy = c1.sum(axis=1)[:, None]
-        hyy = c2.sum(axis=1)[:, None]
         # b gradients are constant per element, so sum the quadrature first;
         # h_ij = p_i bx_j + q_i by_j with (p, q) = [[hxx, hxy], [hxy, hyy]] b
         p = hxx * bx + hxy * by
@@ -234,6 +254,12 @@ class _Assembly:
                            minlength=indices.size + 1)[:-1]
         return sp.csc_matrix((data, indices, indptr),
                              shape=(free.size, free.size))
+
+
+def _rowsum(a: np.ndarray) -> np.ndarray:
+    """Sum over the three quadrature points of an (E, 3) array, added left
+    to right as a.sum(axis=1) does, without the reduction's overhead."""
+    return a[:, 0] + a[:, 1] + a[:, 2]
 
 
 def _nd_order(domain: TriangulatedDomain) -> np.ndarray:
@@ -360,6 +386,8 @@ def _newton(asm: _Assembly, u0: np.ndarray, fixed: np.ndarray):
         raise SolverError("no free nodes to solve for")
     order = _nd_order(asm.domain)
     free = order[is_free[order]]
+    # the pattern is built before any tilt is held, so the two never overlap
+    asm.pattern(free)
     u = u0.copy()
     energies = []
     lu, step_norm = None, 0.0
@@ -566,12 +594,12 @@ def _ray_profile(sol: GraphSolution, tag: str):
     order = np.argsort(dom.node_metric_radius[idx])
     idx = idx[order]
     rads = dom.node_metric_radius[idx]
-    nodal_nu = sol.nu()[idx]
+    nu = sol.nu()[idx]
 
     edges = dom.boundary_edges()
     edges = edges[np.isin(edges, idx).all(axis=1)]
     if len(edges) < 2:
-        return rads, nodal_nu
+        return rads, nu
     g = sol._gradients()[1]
     lam = conformal_factor_xy(dom.nodes[:, 0], dom.nodes[:, 1], sol.params.kappa)
     # the lambda weight of the flux integrand is pulled out at the node
@@ -582,17 +610,13 @@ def _ray_profile(sol: GraphSolution, tag: str):
         far = _distance_to_tag(dom, "side_p1p2")[idx]
     except SolverError:
         far = np.full(len(idx), np.inf)
-    buffer = 8.0 * dom.target_h
-    nu = np.empty(len(idx))
-    for pos, i in enumerate(idx):
-        # corners (p0; p2 or the truncation crossing) mix fluxes from two
-        # boundary pieces, keep the nodal value there
-        if (pos == 0 or pos == len(idx) - 1 or weight[i] <= 0
-                or far[pos] < buffer):
-            nu[pos] = nodal_nu[pos]
-            continue
-        p = g[i] / (lam[i] * weight[i])
-        nu[pos] = math.sqrt(max(1.0 - p * p, 0.0))
+    # corners (p0; p2 or the truncation crossing) mix fluxes from two
+    # boundary pieces, keep the nodal value there
+    flux = ~((weight[idx] <= 0) | (far < 8.0 * dom.target_h))
+    flux[[0, -1]] = False
+    i = idx[flux]
+    p = g[i] / (lam[i] * weight[i])
+    nu[flux] = np.sqrt(np.maximum(1.0 - p * p, 0.0))
     return rads, nu
 
 
@@ -731,12 +755,11 @@ def solution_csv_lines(sol: GraphSolution) -> List[str]:
         "x,y,u,nu,tag",
     ]
     names = TAGS + ("",)  # tag -1, an interior node, prints ""
-    rows = []
-    for i in range(dom.n_nodes):
-        x, y = dom.nodes[i]
-        rows.append(f"{float(x)!r},{float(y)!r},{float(sol.u[i])!r},"
-                    f"{float(nu[i])!r},{names[dom.tags[i]]}")
-    return head + rows
+    x, y = dom.nodes.T
+    return head + [f"{xi!r},{yi!r},{ui!r},{ni!r},{names[t]}"
+                   for xi, yi, ui, ni, t in zip(
+                       x.tolist(), y.tolist(), sol.u.tolist(), nu.tolist(),
+                       dom.tags.tolist())]
 
 
 def _side_repr(v: float):

@@ -237,6 +237,45 @@ def test_report_dict_and_csv_schema(dual_sign_solves):
     assert tag in ("", "side_p0p1", "side_p0p2", "side_p1p2", "truncation")
 
 
+def test_csv_rows_match_the_per_node_formatting(dual_sign_solves):
+    sol = dual_sign_solves[0][-1]
+    dom, nu = sol.domain, sol.nu()
+    names = solver.TAGS + ("",)
+    want = [f"{float(dom.nodes[i, 0])!r},{float(dom.nodes[i, 1])!r},"
+            f"{float(sol.u[i])!r},{float(nu[i])!r},{names[dom.tags[i]]}"
+            for i in range(dom.n_nodes)]
+    assert solution_csv_lines(sol)[3:] == want
+
+
+def test_flux_nu_matches_the_per_node_loop(dual_sign_solves):
+    sol = dual_sign_solves[0][-1]
+    dom = sol.domain
+    g = sol._gradients()[1]
+    lam = solver.conformal_factor_xy(*dom.nodes.T, sol.params.kappa)
+    far_all = _distance_to_tag(dom, "side_p1p2")
+    for tag in ("side_p0p1", "side_p0p2"):
+        rads, got = solver._ray_profile(sol, tag)
+        idx = dom.nodes_with_tag(tag)
+        origin = np.flatnonzero(dom.node_metric_radius < 1e-12)
+        idx = np.concatenate([idx, origin[~np.isin(origin, idx)]])
+        idx = idx[np.argsort(dom.node_metric_radius[idx])]
+        edges = dom.boundary_edges()
+        edges = edges[np.isin(edges, idx).all(axis=1)]
+        weight = solver._boundary_mass(dom.nodes, edges)
+        nodal, far = sol.nu()[idx], far_all[idx]
+        want = np.empty(len(idx))
+        for pos, i in enumerate(idx):
+            if (pos == 0 or pos == len(idx) - 1 or weight[i] <= 0
+                    or far[pos] < 8.0 * dom.target_h):
+                want[pos] = nodal[pos]
+                continue
+            p = g[i] / (lam[i] * weight[i])
+            want[pos] = math.sqrt(max(1.0 - p * p, 0.0))
+        assert np.array_equal(rads, dom.node_metric_radius[idx])
+        assert np.array_equal(got, want)
+        assert 0 < (got != nodal).sum() < len(idx) - 2  # both branches run
+
+
 def test_far_side_failure_is_not_hidden(dual_sign_solves, monkeypatch):
     # only a missing far-side tag falls back to nodal nu; any other failure
     # of the far-side distance must surface instead of changing d.  The
@@ -374,9 +413,84 @@ def test_free_hessian_matches_the_full_matrix_block():
                          shape=(dom.n_nodes, dom.n_nodes))
     want = full.tocsc()[np.ix_(free, free)]
     assert got.indptr.dtype == np.int32 and got.indices.dtype == np.int32
+    assert asm._free_pattern(free)[3].dtype == np.int32
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert np.max(np.abs(got.data - want.data)) <= 1e-14 * np.max(np.abs(want.data))
+
+
+def _reference_kernels(asm, u, free):
+    """Energy, gradient and Hessian values as first written: .sum(axis=1)
+    over the quadrature, np.add.at for the scatter and w ** 3 in each of
+    the three Hessian coefficients."""
+    alpha, beta, w = asm._tilted(u)
+    energy = float(np.sum(asm.area / 3.0 * np.sum(asm.lam ** 2 * w, axis=1)))
+    coef = asm.area[:, None] / 3.0
+    sx = (coef * (asm.lam * alpha / w)).sum(axis=1)
+    sy = (coef * (asm.lam * beta / w)).sum(axis=1)
+    gi = sx[:, None] * asm.bgrad[:, :, 0] + sy[:, None] * asm.bgrad[:, :, 1]
+    g = np.zeros(asm.n)
+    np.add.at(g, asm.elems.ravel(), gi.ravel())
+    c0 = coef * (1.0 / w - alpha ** 2 / w ** 3)
+    c1 = coef * (-alpha * beta / w ** 3)
+    c2 = coef * (1.0 / w - beta ** 2 / w ** 3)
+    hxx, hxy, hyy = (c.sum(axis=1)[:, None] for c in (c0, c1, c2))
+    bx, by = asm.bgrad[:, :, 0], asm.bgrad[:, :, 1]
+    p = hxx * bx + hxy * by
+    q = hxy * bx + hyy * by
+    h = p[:, :, None] * bx[:, None, :] + q[:, :, None] * by[:, None, :]
+    _, indices, _, slots = asm._free_pattern(free)
+    data = np.bincount(slots, weights=h.ravel(), minlength=indices.size + 1)
+    return energy, g, data[:-1]
+
+
+def _reference_nodal_gradients(asm, u):
+    eg = asm.element_gradients(u)
+    acc = np.zeros((asm.n, 2))
+    wt = np.zeros(asm.n)
+    for loc in range(3):
+        idx = asm.elems[:, loc]
+        np.add.at(acc, idx, eg * asm.area[:, None])
+        np.add.at(wt, idx, asm.area)
+    return acc / wt[:, None]
+
+
+def test_assembly_kernels_are_bit_identical_to_the_reference():
+    dom = triangulate(build_triangle(1.0, 1.0, 2, 4 * 0.4 ** 2 - 1), 0.08)
+    params = SpaceParams.from_h(0.4)
+    free = np.flatnonzero(dom.tags < 0)
+    u = np.random.default_rng(11).normal(size=dom.n_nodes)
+    energy, g, data = _reference_kernels(solver._Assembly(dom, params), u, free)
+    asm = solver._Assembly(dom, params)
+    # energy first, so the gradient and Hessian reuse its held tilt
+    assert asm.energy(u) == energy
+    got_energy, got_g = asm.energy_grad(u)
+    assert got_energy == energy and np.array_equal(got_g, g)
+    assert np.array_equal(asm.hessian(u, free).data, data)
+    sol = solver.GraphSolution(domain=dom, u=u, params=params,
+                               residual_norm=0.0, newton_iters=0)
+    nodal, got_g = sol._gradients()
+    assert np.array_equal(nodal, _reference_nodal_gradients(asm, u))
+    assert np.array_equal(got_g, g)
+
+
+def test_one_tilt_per_distinct_array_in_a_newton_solve(monkeypatch):
+    def record(name, log):
+        real = getattr(solver._Assembly, name)
+
+        def wrapped(self, u, *args):
+            log.append(np.asarray(u, dtype=float).tobytes())
+            return real(self, u, *args)
+        monkeypatch.setattr(solver._Assembly, name, wrapped)
+
+    tilts, evaluated = [], []
+    record("_tilted", tilts)
+    for name in ("energy", "energy_grad", "hessian"):
+        record(name, evaluated)
+    dom = triangulate(build_triangle(1.0, 1.0, 2, 4 * 0.4 ** 2 - 1), 0.08)
+    sol = solve_dirichlet(dom, _js_data(4.0), params=SpaceParams.from_h(0.4))
+    assert sol.newton_iters > 2
+    assert len(tilts) == len(set(evaluated)) < len(evaluated)
 
 
 def test_hessian_pattern_is_built_once_per_newton_solve(monkeypatch):
