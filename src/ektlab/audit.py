@@ -16,7 +16,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from . import curves, graphs, helicoid, lifts, solver
-from .spaces import (BasePoint, SpaceParams, conformal_factor,
+from .spaces import (SpaceParams, conformal_factor,
                      interior_angle_at_p2, interior_angle_threshold_b,
                      law_of_cosines, metric_distance)
 
@@ -42,7 +42,7 @@ def _check_conformal_factor() -> Tuple[float, bool]:
         for _ in range(50):
             x, y = rng.uniform(-lim / 2, lim / 2, size=2)
             direct = 1.0 / (1.0 + kappa * (x * x + y * y) / 4.0)
-            worst = max(worst, abs(conformal_factor(BasePoint(x, y), params) - direct))
+            worst = max(worst, abs(conformal_factor(x, y, params) - direct))
     return worst, worst < 1e-15
 
 
@@ -92,23 +92,21 @@ def _check_holonomy() -> Tuple[float, bool]:
         worst = max(worst, abs(gap - math.pi * r * r))
     gap_cw = lifts.holonomy_gap(lifts.circle_path(1.0, clockwise=True), params)
     worst = max(worst, abs(gap_cw + math.pi))
-    square = [BasePoint(1, 1), BasePoint(-1, 1), BasePoint(-1, -1),
-              BasePoint(1, -1), BasePoint(1, 1)]
-    sq = [BasePoint(x, y) for x, y in _densify(square, 4000)]
+    square = np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0),
+                       (1.0, 1.0)])
+    sq = _densify(square, 4000)
     gap_sq = lifts.holonomy_gap(sq, params)
     area = lifts.enclosed_area(sq, params)
     worst = max(worst, abs(gap_sq - 2.0 * params.tau * area))
     return worst, worst < 1e-6
 
 
-def _densify(path, n_per_side):
-    out = []
-    for p, q in zip(path[:-1], path[1:]):
-        ts = np.linspace(0.0, 1.0, n_per_side, endpoint=False)
-        for t in ts:
-            out.append((p.x + t * (q.x - p.x), p.y + t * (q.y - p.y)))
-    out.append((path[-1].x, path[-1].y))
-    return out
+def _densify(path: np.ndarray, n_per_side: int) -> np.ndarray:
+    """n_per_side evenly spaced samples on each segment of an (m, 2) path,
+    its last sample appended."""
+    ts = np.linspace(0.0, 1.0, n_per_side, endpoint=False)[None, :, None]
+    p, q = path[:-1, None, :], path[1:, None, :]
+    return np.vstack([(p + ts * (q - p)).reshape(-1, 2), path[-1:]])
 
 
 def _check_angle_threshold() -> Tuple[float, bool]:
@@ -181,19 +179,11 @@ def _check_curvature_identity() -> Tuple[float, bool]:
 
 def _check_angle_range() -> Tuple[float, bool]:
     prof = helicoid.invert_profile(-3.0, np.linspace(-0.4, 0.4, 21))
-    grid_u = np.linspace(-3.0, 3.0, 25)
-    worst = 0.0
-    ok = True
-    for v in prof.v:
-        for u in grid_u:
-            nu = helicoid.angle_function(float(u), float(v), prof)
-            if nu > 1.0 + 1e-12:
-                ok = False
-            if abs(u) > 1e-12 or abs(v) > 1e-12:
-                if nu >= 1.0:
-                    ok = False
-            else:
-                worst = max(worst, abs(nu - 1.0))
+    u, v = np.meshgrid(np.linspace(-3.0, 3.0, 25), prof.v)
+    nu = helicoid.angle_function(u, v, prof)
+    axis = (np.abs(u) <= 1e-12) & (np.abs(v) <= 1e-12)
+    worst = float(np.max(np.abs(nu[axis] - 1.0), initial=0.0))
+    ok = bool(np.all(nu <= 1.0 + 1e-12) and np.all(nu[~axis] < 1.0))
     return worst, ok and worst < 1e-12
 
 

@@ -274,11 +274,6 @@ class HelicoidProfile:
                 f"|v|={worst} outside the open domain (t_mu={self.t_mu})")
         return _profile_values(self.mu, v)
 
-    def f_prime_at(self, v: float) -> float:
-        if self.mu == 0.5:
-            return 0.0
-        return float(_f_prime_rhs(self.f_at(v), c_of_mu(self.mu)))
-
 
 def invert_profile(mu: float, v_grid: Sequence[float]) -> HelicoidProfile:
     """Solve g_mu(f) = v on a grid and assemble the profile record.
@@ -362,17 +357,20 @@ def theta_prime(s, mu: float):
     return float(out) if out.ndim == 0 else out
 
 
-def angle_function(u: float, v: float, profile: HelicoidProfile) -> float:
+def angle_function(u, v, profile: HelicoidProfile):
     """Angle function 2 / sqrt(u^2 (1-2h')^2 + (2h+v)^2 + 4), in (0, 1].
 
-    h' is evaluated analytically through h' = (1 - f')/2 and the conserved
-    slope law, never by differencing the samples.
+    u and v broadcast together, and every v is inverted in one batch (floats
+    in, a float out).  h' is evaluated analytically through h' = (1 - f')/2
+    and the conserved slope law, never by differencing the samples.
     """
-    f = profile.f_at(v)
-    fp = profile.f_prime_at(v)
+    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+    f = profile.f_many(v.ravel()).reshape(v.shape)
+    fp = 0.0 if profile.mu == 0.5 else _f_prime_rhs(f, c_of_mu(profile.mu))
     h = (v - f) / 2.0
     hp = (1.0 - fp) / 2.0
-    return 2.0 / math.sqrt(u * u * (1.0 - 2.0 * hp) ** 2 + (2.0 * h + v) ** 2 + 4.0)
+    out = 2.0 / np.sqrt(u * u * (1.0 - 2.0 * hp) ** 2 + (2.0 * h + v) ** 2 + 4.0)
+    return float(out) if out.ndim == 0 else out
 
 
 # -- the minimal model graph --------------------------------------------------

@@ -11,15 +11,19 @@ area: div(lambda (x, y)/2) = lambda^2 makes Area = oint lambda (x dy - y dx)/2
 exact, which is the same 1-form the lift integrates.  The area routine
 deliberately uses a different quadrature (midpoint shoelace on subdivided
 segments) so the two sides of the holonomy identity stay independent.
+
+A path is an (n, 2) array of chart samples, n >= 2.  Every function checks it
+before any work: finite samples, each inside the model disk (|z| < 2/sqrt(-kappa)
+for kappa < 0; the disk is convex, so the chords stay inside too), and no two
+consecutive samples equal.
 """
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
-from .spaces import BasePoint, GeometryError, SpaceParams, conformal_factor_xy
+from .spaces import GeometryError, SpaceParams, conformal_factor_xy
 
 __all__ = [
     "horizontal_lift",
@@ -42,13 +46,24 @@ _AREA_SEG = 5e-4    # chart length of the subdivided segments in enclosed_area
 _CIRCLE_SEGS = 20001
 
 
-def _as_xy(path: Sequence[BasePoint]) -> np.ndarray:
-    pts = np.array([[p.x, p.y] for p in path], dtype=float)
-    if pts.ndim != 2 or len(pts) < 2:
-        raise GeometryError("need at least two path samples")
+def _as_xy(path, params: SpaceParams) -> np.ndarray:
+    """The path as a checked (n, 2) float array."""
+    pts = np.asarray(path, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
+        raise GeometryError(f"a path needs shape (n >= 2, 2), got {pts.shape}")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise GeometryError(f"path has a non-finite point at sample {bad[0]}")
+    if params.kappa < 0.0:
+        ideal = 2.0 / math.sqrt(-params.kappa)
+        bad = np.flatnonzero(np.hypot(pts[:, 0], pts[:, 1]) >= ideal)
+        if bad.size:
+            raise GeometryError(f"path sample {bad[0]} lies on or outside the "
+                                f"ideal circle |z| = {ideal}")
     if np.any(np.all(pts[1:] == pts[:-1], axis=1)):
         raise GeometryError("consecutive path samples must be distinct")
     return pts
+
 
 def _lambda_line_integral(p: np.ndarray, q: np.ndarray, params: SpaceParams,
                           depth: int = 0) -> float:
@@ -69,17 +84,14 @@ def _lambda_line_integral(p: np.ndarray, q: np.ndarray, params: SpaceParams,
             + _lambda_line_integral(mid, q, params, depth + 1)) / 2.0
 
 
-def horizontal_lift(path: Sequence[BasePoint], z0: float,
-                    params: SpaceParams) -> list:
+def horizontal_lift(path, z0: float, params: SpaceParams) -> np.ndarray:
     """Lift a sampled base path horizontally, starting at height z0.
 
-    Returns one SpacePoint per input sample.  The connection form is linear
-    in the velocity, so the per-segment increment is exact up to the
-    quadrature of lambda along the segment.
+    Returns the height z at each of the n samples of the (n, 2) path.  The
+    connection form is linear in the velocity, so the per-segment increment
+    is exact up to the quadrature of lambda along the segment.
     """
-    from .spaces import SpacePoint
-
-    pts = _as_xy(path)
+    pts = _as_xy(path, params)
     seg = pts[1:] - pts[:-1]
     # y0 dx - x0 dy is constant along each straight segment
     cross = pts[:-1, 1] * seg[:, 0] - pts[:-1, 0] * seg[:, 1]
@@ -100,49 +112,53 @@ def horizontal_lift(path: Sequence[BasePoint], z0: float,
             lam_int[i] = _lambda_line_integral(pts[i], pts[i + 1], params)
 
     dz = -params.tau * cross * lam_int
-    z = z0 + np.concatenate(([0.0], np.cumsum(dz)))
-    return [SpacePoint(x, y, zz) for (x, y), zz in zip(pts, z)]
+    return z0 + np.concatenate(([0.0], np.cumsum(dz)))
 
 
-def holonomy_gap(path: Sequence[BasePoint], params: SpaceParams) -> float:
-    """End-height minus start-height of the lift of a closed base path."""
-    pts = _as_xy(path)
+def _closed_xy(path, params: SpaceParams) -> np.ndarray:
+    pts = _as_xy(path, params)
     if not np.allclose(pts[0], pts[-1], rtol=0.0, atol=1e-9):
-        raise GeometryError("holonomy needs a closed path (first == last sample)")
-    lifted = horizontal_lift(path, 0.0, params)
-    return lifted[-1].z - lifted[0].z
+        raise GeometryError("the path must be closed (first == last sample)")
+    return pts
 
 
-def enclosed_area(path: Sequence[BasePoint], params: SpaceParams) -> float:
-    """Signed metric area enclosed by a closed chart polygon.
+def holonomy_gap(path, params: SpaceParams) -> float:
+    """End-height minus start-height of the lift of a closed (n, 2) path."""
+    z = horizontal_lift(_closed_xy(path, params), 0.0, params)
+    return float(z[-1] - z[0])
 
-    Midpoint shoelace weighted by lambda after subdividing every segment to
-    chart length <= _AREA_SEG.  Counterclockwise traversal is positive.
+
+def enclosed_area(path, params: SpaceParams) -> float:
+    """Signed metric area enclosed by a closed (n, 2) chart polygon.
+
+    Midpoint shoelace weighted by lambda after subdividing every segment
+    into ceil(length / _AREA_SEG) equal parts, all segments at once.
+    Counterclockwise traversal is positive.
     """
-    pts = _as_xy(path)
-    if not np.allclose(pts[0], pts[-1], rtol=0.0, atol=1e-9):
-        raise GeometryError("enclosed_area needs a closed path")
-    total = 0.0
-    for p, q in zip(pts[:-1], pts[1:]):
-        n = max(1, int(math.ceil(math.hypot(*(q - p)) / _AREA_SEG)))
-        t = np.linspace(0.0, 1.0, n + 1)
-        xs = p[0] + t * (q[0] - p[0])
-        ys = p[1] + t * (q[1] - p[1])
-        xm = (xs[:-1] + xs[1:]) / 2.0
-        ym = (ys[:-1] + ys[1:]) / 2.0
-        lam = conformal_factor_xy(xm, ym, params.kappa)
-        cross = xs[:-1] * ys[1:] - xs[1:] * ys[:-1]
-        total += float(np.sum(lam * cross)) / 2.0
-    return total
+    pts = _closed_xy(path, params)
+    seg = pts[1:] - pts[:-1]
+    parts = np.maximum(1, np.ceil(np.hypot(seg[:, 0], seg[:, 1]) / _AREA_SEG)).astype(int)
+    which = np.repeat(np.arange(len(seg)), parts)
+    n = parts[which]
+    j = np.arange(len(which)) - np.repeat(np.cumsum(parts) - parts, parts)
+    # the sub-segment ends at t = j/n and (j + 1)/n, the last one at exactly 1
+    t0 = j * (1.0 / n)
+    t1 = np.where(j + 1 == n, 1.0, (j + 1) * (1.0 / n))
+    p, d = pts[which], seg[which]
+    a = p + t0[:, None] * d
+    b = p + t1[:, None] * d
+    mid = (a + b) / 2.0
+    lam = conformal_factor_xy(mid[:, 0], mid[:, 1], params.kappa)
+    cross = a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]
+    return float(np.sum(lam * cross)) / 2.0
 
 
-def circle_path(radius: float, clockwise: bool = False) -> list:
-    """Closed polygonal circle about the origin with _CIRCLE_SEGS segments
-    (first sample repeated last)."""
+def circle_path(radius: float, clockwise: bool = False) -> np.ndarray:
+    """Closed polygonal circle about the origin with _CIRCLE_SEGS segments,
+    as an (_CIRCLE_SEGS + 1, 2) array (first sample repeated last)."""
     t = np.linspace(0.0, 2.0 * math.pi, _CIRCLE_SEGS + 1)
     if clockwise:
         t = t[::-1]
-    xs = radius * np.cos(t)
-    ys = radius * np.sin(t)
-    xs[-1], ys[-1] = xs[0], ys[0]
-    return [BasePoint(x, y) for x, y in zip(xs, ys)]
+    pts = radius * np.column_stack([np.cos(t), np.sin(t)])
+    pts[-1] = pts[0]
+    return pts

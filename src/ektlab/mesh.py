@@ -122,9 +122,9 @@ def _arc_points(c: np.ndarray, rg: float, th0: float, th1: float, n: int) -> np.
 def _far_side(triangle: GeodesicTriangle, r_trunc: Optional[float], h: float):
     """Fine far-side polyline (from the a-end toward p2) and the inside test."""
     kappa, k = triangle.kappa, triangle.k
-    p2 = np.array([triangle.p2.x, triangle.p2.y])
+    p2 = np.array(triangle.p2)
     if not triangle.a_infinite:
-        p1 = np.array([triangle.p1.x, triangle.p1.y])
+        p1 = np.array(triangle.p1)
         if kappa == 0.0:
             n = max(8, int(math.ceil(np.hypot(*(p2 - p1)) / (h / 4.0))))
             fine = p1 + np.linspace(0.0, 1.0, n)[:, None] * (p2 - p1)

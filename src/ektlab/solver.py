@@ -690,7 +690,7 @@ def boundary_theta_prime(sol: GraphSolution) -> np.ndarray:
     tri = dom.triangle
     if tri.b_infinite:
         raise SolverError("p2 is ideal; no vertex fiber to probe")
-    v = np.array([tri.p2.x, tri.p2.y])
+    v = np.array(tri.p2)
     h = dom.target_h
     # adjacent boundary directions: toward p0 and along the far side
     d0 = -v / np.hypot(*v)

@@ -9,9 +9,10 @@ coordinate z and the orthonormal frame
     E2 = lambda^(-1) d/dy + tau x d/dz,
     E3 = d/dz  (the vertical Killing direction).
 
-This module holds the parameter record, points, geodesic triangles of the
-base, and the hyperbolic-trigonometry helpers shared by the mesher and the
-curve integrators.
+A chart point of the base is an (x, y) pair of floats and a sampled path an
+(n, 2) array.  This module holds the parameter record, the conformal factor,
+geodesic triangles of the base, and the hyperbolic-trigonometry helpers
+shared by the mesher and the curve integrators.
 """
 from __future__ import annotations
 
@@ -23,8 +24,6 @@ import numpy as np
 __all__ = [
     "GeometryError",
     "SpaceParams",
-    "BasePoint",
-    "SpacePoint",
     "GeodesicTriangle",
     "conformal_factor",
     "conformal_factor_xy",
@@ -60,23 +59,13 @@ class SpaceParams:
         return cls(kappa=4.0 * h * h - 1.0, tau=h)
 
 
-@dataclass(frozen=True)
-class BasePoint:
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
-class SpacePoint:
-    x: float
-    y: float
-    z: float
-
-
-def conformal_factor(p: BasePoint, params: SpaceParams) -> float:
-    """Conformal factor lambda at a base point; rejects points off the disk."""
+def conformal_factor(x: float, y: float, params: SpaceParams) -> float:
+    """Conformal factor lambda at the chart point (x, y); rejects points off
+    the disk and non-finite points."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise GeometryError(f"non-finite chart point ({x}, {y})")
     with np.errstate(divide="ignore"):
-        lam = float(conformal_factor_xy(p.x, p.y, params.kappa))
+        lam = float(conformal_factor_xy(x, y, params.kappa))
     if lam <= 0.0 or math.isinf(lam):
         raise GeometryError("point outside the model disk (conformal factor <= 0)")
     return lam
@@ -171,8 +160,8 @@ def law_of_cosines(a: float, b: float, k: int, kappa: float) -> float:
 class GeodesicTriangle:
     """Triangle T_{a,b} with vertex p0 at the origin and wedge angle pi/k.
 
-    p1 sits on the positive x-axis at distance a, p2 on the pi/k ray at
-    distance b.  Infinite side lengths mark ideal vertices: for kappa < 0 the
+    p1 = (x, y) sits on the positive x-axis at distance a, p2 on the pi/k ray
+    at distance b.  Infinite side lengths mark ideal vertices: for kappa < 0 the
     vertex is placed exactly on the boundary circle, for kappa = 0 its
     coordinates are infinite and only the ray direction is meaningful.
     """
@@ -181,9 +170,8 @@ class GeodesicTriangle:
     b: float
     k: int
     kappa: float
-    p0: BasePoint
-    p1: BasePoint
-    p2: BasePoint
+    p1: tuple[float, float]
+    p2: tuple[float, float]
     ell: float
 
     @property
@@ -209,15 +197,14 @@ def build_triangle(a: float, b: float, k: int, kappa: float) -> GeodesicTriangle
     gamma = math.pi / k
     r1 = chart_radius(a, kappa)
     r2 = chart_radius(b, kappa)
-    p0 = BasePoint(0.0, 0.0)
-    p1 = BasePoint(r1, 0.0)
-    p2 = BasePoint(r2 * math.cos(gamma), r2 * math.sin(gamma))
+    p1 = (r1, 0.0)
+    p2 = (r2 * math.cos(gamma), r2 * math.sin(gamma))
     if math.isinf(a) or math.isinf(b):
         ell = math.inf
     else:
         ell = law_of_cosines(a, b, k, kappa)
     return GeodesicTriangle(a=a, b=b, k=int(k), kappa=kappa,
-                            p0=p0, p1=p1, p2=p2, ell=ell)
+                            p1=p1, p2=p2, ell=ell)
 
 
 def interior_angle_at_p2(b: float, k: int, kappa: float) -> float:

@@ -4,31 +4,55 @@ import math
 import numpy as np
 import pytest
 
-from ektlab.lifts import (circle_path, enclosed_area, holonomy_gap,
+from ektlab.audit import _densify
+from ektlab.lifts import (_AREA_SEG, circle_path, enclosed_area, holonomy_gap,
                           horizontal_lift)
-from ektlab.spaces import BasePoint, SpaceParams
+from ektlab.spaces import GeometryError, SpaceParams, conformal_factor_xy
 
 NIL = SpaceParams(kappa=0.0, tau=0.5)
+H2R = SpaceParams(kappa=-1.0, tau=0.25)
 
 
 def square_path(side: float, n_per_edge: int = 400):
     s = np.linspace(0.0, side, n_per_edge)
-    pts = []
-    pts += [BasePoint(v, 0.0) for v in s]
-    pts += [BasePoint(side, v) for v in s[1:]]
-    pts += [BasePoint(side - v, side) for v in s[1:]]
-    pts += [BasePoint(0.0, side - v) for v in s[1:]]
-    return pts
+    z = np.zeros_like(s)
+    return np.vstack([np.column_stack([s, z]),
+                      np.column_stack([z + side, s])[1:],
+                      np.column_stack([side - s, z + side])[1:],
+                      np.column_stack([z, side - s])[1:]])
+
+
+def _enclosed_area_by_segment(path, params):
+    """Reference: the midpoint shoelace of enclosed_area, one segment at a
+    time."""
+    pts = np.asarray(path, dtype=float)
+    total = 0.0
+    for p, q in zip(pts[:-1], pts[1:]):
+        n = max(1, int(math.ceil(math.hypot(*(q - p)) / _AREA_SEG)))
+        t = np.linspace(0.0, 1.0, n + 1)
+        xs = p[0] + t * (q[0] - p[0])
+        ys = p[1] + t * (q[1] - p[1])
+        xm = (xs[:-1] + xs[1:]) / 2.0
+        ym = (ys[:-1] + ys[1:]) / 2.0
+        lam = conformal_factor_xy(xm, ym, params.kappa)
+        cross = xs[:-1] * ys[1:] - xs[1:] * ys[:-1]
+        total += float(np.sum(lam * cross)) / 2.0
+    return total
+
+
+def _random_polygon(seed, n, r_lo, r_hi):
+    rng = np.random.default_rng(seed)
+    th = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+    r = rng.uniform(r_lo, r_hi, n)
+    pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    return np.vstack([pts, pts[:1]])
 
 
 def test_lift_starts_at_z0_and_projects_to_the_path():
     path = circle_path(1.0)
     lift = horizontal_lift(path, 0.7, NIL)
-    assert lift[0].z == 0.7
-    assert lift[0].x == path[0].x and lift[0].y == path[0].y
-    assert len(lift) == len(path)
-    xs = np.array([p.x for p in lift])
-    assert xs[0] == pytest.approx(xs[-1])
+    assert lift[0] == 0.7
+    assert lift.shape == (len(path),)
 
 
 def test_circle_holonomy_matches_area_times_2tau():
@@ -53,13 +77,12 @@ def test_square_loop_gap_and_area():
 def test_off_center_loop_sees_only_its_own_area():
     """Translating the loop moves the connection form but not the gap."""
     gap0 = holonomy_gap(circle_path(0.6), NIL)
-    shifted = [BasePoint(p.x + 0.9, p.y - 0.4) for p in circle_path(0.6)]
-    gap1 = holonomy_gap(shifted, NIL)
+    gap1 = holonomy_gap(circle_path(0.6) + [0.9, -0.4], NIL)
     assert gap1 == pytest.approx(gap0, abs=1e-7)
 
 
 def test_hyperbolic_area_exceeds_euclidean():
-    params = SpaceParams(kappa=-1.0, tau=0.25)
+    params = H2R
     r = 0.8
     a_hyp = enclosed_area(circle_path(r), params)
     a_euc = enclosed_area(circle_path(r), SpaceParams(kappa=0.0, tau=0.25))
@@ -77,4 +100,78 @@ def test_tau_zero_lift_stays_flat():
     params = SpaceParams(kappa=-1.0, tau=0.0)
     assert holonomy_gap(circle_path(1.2), params) == pytest.approx(0.0, abs=1e-12)
     lift = horizontal_lift(circle_path(1.2), 0.0, params)
-    assert max(abs(p.z) for p in lift) < 1e-12
+    assert np.max(np.abs(lift)) < 1e-12
+
+
+def _ngon(radius, n, clockwise=False):
+    t = np.linspace(0.0, 2.0 * math.pi, n + 1)
+    pts = radius * np.column_stack([np.cos(t), np.sin(t)])
+    pts[-1] = pts[0]
+    return pts[::-1] if clockwise else pts
+
+
+# coarse polygons split each segment into many sub-segments, which the
+# 20001-gon of circle_path (one or two per segment) does not
+@pytest.mark.parametrize("path, kappa", [
+    (_ngon(2.0, 1000, clockwise=True), 0.0),
+    (_ngon(1.9, 1000), -1.0),
+    (_ngon(3.2, 1000), -0.36),
+    (_densify(np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0),
+                        (1.0, 1.0)]), 4000), 0.0),
+    (_random_polygon(7, 40, 0.5, 3.0), -0.36),
+    (_random_polygon(8, 60, 0.2, 5.0), 0.0),
+], ids=["circle-cw-flat", "circle-k1", "circle-k0.36", "audit-square",
+        "polygon-k0.36", "polygon-flat"])
+def test_enclosed_area_matches_the_per_segment_loop(path, kappa):
+    params = SpaceParams(kappa=kappa, tau=0.5)
+    ref = _enclosed_area_by_segment(path, params)
+    assert enclosed_area(path, params) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def _bad_paths():
+    good = circle_path(1.0)
+    nan_at_3 = good.copy()
+    nan_at_3[3, 1] = np.nan
+    inf_at_0 = good.copy()
+    inf_at_0[0, 0] = np.inf
+    repeat_at_5 = good.copy()
+    repeat_at_5[5] = repeat_at_5[4]
+    return [
+        ("shape", good[:1], NIL),
+        ("shape", good[:, :1], NIL),
+        ("shape", good.ravel(), NIL),
+        ("shape", np.column_stack([good, good[:, :1]]), NIL),
+        ("shape", good[None], NIL),
+        ("non-finite point at sample 3", nan_at_3, NIL),
+        ("non-finite point at sample 0", inf_at_0, H2R),
+        ("sample 0 lies on or outside the ideal circle", circle_path(2.0), H2R),
+        ("sample 0 lies on or outside the ideal circle", circle_path(2.5), H2R),
+        ("sample 0 lies on or outside the ideal circle", circle_path(2.0) * 0.9,
+         SpaceParams(kappa=-1.3, tau=0.5)),
+        ("distinct", repeat_at_5, NIL),
+    ]
+
+
+@pytest.mark.parametrize("fn", [
+    lambda p, params: horizontal_lift(p, 0.0, params), holonomy_gap,
+    enclosed_area], ids=["horizontal_lift", "holonomy_gap", "enclosed_area"])
+@pytest.mark.parametrize("match, path, params", _bad_paths(), ids=[
+    "one-sample", "one-column", "flat", "three-columns", "three-d",
+    "nan", "inf", "on-ideal-circle", "outside-ideal-circle",
+    "outside-at-kappa-1.3", "repeated-sample"])
+def test_a_bad_path_is_rejected_before_any_work(fn, match, path, params):
+    with pytest.raises(GeometryError, match=match):
+        fn(path, params)
+
+
+@pytest.mark.parametrize("fn", [holonomy_gap, enclosed_area])
+def test_an_open_path_has_no_gap_or_area(fn):
+    assert horizontal_lift(circle_path(1.0)[:-5], 0.0, NIL).shape == (19_997,)
+    with pytest.raises(GeometryError, match="closed"):
+        fn(circle_path(1.0)[:-5], NIL)
+
+
+def test_the_ideal_circle_only_bounds_negative_kappa():
+    assert holonomy_gap(circle_path(2.5), NIL) == pytest.approx(
+        math.pi * 2.5 ** 2, abs=1e-6)
+    assert math.isfinite(holonomy_gap(circle_path(1.99), H2R))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ektlab import spaces
-from ektlab.spaces import (BasePoint, GeometryError, SpaceParams,
+from ektlab.spaces import (GeometryError, SpaceParams,
                            build_triangle, chart_radius, conformal_factor,
                            conformal_factor_xy, interior_angle_at_p2,
                            law_of_cosines, metric_radius, min_metric_distance)
@@ -26,17 +26,24 @@ def test_space_params_from_h_ties_kappa_and_tau():
 
 
 def test_conformal_factor_matches_formula_and_flat_limit():
-    p = BasePoint(0.3, -0.4)
     for kappa in (-1.0, -0.75, 0.0):
         params = SpaceParams(kappa=kappa, tau=0.0)
-        lam = conformal_factor(p, params)
+        lam = conformal_factor(0.3, -0.4, params)
         assert lam == 1.0 / (1.0 + kappa * 0.25 / 4.0)
-    assert conformal_factor(p, NIL) == 1.0
+    assert conformal_factor(0.3, -0.4, NIL) == 1.0
 
 
 def test_conformal_factor_rejects_points_off_the_disk():
     with pytest.raises(GeometryError):
-        conformal_factor(BasePoint(2.5, 0.0), H2R)
+        conformal_factor(2.5, 0.0, H2R)
+
+
+@pytest.mark.parametrize("x, y, params", [
+    (math.nan, 0.0, H2R), (0.0, math.nan, NIL),
+    (math.inf, 0.0, NIL), (0.0, -math.inf, NIL)])
+def test_conformal_factor_rejects_non_finite_points(x, y, params):
+    with pytest.raises(GeometryError, match="non-finite"):
+        conformal_factor(x, y, params)
 
 
 def test_conformal_factor_xy_vectorizes():
@@ -140,23 +147,22 @@ def test_law_of_cosines_rejects_bad_input():
 
 def test_build_triangle_places_vertices_on_the_wedge():
     tri = build_triangle(1.0, 2.0, 3, -0.75)
-    assert (tri.p0.x, tri.p0.y) == (0.0, 0.0)
-    assert tri.p1.y == 0.0 and tri.p1.x > 0
+    assert tri.p1[1] == 0.0 and tri.p1[0] > 0
     # chart radii encode the metric side lengths
-    assert metric_radius(tri.p1.x, -0.75) == pytest.approx(1.0, rel=1e-12)
-    r2 = math.hypot(tri.p2.x, tri.p2.y)
+    assert metric_radius(tri.p1[0], -0.75) == pytest.approx(1.0, rel=1e-12)
+    r2 = math.hypot(*tri.p2)
     assert metric_radius(r2, -0.75) == pytest.approx(2.0, rel=1e-12)
-    assert math.atan2(tri.p2.y, tri.p2.x) == pytest.approx(math.pi / 3)
+    assert math.atan2(tri.p2[1], tri.p2[0]) == pytest.approx(math.pi / 3)
     assert tri.ell == pytest.approx(law_of_cosines(1.0, 2.0, 3, -0.75))
 
 
 def test_build_triangle_ideal_vertices():
     tri = build_triangle(math.inf, 1.0, 2, -1.0)
     assert tri.a_infinite and not tri.b_infinite
-    assert math.hypot(tri.p1.x, tri.p1.y) == pytest.approx(2.0)  # boundary circle
+    assert math.hypot(*tri.p1) == pytest.approx(2.0)  # boundary circle
     assert math.isinf(tri.ell)
     flat = build_triangle(math.inf, 1.0, 2, 0.0)
-    assert math.isinf(flat.p1.x)
+    assert math.isinf(flat.p1[0])
 
 
 def test_interior_angle_at_p2_threshold_and_monotonicity():
