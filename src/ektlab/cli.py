@@ -77,13 +77,19 @@ def _prepare_out(path: str) -> str:
     return path
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_lines(path: str, lines) -> None:
+    """Write each line and a newline, one line at a time."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text if text.endswith("\n") else text + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _write_json(path: str, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2))
+    _write_lines(path, [json.dumps(payload, sort_keys=True, indent=2)])
+
+
+def _name(x: float) -> str:
+    """repr(x) less a trailing ".0": distinct values get distinct names."""
+    return repr(float(x)).removesuffix(".0")
 
 
 def _config_value(option: argparse.Action, text: str):
@@ -170,8 +176,8 @@ _DOMAINS = {
 
 # ---------------------------------------------------------------- helicoid
 
-# cap on the residual grid: several float arrays of this length are alive
-# at once while the profile is inverted
+# cap on the residual grid: the profile holds v, f and h at this length and
+# the residuals a few temporaries of it (the inversion's are block-sized)
 _MAX_SAMPLES = 10 ** 7
 
 def _write_obj(path: str, profile, u_max: float) -> None:
@@ -195,7 +201,7 @@ def _write_obj(path: str, profile, u_max: float) -> None:
             q11 = q10 + 1
             lines.append(f"f {q00} {q10} {q11}")
             lines.append(f"f {q00} {q11} {q01}")
-    _write_text(path, "\n".join(lines))
+    _write_lines(path, lines)
 
 
 def cmd_helicoid(args: argparse.Namespace) -> int:
@@ -227,15 +233,15 @@ def cmd_helicoid(args: argparse.Namespace) -> int:
                  "window": args.window, "samples": int(v.size)},
     }
     out = _prepare_out(args.out)
-    stem = os.path.join(out, f"helicoid_mu_{mu:g}")
-    _write_text(stem + ".csv", "\n".join(profile_csv_lines(profile)))
+    stem = os.path.join(out, f"helicoid_mu_{_name(mu)}")
+    _write_lines(stem + ".csv", profile_csv_lines(profile))
     _write_json(stem + ".json", report)
     written = [stem + ".csv", stem + ".json"]
     if args.obj:
         _write_obj(stem + ".obj", profile, args.u_max)
         written.append(stem + ".obj")
     flag = f" [{special}]" if special else ""
-    print(f"mu={mu:g}{flag}  t_mu={report['t_mu']}  "
+    print(f"mu={_name(mu)}{flag}  t_mu={report['t_mu']}  "
           f"minimality_residual={res_min:.3e}  wrote {', '.join(written)}")
     return 0
 
@@ -254,14 +260,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     last = sols[-1]
     report = solution_report_dict(sols)
     out = _prepare_out(args.out)
-    stem = os.path.join(
-        out, f"solution_a{args.a:g}_b{args.b_side:g}_k{args.k}_H{args.H:g}")
-    _write_text(stem + ".csv", "\n".join(solution_csv_lines(last)))
+    stem = os.path.join(out, f"solution_a{_name(args.a)}_b{_name(args.b_side)}"
+                             f"_k{args.k}_H{_name(args.H)}")
+    _write_lines(stem + ".csv", solution_csv_lines(last))
     _write_json(stem + ".json", report)
     ci = report["cauchy_indicator"]
     ci_txt = "n/a" if ci is None else f"{ci:.3e}"
-    print(f"T(a={args.a:g}, b={args.b_side:g}, k={args.k}, "
-          f"H={args.H:g})  nodes={last.domain.n_nodes}  "
+    print(f"T(a={_name(args.a)}, b={_name(args.b_side)}, k={args.k}, "
+          f"H={_name(args.H)})  nodes={last.domain.n_nodes}  "
           f"d={report['d_estimate']:.6f}  rho={report['rho_estimate']:.6f}  "
           f"cauchy={ci_txt}  wrote {stem}.csv, {stem}.json")
     return 0
@@ -327,7 +333,7 @@ def _figure_sweep_d(args: argparse.Namespace, out: str) -> int:
               f"a_grid={a_grid!r} b_grid={b_grid!r}")
     rows = [header, "a,b,d"] + [f"{a!r},{b!r},{dv!r}" for a, b, dv, _ in results]
     csv_path = os.path.join(out, "sweep_d.csv")
-    _write_text(csv_path, "\n".join(rows))
+    _write_lines(csv_path, rows)
     verdict = {
         "H": args.H, "k": args.k, "M": list(args.M),
         "target_h": args.target_h, "a_grid": a_grid, "b_grid": b_grid,
@@ -394,7 +400,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     rows = run_audit(fault_eps=args.fault_inject)
     table = format_table(rows)
     print(table)
-    _write_text(os.path.join(out, "audit.txt"), table)
+    _write_lines(os.path.join(out, "audit.txt"), [table])
     return 1 if any(not r.passed for r in rows) else 0
 
 

@@ -11,6 +11,11 @@ with f(0) = 0 and f'(0) = 1 - 2mu.  For |mu| <= 1/2 the graph is entire
 (half-period t_mu infinite); otherwise f blows up at the finite half-period
 t_mu and the surface contains the vertical fibers over (0, +-t_mu).
 
+f is found for all samples at once: Psi(x) = int_0^x |integrand| is
+tabulated at fixed Gauss-Legendre panel edges and Newton runs inside each
+sample's panel, so f(v) depends on v alone.  g_mu, by adaptive quadrature,
+is the independent reference the inversion is checked against.
+
 Sign conventions in this chart: the sampled profile column h = (v - f)/2
 follows the published parametrization and feeds sigma = lim h'/(1+h^2)
 = (1+2mu)^2/(4mu), while the height field that actually satisfies the
@@ -167,83 +172,88 @@ def _f_prime_rhs(f, c: float):
     return 2.0 * s1 / (s1 + c * s2)
 
 
-class _ProfileInverter:
-    """Marching Newton inversion of g_mu with incremental quadrature.
-
-    The integrand never changes sign, so g(x) = s0 * sign(x) * Psi(|x|) with
-    Psi increasing on [0, inf) and of a single convexity per branch; Newton
-    on Psi therefore converges monotonically from any warm start.  Psi is
-    evaluated by accumulating fixed Gauss-Legendre panels between successive
-    iterates; panel lengths are capped by the distance to the nearest complex
-    singularity of the integrand, keeping every panel exact to machine
-    precision.
-    """
-
-    _GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
-
-    def __init__(self, mu: float):
-        self.mu = mu
-        self.c = c_of_mu(mu)
-        self.s0 = 1.0 if mu < 0.5 else -1.0  # sign of the integrand
-        self.panel = min(0.125, 0.5 / max(1.0, abs(self.c)))
-        self._xi = 0.0
-        self._psi = 0.0
-
-    def _dpsi(self, xi: float) -> float:
-        return abs(float(_integrand(np.array(xi * xi), self.c)))
-
-    def _advance(self, xi_new: float) -> float:
-        """Move the (xi, Psi(xi)) state to xi_new >= 0 and return Psi."""
-        a, b = self._xi, xi_new
-        if a != b:
-            n = max(1, int(math.ceil(abs(b - a) / self.panel)))
-            edges = np.linspace(a, b, n + 1)
-            mids = (edges[:-1] + edges[1:]) / 2.0
-            half = (edges[1:] - edges[:-1]) / 2.0
-            xs = mids[:, None] + half[:, None] * self._GL_X[None, :]
-            vals = np.abs(_integrand(xs * xs, self.c))
-            self._psi += float(np.sum((vals @ self._GL_W) * half))
-        self._xi = xi_new
-        return self._psi
-
-    def solve(self, v: float) -> float:
-        """f(v): the x with g(x) = v, to near machine precision."""
-        if v == 0.0:
-            return 0.0
-        w = abs(v)
-        psi = self._advance(self._xi)
-        for _ in range(100):
-            err = psi - w
-            if abs(err) < 1e-13 * max(1.0, w):
-                break
-            step = -err / self._dpsi(self._xi)
-            xi_next = self._xi + step
-            if xi_next < 0.0:
-                xi_next = 0.5 * self._xi
-            if xi_next == self._xi:
-                break
-            psi = self._advance(xi_next)
-        else:
-            raise ArithmeticError(
-                f"profile inversion stalled at v={v!r} (mu={self.mu})")
-        return math.copysign(self._xi, v * self.s0)
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
+_ROUND = 64        # panels added to the Psi table per round
+_BLOCK = 2 ** 14   # samples per Newton block, which bounds its temporaries
+_NEWTON_ITERS = 50
 
 
-def _profile_values(mu: float, v: np.ndarray) -> np.ndarray:
-    """f on a batch: closed forms at mu in {0, +-1/2}, otherwise one
-    inversion march outward in |v| so each solve warm-starts from its
-    neighbor."""
+def _gauss(a: np.ndarray, b: np.ndarray, c: float) -> np.ndarray:
+    """int_a^b |integrand| per pair by one 15-point Gauss-Legendre panel; the
+    row sum adds each row alike at any batch size (a BLAS gemv would not)."""
+    half = (b - a) / 2.0
+    y = ((a + b) / 2.0)[:, None] + half[:, None] * _GL_X
+    return np.sum(np.abs(_integrand(y * y, c)) * _GL_W, axis=1) * half
+
+
+def _psi_table(c: float, w_max: float):
+    """Panel edges e and Psi(e) = int_0^e |integrand| from 0 until Psi
+    passes w_max, in rounds of _ROUND panels summed in order, so the
+    table's prefix does not depend on w_max.  A panel from e is
+    min(max(1/8, e/64), max(1/(2|c|), e/4)) wide: 8 half-widths or more
+    from the singularities at +-2i and +-2i/|c|, and 1/8 for |c| <= 4 up
+    to e = 8."""
+    a = 0.5 / abs(c)
+    edges, psi = [0.0], np.zeros(1)
+    while psi[-1] <= w_max:
+        x = edges[-1]
+        for _ in range(_ROUND):
+            x += min(max(0.125, x / 64.0), max(a, x / 4.0))
+            edges.append(x)
+        e = np.array(edges[-_ROUND - 1:])
+        sums = np.cumsum(np.concatenate((psi[-1:], _gauss(e[:-1], e[1:], c))))
+        if sums[-1] == psi[-1]:
+            raise QuadratureError(
+                f"the slope quadrature saturates below |v| = {w_max!r}", w_max - psi[-1])
+        psi = np.concatenate((psi, sums[1:]))
+    return np.array(edges), psi
+
+
+def _invert_psi(w: np.ndarray, e: np.ndarray, psi: np.ndarray, c: float,
+                mu: float) -> np.ndarray:
+    """The x >= 0 with Psi(x) = w.  Psi increases with one convexity per
+    branch, so Newton from the chord of w's panel converges monotonically;
+    a sample stops once |Psi(x) - w| <= 4 eps w or x stops moving."""
+    k = np.searchsorted(psi, w, side="right") - 1
+    lo, hi, base = e[k], e[k + 1], psi[k]
+    x = lo + (w - base) / (psi[k + 1] - base) * (hi - lo)
+    todo = np.arange(w.size)
+    for _ in range(_NEWTON_ITERS):
+        xt = x[todo]
+        err = base[todo] + _gauss(lo[todo], xt, c) - w[todo]
+        step = err / np.abs(_integrand(xt * xt, c))
+        x_next = np.clip(xt - step, lo[todo], hi[todo])
+        done = (np.abs(err) <= 4.0 * np.finfo(float).eps * w[todo]) | (x_next == xt)
+        x[todo] = np.where(done, xt, x_next)
+        todo = todo[~done]
+        if todo.size == 0:
+            return x
+    raise QuadratureError(f"profile inversion stalled (mu={mu!r})",
+                          float(np.max(np.abs(err[~done]))))
+
+
+def _profile_values(mu: float, t: float, v: np.ndarray) -> np.ndarray:
+    """f on an array of any shape, each sample solved on its own: closed
+    forms at mu in {0, +-1/2}; otherwise one Psi table up to max |v|, then
+    Newton per sample in blocks of _BLOCK, so f(v) depends on v alone."""
+    outside = ~(np.abs(v) < t)
+    if np.any(outside):
+        raise GeometryError(f"{np.count_nonzero(outside)} sample(s) outside "
+                            f"the open domain |v| < t_mu = {t}")
     if mu == 0.0:
         return v.copy()
     if mu == 0.5:
         return np.zeros_like(v)
     if mu == -0.5:
         return 2.0 * v
-    inv = _ProfileInverter(mu)
-    order = np.argsort(np.abs(v), kind="stable")
-    f = np.empty_like(v)
-    f[order] = [inv.solve(float(x)) for x in v[order]]
-    return f
+    c = c_of_mu(mu)
+    w = np.abs(v).ravel()
+    e, psi = _psi_table(c, float(np.max(w, initial=0.0)))
+    x = np.empty_like(w)
+    for i in range(0, w.size, _BLOCK):
+        x[i:i + _BLOCK] = _invert_psi(w[i:i + _BLOCK], e, psi, c, mu)
+    s0 = 1.0 if mu < 0.5 else -1.0  # sign of the integrand
+    return np.where(v * s0 < 0.0, -1.0, 1.0) * x.reshape(v.shape)
 
 
 @dataclass(frozen=True)
@@ -261,18 +271,9 @@ class HelicoidProfile:
     h: np.ndarray
     sigma: Optional[float] = None
 
-    def f_at(self, v: float) -> float:
-        """Profile value at an arbitrary |v| < t_mu (fresh inversion)."""
-        return float(self.f_many(np.array([v]))[0])
-
     def f_many(self, v) -> np.ndarray:
-        """Profile values on an arbitrary batch, warm-started by |v| order."""
-        v = np.asarray(v, dtype=float)
-        if np.any(np.abs(v) >= self.t_mu):
-            worst = float(np.max(np.abs(v)))
-            raise GeometryError(
-                f"|v|={worst} outside the open domain (t_mu={self.t_mu})")
-        return _profile_values(self.mu, v)
+        """Profile values on an array of any shape inside |v| < t_mu."""
+        return _profile_values(self.mu, self.t_mu, np.asarray(v, dtype=float))
 
 
 def invert_profile(mu: float, v_grid: Sequence[float]) -> HelicoidProfile:
@@ -281,16 +282,12 @@ def invert_profile(mu: float, v_grid: Sequence[float]) -> HelicoidProfile:
     Samples with |v| >= t_mu are rejected (the profile only exists on the
     open interval).  mu in {0, +-1/2} short-circuit to their closed forms.
     """
-    v = np.asarray(list(v_grid), dtype=float)
+    v = np.asarray(v_grid, dtype=float)
     t = t_mu(mu)
-    if np.any(np.abs(v) >= t):
-        bad = v[np.abs(v) >= t]
-        raise GeometryError(
-            f"{bad.size} sample(s) outside the open domain |v| < t_mu = {t}")
-    sig = None if mu == 0.0 else sigma(mu)
-    f = _profile_values(mu, v)
+    f = _profile_values(mu, t, v)
     h = (v - f) / 2.0
-    return HelicoidProfile(mu=mu, t_mu=t, v=v, f=f, h=h, sigma=sig)
+    return HelicoidProfile(mu=mu, t_mu=t, v=v, f=f, h=h,
+                           sigma=None if mu == 0.0 else sigma(mu))
 
 
 def residual_grid(mu: float, spacing: float = 1e-3, fraction: float = 0.9,
@@ -365,7 +362,7 @@ def angle_function(u, v, profile: HelicoidProfile):
     and the conserved slope law, never by differencing the samples.
     """
     u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    f = profile.f_many(v.ravel()).reshape(v.shape)
+    f = profile.f_many(v)
     fp = 0.0 if profile.mu == 0.5 else _f_prime_rhs(f, c_of_mu(profile.mu))
     h = (v - f) / 2.0
     hp = (1.0 - fp) / 2.0
@@ -377,10 +374,8 @@ def angle_function(u, v, profile: HelicoidProfile):
 
 def model_height(u, v, profile: HelicoidProfile):
     """Height field u * (f(v) - v)/2 of the minimal member over the (u, v) chart."""
-    u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    fv = profile.f_many(v.ravel()).reshape(v.shape) if v.ndim else profile.f_at(float(v))
-    out = u * (fv - v) / 2.0
+    out = np.asarray(u, dtype=float) * (profile.f_many(v) - v) / 2.0
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -426,15 +421,11 @@ def fault_injection(eps: float):
         _FAULT_INTEGRAND_EPS = old
 
 
-def profile_csv_lines(profile: HelicoidProfile) -> list:
-    """CSV export: metadata comments, then v,f,h rows (deterministic)."""
+def profile_csv_lines(profile: HelicoidProfile):
+    """CSV export, yielded line by line: metadata comments, then v,f,h rows
+    (deterministic)."""
     sig = "" if profile.sigma is None else f"{profile.sigma!r}"
-    lines = [
-        f"# mu={profile.mu!r}",
-        f"# t_mu={profile.t_mu!r}",
-        f"# sigma={sig}",
-        "v,f,h",
-    ]
+    yield from (f"# mu={profile.mu!r}", f"# t_mu={profile.t_mu!r}",
+                f"# sigma={sig}", "v,f,h")
     for v, f, h in zip(profile.v, profile.f, profile.h):
-        lines.append(f"{float(v)!r},{float(f)!r},{float(h)!r}")
-    return lines
+        yield f"{float(v)!r},{float(f)!r},{float(h)!r}"

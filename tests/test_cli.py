@@ -39,6 +39,25 @@ def test_helicoid_horizontal_member_has_no_first_integral(tmp_path):
     assert rep["first_integral_residual"] is None
 
 
+def test_distinct_members_write_distinct_files(tmp_path, capsys):
+    out = tmp_path / "o"
+    for mu in ("0.5", "0.5000001"):
+        assert run("helicoid", "--mu", mu, "--spacing", "1e-2", "--out", str(out)) == 0
+        assert capsys.readouterr().out.startswith(f"mu={mu}")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "helicoid_mu_0.5.csv", "helicoid_mu_0.5.json",
+        "helicoid_mu_0.5000001.csv", "helicoid_mu_0.5000001.json"]
+    assert json.loads((out / "helicoid_mu_0.5000001.json").read_text())["mu"] == 0.5000001
+    assert json.loads((out / "helicoid_mu_0.5.json").read_text())["mu"] == 0.5
+
+
+def test_a_stalled_profile_inversion_is_a_numeric_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("ektlab.helicoid._NEWTON_ITERS", 1)
+    assert run("helicoid", "--mu", "-0.6", "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert "numeric failure: profile inversion stalled (mu=-0.6)" in err
+
+
 def test_helicoid_obj_export(tmp_path):
     out = tmp_path / "o"
     assert run("helicoid", "--mu", "1", "--obj", "--out", str(out)) == 0

@@ -142,9 +142,9 @@ def test_model_height_and_angle_function():
     prof = hc.invert_profile(mu, v)
     # model height is the ruled graph u (f(v) - v)/2
     z = hc.model_height(2.0, 0.7, prof)
-    assert z == pytest.approx(2.0 * (prof.f_at(0.7) - 0.7) / 2.0)
+    assert z == pytest.approx(2.0 * (float(prof.f_many(0.7)) - 0.7) / 2.0)
     # sample-convention form 2/sqrt(u^2 (1-2h')^2 + (2h + v)^2 + 4)
-    f = prof.f_at(0.3)
+    f = float(prof.f_many(0.3))
     fp = float(hc._f_prime_rhs(f, hc.c_of_mu(mu)))
     h, hp = (0.3 - f) / 2.0, (1.0 - fp) / 2.0
     assert hc.angle_function(1.1, 0.3, prof) == pytest.approx(
@@ -162,11 +162,11 @@ def test_angle_function_on_a_grid_matches_per_point_calls(mu):
     assert grid.shape == u.shape
     each = np.array([[hc.angle_function(float(a), float(b), prof)
                       for a, b in zip(ur, vr)] for ur, vr in zip(u, v)])
-    assert np.max(np.abs(grid - each)) <= 1e-12
+    assert np.array_equal(grid, each)
     # a scalar call is the per-point formula, to the bit
     for a, b in zip(u.ravel()[::7], v.ravel()[::7]):
         a, b = float(a), float(b)
-        f = prof.f_at(b)
+        f = float(prof.f_many(b))
         fp = 0.0 if mu == 0.5 else float(hc._f_prime_rhs(f, hc.c_of_mu(mu)))
         h, hp = (b - f) / 2.0, (1.0 - fp) / 2.0
         assert hc.angle_function(a, b, prof) == 2.0 / math.sqrt(
@@ -193,7 +193,7 @@ def test_profile_inversion_property(mu, frac):
 
 def test_profile_csv_lines_schema():
     prof = hc.invert_profile(1.0, np.linspace(-1, 1, 5))
-    lines = hc.profile_csv_lines(prof)
+    lines = list(hc.profile_csv_lines(prof))
     assert lines[0] == "# mu=1.0"
     assert lines[1].startswith("# t_mu=1.4148844305")
     assert lines[2] == "# sigma=2.25"
@@ -212,3 +212,60 @@ def test_fault_injection_changes_residuals_only_while_active():
     assert dirty > 100 * max(clean, 1e-12)
     assert hc.minimality_residual(hc.invert_profile(0.25, v)) == \
         pytest.approx(clean)
+
+
+@pytest.mark.parametrize("mu", [-20.0, -3.0, -0.51, 0.25, 0.501, 1.0, 20.0])
+def test_profile_of_a_sample_does_not_depend_on_its_batch(mu):
+    """f_many on a batch, on a shuffled batch and one sample at a time."""
+    rng = np.random.default_rng(7)
+    lim = 0.99 * min(hc.t_mu(mu), 3.0)
+    prof = hc.invert_profile(mu, np.linspace(-lim, lim, 5))
+    v = np.concatenate(([0.0, lim, -lim], rng.uniform(-lim, lim, 300)))
+    batch = prof.f_many(v)
+    perm = rng.permutation(v.size)
+    shuffled = np.empty_like(v)
+    shuffled[perm] = prof.f_many(v[perm])
+    single = np.array([prof.f_many(x) for x in v])
+    assert np.array_equal(batch, shuffled)
+    assert np.array_equal(batch, single)
+    assert np.array_equal(batch, hc.invert_profile(mu, v).f)
+
+
+def test_profile_of_a_sample_does_not_depend_on_its_block():
+    """A batch over several Newton blocks, with a far sample that lengthens
+    the Psi table, against single samples."""
+    mu = -0.6
+    rng = np.random.default_rng(8)
+    t = hc.t_mu(mu)
+    v = rng.uniform(-0.5 * t, 0.5 * t, 3 * hc._BLOCK)
+    v[-1] = 0.999 * t
+    prof = hc.invert_profile(mu, v[:5])
+    batch = prof.f_many(v)
+    picks = np.arange(0, v.size, 997)
+    assert np.array_equal(batch[picks], [prof.f_many(x) for x in v[picks]])
+
+
+@pytest.mark.parametrize("mu", [0.5000001, 0.501, -0.51, -3.0])
+def test_inversion_next_to_the_half_period(mu):
+    v = 0.99 * hc.t_mu(mu)
+    prof = hc.invert_profile(mu, [-v, 0.0, v])
+    for vv, f in zip(prof.v, prof.f):
+        assert abs(hc.g_mu(float(f), mu) - vv) <= 1e-10
+    assert prof.f[1] == 0.0 and prof.f[0] == -prof.f[2]
+
+
+def test_a_sample_past_the_tabulated_half_period_is_a_quadrature_error():
+    t = hc.t_mu(-3.0)
+    with pytest.raises(hc.QuadratureError, match="saturates"):
+        hc.invert_profile(-3.0, [0.5 * t, np.nextafter(t, 0.0)])
+
+
+def test_samples_outside_the_open_domain_are_rejected():
+    prof = hc.invert_profile(-3.0, [0.1])
+    for bad in (prof.t_mu, -prof.t_mu, np.nan, np.inf):
+        with pytest.raises(GeometryError):
+            prof.f_many([0.2, bad])
+        with pytest.raises(GeometryError):
+            hc.invert_profile(-3.0, [bad])
+    with pytest.raises(GeometryError):
+        hc.invert_profile(0.25, [np.nan])

@@ -139,8 +139,8 @@ def test_strip_solution_matches_helicoid_height():
                           R_trunc=4.0)
         tags = ("side_p0p1", "side_p0p2", "side_p1p2", "truncation")
         sol = solve_dirichlet(dom, {t: data_fn for t in tags}, FLAT_HALF)
-        f_at = np.interp(dom.nodes[:, 1], prof.v, prof.f)
-        exact = dom.nodes[:, 0] * (f_at - dom.nodes[:, 1]) / 2.0
+        f_y = np.interp(dom.nodes[:, 1], prof.v, prof.f)
+        exact = dom.nodes[:, 0] * (f_y - dom.nodes[:, 1]) / 2.0
         away = dom.nodes[:, 0] <= 3.0
         sup[h] = float(np.abs(sol.u - exact)[away].max())
     assert sup[0.05] < 5e-3
@@ -154,9 +154,9 @@ def test_vertex_angle_rate_matches_helicoid_oracle():
     t = hc.t_mu(mu)
     dom = triangulate(build_triangle(math.inf, t, 2, 0.0), 0.05, R_trunc=4.0)
     y = np.minimum(dom.nodes[:, 1], t - 1e-4)
-    f_at = hc.invert_profile(mu, y).f
+    f_y = hc.invert_profile(mu, y).f
     sol = solver.GraphSolution(
-        domain=dom, u=np.minimum(dom.nodes[:, 0] * (f_at - y) / 2.0, 12.0),
+        domain=dom, u=np.minimum(dom.nodes[:, 0] * (f_y - y) / 2.0, 12.0),
         params=FLAT_HALF, residual_norm=0.0, newton_iters=0)
     samples = boundary_theta_prime(sol)
     s, tp = samples[:, 0], samples[:, 1]
