@@ -180,6 +180,10 @@ _DOMAINS = {
 # the residuals a few temporaries of it (the inversion's are block-sized)
 _MAX_SAMPLES = 10 ** 7
 
+# largest helicoid window: the inversion squares x and c x, where
+# x <= 2 |v| and c < 2**54 for |mu| < 1/2, so both squares stay finite
+_MAX_WINDOW = 1e100
+
 def _write_obj(path: str, profile, u_max: float) -> None:
     """Height-field mesh of the ruled member over the (u, v) chart."""
     stride = max(1, (profile.v.size - 1) // 120)
@@ -212,6 +216,9 @@ def cmd_helicoid(args: argparse.Namespace) -> int:
     if vmax / args.spacing >= _MAX_SAMPLES / 2:
         raise UsageError(f"the grid needs more than {_MAX_SAMPLES:,} samples: "
                          "raise --spacing or shrink --span/--window")
+    if math.isinf(t) and args.window > _MAX_WINDOW:
+        raise UsageError(f"--window must be at most {_MAX_WINDOW:g}, past which "
+                         "the profile's squares overflow")
     special = {0.0: "umbrella", 0.5: "invariant surface"}.get(abs(mu))
     v = residual_grid(mu, spacing=args.spacing, fraction=args.span,
                       window=args.window)

@@ -301,11 +301,11 @@ class AssembledBoundary:
         return sum(p.shape[0] - 1 for p in self.pieces)
 
 
-def _canonical_key(pts: np.ndarray) -> tuple:
-    q = np.round(pts * 1e9).astype(np.int64)
-    fwd = q.tobytes()
-    rev = q[::-1].tobytes()
-    return min(fwd, rev)
+def _same_points(a: np.ndarray, b: np.ndarray) -> bool:
+    """a and b coincide on the 1e-9 grid, in the same or the opposite order."""
+    qa = np.round(a * 1e9).astype(np.int64)
+    qb = np.round(b * 1e9).astype(np.int64)
+    return np.array_equal(qa, qb) or np.array_equal(qa, qb[::-1])
 
 
 def assemble_domain(fundamental_curve: PlanarCurve, k: int) -> AssembledBoundary:
@@ -326,7 +326,6 @@ def assemble_domain(fundamental_curve: PlanarCurve, k: int) -> AssembledBoundary
         if min(ang, math.pi / k - ang) * r0 > 1e-8:
             raise GeometryError("fundamental curve must start on a symmetry ray")
     images = []
-    seen = set()
     for j in range(k):
         rot = 2.0 * math.pi * j / k
         cr, sr = math.cos(rot), math.sin(rot)
@@ -336,10 +335,11 @@ def assemble_domain(fundamental_curve: PlanarCurve, k: int) -> AssembledBoundary
             if mirror:
                 p[:, 1] = -p[:, 1]
             p = p @ R.T
-            key = _canonical_key(p)
-            if key in seen:
+            # coinciding images share their end points, so only a match
+            # there compares every point
+            if any(_same_points(p[[0, -1]], q[[0, -1]]) and _same_points(p, q)
+                   for q in images):
                 continue
-            seen.add(key)
             images.append(p)
     merged = _merge_chains(images)
     gaps = []

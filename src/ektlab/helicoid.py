@@ -14,7 +14,10 @@ t_mu and the surface contains the vertical fibers over (0, +-t_mu).
 f is found for all samples at once: Psi(x) = int_0^x |integrand| is
 tabulated at fixed Gauss-Legendre panel edges and Newton runs inside each
 sample's panel, so f(v) depends on v alone.  g_mu, by adaptive quadrature,
-is the independent reference the inversion is checked against.
+is the independent reference the inversion is checked against.  Only the
+quadrature routes (g_mu, t_mu, blowup_half_period and
+vertex_base_distance_quadrature) import scipy.integrate, in their bodies,
+so importing this module does not load it.
 
 Sign conventions in this chart: the sampled profile column h = (v - f)/2
 follows the published parametrization and feeds sigma = lim h'/(1+h^2)
@@ -32,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .spaces import GeometryError
 
@@ -101,6 +103,7 @@ def g_mu(x: float, mu: float) -> float:
     c = c_of_mu(mu)
     if x == 0.0:
         return 0.0
+    from scipy import integrate
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(lambda y: float(_integrand(y * y, c)),
@@ -128,6 +131,7 @@ def t_mu(mu: float) -> float:
     def f_tail(t: float) -> float:
         return abs(float(_integrand(1.0 / (t * t), c))) / (t * t)
 
+    from scipy import integrate
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         head, e1 = integrate.quad(f_head, 0.0, 1.0, epsabs=1e-14, epsrel=1e-14,
@@ -156,6 +160,7 @@ def blowup_half_period(mu: float, f_stop: float = 1e8) -> float:
         v, q = y
         return [1.0 / q, 2.0 * f * (q - 1.0) * (q - 2.0) / ((4.0 + f * f) * q)]
 
+    from scipy import integrate
     sol = integrate.solve_ivp(rhs, (0.0, sign * f_stop), [0.0, 1.0 - 2.0 * mu],
                               method="DOP853", rtol=1e-13, atol=1e-13)
     if not sol.success:
@@ -402,6 +407,7 @@ def vertex_base_distance_quadrature(mu: float) -> float:
     def f_tail(t: float) -> float:
         return f_head(1.0 / t) / (t * t)
 
+    from scipy import integrate
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         head, _ = integrate.quad(f_head, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)

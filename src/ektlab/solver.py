@@ -40,7 +40,10 @@ is accepted is the next iterate, so its gradient and Hessian reuse the
 tilt its energy computed.  The two largest transients of a solve, the
 free-free pattern build and the factorization, never meet the held tilt:
 the pattern is built before the first tilt, and the Hessian drops the
-tilt before its block is factorized.
+tilt before its block is factorized.  The element geometry and the
+free-free pattern depend on the mesh alone, so a Jenkins-Serrin sweep
+builds one assembly per mesh for its whole M schedule, and drops it when
+the sweep returns.
 
 Jenkins-Serrin sweeps solve the same problem for an increasing schedule of
 far-side data M with zero data on the two sides through p0.  The first M
@@ -58,8 +61,8 @@ from typing import Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
 from scipy.sparse.linalg import splu
+from scipy.spatial import Delaunay, cKDTree
 
 from .graphs import graph_gradient
 from .spaces import (GeometryError, SpaceParams, build_triangle,
@@ -224,7 +227,8 @@ class _Assembly:
         return free, (keys % free.size).astype(np.int32), indptr, slots
 
     def pattern(self, free: np.ndarray):
-        """The free-free pattern, built once per free set."""
+        """The free-free pattern, built once per free set: once per mesh
+        for a Jenkins-Serrin schedule, whose every M fixes the same nodes."""
         if self._pattern is None or not np.array_equal(self._pattern[0], free):
             self._pattern = self._free_pattern(free)
         return self._pattern
@@ -450,33 +454,65 @@ def _dirichlet_arrays(domain: TriangulatedDomain,
 def solve_dirichlet(domain: TriangulatedDomain,
                     boundary_values: Mapping[str, BoundaryValue],
                     params: SpaceParams,
-                    initial: Optional[np.ndarray] = None) -> GraphSolution:
+                    initial: Optional[np.ndarray] = None,
+                    assembly: Optional[_Assembly] = None) -> GraphSolution:
     """Minimize graph area in the space params subject to per-tag Dirichlet
     data.
 
     params is required: the mesh holds geometry only.  Tags missing from
     boundary_values stay free (natural boundary).  Values may be reals or
     callables f(x, y), which receive the arrays of chart coordinates of all
-    nodes with that tag at once and return one value per node.
+    nodes with that tag at once and return one value per node.  assembly,
+    when given, is an _Assembly of domain and params kept across solves on
+    one mesh; a new one is built otherwise.
     """
-    u, res, iters, energies = _dirichlet_newton(domain, boundary_values, params,
+    if assembly is None:
+        assembly = _Assembly(domain, params)
+    elif assembly.domain is not domain or assembly.params != params:
+        raise SolverError("the assembly belongs to another mesh or space")
+    u, res, iters, energies = _dirichlet_newton(assembly, boundary_values,
                                                 initial)
     return GraphSolution(domain=domain, u=u, params=params, residual_norm=res,
                          newton_iters=iters, energy_history=energies)
 
 
-def _dirichlet_newton(domain: TriangulatedDomain,
+def _dirichlet_newton(asm: _Assembly,
                       boundary_values: Mapping[str, BoundaryValue],
-                      params: SpaceParams, initial: Optional[np.ndarray]):
-    """Newton for per-tag Dirichlet data from initial (zeros when None);
-    returns what _newton does."""
+                      initial: Optional[np.ndarray]):
+    """Newton on asm's mesh for per-tag Dirichlet data from initial (zeros
+    when None); returns what _newton does."""
+    domain = asm.domain
     fixed, vals = _dirichlet_arrays(domain, boundary_values)
     u0 = np.zeros(domain.n_nodes) if initial is None else np.asarray(initial, float).copy()
     if u0.shape != (domain.n_nodes,):
         raise SolverError("initial guess has the wrong shape")
     if fixed.size:
         u0[fixed] = vals
-    return _newton(_Assembly(domain, params), u0, fixed)
+    return _newton(asm, u0, fixed)
+
+
+def _linear_interpolant(points: np.ndarray, values: np.ndarray):
+    """xi -> values interpolated linearly over the Delaunay triangulation
+    of points, NaN outside its hull.
+
+    The arithmetic is LinearNDInterpolator's: barycentric c0, c1 from the
+    simplex transform, c2 = 1 - c0 - c1, and the three terms summed left
+    to right, so the result matches it bit for bit.
+    """
+    tri = Delaunay(points)
+
+    def at(xi: np.ndarray) -> np.ndarray:
+        s = tri.find_simplex(xi)
+        t = tri.transform[s]                                # (n, 3, 2)
+        dx = xi[:, 0] - t[:, 2, 0]
+        dy = xi[:, 1] - t[:, 2, 1]
+        c0 = t[:, 0, 0] * dx + t[:, 0, 1] * dy
+        c1 = t[:, 1, 0] * dx + t[:, 1, 1] * dy
+        v = values[tri.simplices[s]]
+        out = c0 * v[:, 0] + c1 * v[:, 1] + (1.0 - c0 - c1) * v[:, 2]
+        out[s < 0] = np.nan
+        return out
+    return at
 
 
 def _coarse_start(domain: TriangulatedDomain,
@@ -493,14 +529,14 @@ def _coarse_start(domain: TriangulatedDomain,
     try:
         coarse = triangulate(domain.triangle, 4 * domain.target_h,
                              domain.r_trunc)
-        u = _dirichlet_newton(coarse, boundary_values, params, None)[0]
+        u = _dirichlet_newton(_Assembly(coarse, params), boundary_values,
+                              None)[0]
     except (GeometryError, SolverError):
         return None
-    guess = LinearNDInterpolator(coarse.nodes, u)(domain.nodes)
+    guess = _linear_interpolant(coarse.nodes, u)(domain.nodes)
     outside = np.isnan(guess)
     if outside.any():
-        guess[outside] = NearestNDInterpolator(coarse.nodes, u)(
-            domain.nodes[outside])
+        guess[outside] = u[cKDTree(coarse.nodes).query(domain.nodes[outside])[1]]
     return guess
 
 
@@ -547,6 +583,8 @@ def solve_jenkins_serrin(a: float, b: float, k: int, H: float,
     domain = triangulate(build_triangle(a, b, k, 4.0 * H * H - 1.0), target_h,
                          R_trunc)
     params = SpaceParams.from_h(H)
+    # one assembly for the schedule: every M has the same mesh and free set
+    asm = _Assembly(domain, params)
     sols: List[GraphSolution] = []
     prev_m, prev_u = 0.0, np.zeros(domain.n_nodes)
     for m in ms:
@@ -556,7 +594,8 @@ def solve_jenkins_serrin(a: float, b: float, k: int, H: float,
         else:
             guess = _coarse_start(domain, data, params)
         try:
-            sol = solve_dirichlet(domain, data, params=params, initial=guess)
+            sol = solve_dirichlet(domain, data, params=params, initial=guess,
+                                  assembly=asm)
         except SolverError as exc:
             raise SolverError(exc.message, M=m, **exc.context) from exc
         sol.M = m
@@ -706,7 +745,7 @@ def boundary_theta_prime(sol: GraphSolution) -> np.ndarray:
     lam_v = float(conformal_factor_xy(v[0], v[1], tri.kappa))
     rad_metric = h * np.arange(4.0, 12.5, 1.0)
     rad_chart = rad_metric / lam_v
-    interp_u = LinearNDInterpolator(dom.nodes, sol.u)
+    interp_u = _linear_interpolant(dom.nodes, sol.u)
     u_top = float(np.max(np.abs(sol.u)))
     fracs = np.linspace(0.08, 0.92, _N_RAYS)
     s0s, th0s = [], []

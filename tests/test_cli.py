@@ -333,6 +333,20 @@ def test_helicoid_oversized_grid_is_a_usage_error(tmp_path, capsys, no_work,
     assert "more than 10,000,000 samples" in capsys.readouterr().err
 
 
+def test_helicoid_window_past_the_overflow_limit_is_a_usage_error(
+        tmp_path, capsys, no_work):
+    # 2e4 samples pass the sample cap, but x**2 overflows near 1e300
+    assert run("helicoid", "--mu", "0.25", "--window", "1e300",
+               "--spacing", "1e296", "--out", str(tmp_path / "o")) == 2
+    assert "--window must be at most 1e+100" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # the limit itself passes, and a member with finite t_mu ignores the window
+    for argv in (("--mu", "0.25", "--window", "1e100", "--spacing", "1e96"),
+                 ("--mu", "1", "--window", "1e300")):
+        with pytest.raises(AssertionError, match="work started"):
+            run("helicoid", *argv, "--out", str(tmp_path / "o"))
+
+
 # a flag value per option type, and what a config line gives the same option
 _FLAG_SAMPLES = {float: "0.25", int: "3", cli._parse_side: "inf",
                  cli._float_list: "0.5 1.5", None: "x"}

@@ -16,8 +16,9 @@ from scipy.sparse.csgraph import connected_components
 
 import ektlab
 from ektlab import curves
-from ektlab.curves import (DEFAULT_S_CAP, DEFAULT_STEP, _merge_chains,
-                           assemble_domain, distance_to_geodesic_diameter,
+from ektlab.curves import (DEFAULT_S_CAP, DEFAULT_STEP, PlanarCurve,
+                           _merge_chains, assemble_domain,
+                           distance_to_geodesic_diameter,
                            integrate_prescribed_curvature, kg_critical)
 from ektlab.embedding import fiber_domain
 from ektlab.helicoid import vertex_base_distance
@@ -247,6 +248,26 @@ def test_assemble_domain_rejects_off_ray_starts():
     with pytest.raises(GeometryError):
         assemble_domain(arc, 1)
 
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_assemble_domain_drops_coinciding_images(reverse):
+    """Images that coincide point for point, in the same or the opposite
+    order, are kept once: a ray segment is its own mirror image, and a half
+    circle across the x-axis is its own mirror image reversed."""
+    t = np.linspace(0.0, 1.0, 201)
+    if reverse:
+        # the second half is the first mirrored, so the symmetry is exact
+        a = math.pi * t[:101]
+        x = np.concatenate((0.3 * np.sin(a), 0.3 * np.sin(a[-2::-1])))
+        y = np.concatenate((0.3 * np.cos(a), -0.3 * np.cos(a[-2::-1])))
+    else:
+        x, y = 0.2 + 0.4 * t, np.zeros_like(t)
+    curve = PlanarCurve(s=t, x=x, y=y, kg_samples=np.zeros_like(t))
+    asm = assemble_domain(curve, 2)
+    # four images, two distinct; reversed, the two halves join to a circle
+    assert asm.segment_count == 2 * (t.size - 1)
+    assert len(asm.pieces) == (1 if reverse else 2)
+    assert asm.closed == reverse
 
 
 def merge_chains_reference(images):

@@ -183,3 +183,18 @@ def test_bench_hooks_resolve_after_importing_the_cli():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_quadrature_or_interpolation():
+    """scipy.integrate (which pulls in scipy.optimize) is imported inside
+    the helicoid quadrature routes, and the solver interpolates with
+    scipy.spatial, so no command pays for them at start-up."""
+    heavy = ("scipy.interpolate", "scipy.integrate", "scipy.optimize")
+    check = ("import sys, ektlab.cli\n"
+             f"print([m for m in {heavy!r} if m in sys.modules])\n")
+    src = str(pathlib.Path(ektlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", check],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

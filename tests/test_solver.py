@@ -2,11 +2,12 @@
 import dataclasses
 import math
 import types
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.interpolate import LinearNDInterpolator
+from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
 
 from ektlab import helicoid as hc
 from ektlab import solver
@@ -493,17 +494,80 @@ def test_one_tilt_per_distinct_array_in_a_newton_solve(monkeypatch):
     assert len(tilts) == len(set(evaluated)) < len(evaluated)
 
 
-def test_hessian_pattern_is_built_once_per_newton_solve(monkeypatch):
+def test_hessian_pattern_is_built_once_per_mesh_over_a_schedule(monkeypatch):
     calls = []
     real = solver._Assembly._free_pattern
 
     def counted(self, free):
-        calls.append(1)
+        calls.append(self.domain.n_nodes)
         return real(self, free)
 
     monkeypatch.setattr(solver._Assembly, "_free_pattern", counted)
-    sol = solve_dirichlet(flat_triangle(0.1), _js_data(2.0), params=FLAT_HALF)
-    assert sol.newton_iters > 1 and len(calls) == 1
+    sols = solve_jenkins_serrin(1.0, 1.0, 2, 0.4, [2.0, 4.0, 8.0, 16.0], 0.08)
+    assert all(s.newton_iters > 1 for s in sols)
+    # one build on the 4h coarse mesh, one on the fine mesh for all four M
+    assert len(calls) == 2 and calls[1] == sols[0].domain.n_nodes > calls[0]
+
+
+def test_no_assembly_of_a_sweep_outlives_it(monkeypatch):
+    made = []
+    real = solver._Assembly.__init__
+
+    def recorded(self, domain, params):
+        made.append(weakref.ref(self))
+        real(self, domain, params)
+
+    monkeypatch.setattr(solver._Assembly, "__init__", recorded)
+    sols = solve_jenkins_serrin(1.0, 1.0, 2, 0.4, [2.0, 4.0, 8.0], 0.08)
+    # the coarse start's and the schedule's; neither is cached on the mesh
+    assert len(made) == 2 and len(sols) == 3
+    assert [ref() for ref in made] == [None, None]
+
+
+def test_an_assembly_of_another_mesh_is_refused():
+    dom = flat_triangle(0.1)
+    with pytest.raises(SolverError, match="another mesh"):
+        solve_dirichlet(dom, ZERO, FLAT_HALF,
+                        assembly=solver._Assembly(flat_triangle(0.1), FLAT_HALF))
+    with pytest.raises(SolverError, match="another mesh"):
+        solve_dirichlet(dom, ZERO, FLAT_HALF,
+                        assembly=solver._Assembly(dom, SpaceParams(kappa=0.0, tau=0.25)))
+
+
+def test_linear_interpolant_matches_scipy_bit_for_bit():
+    dom = triangulate(build_triangle(1.0, 1.0, 2, 4 * 0.4 ** 2 - 1), 0.05)
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=dom.n_nodes)
+    lo, hi = dom.nodes.min(axis=0), dom.nodes.max(axis=0)
+    box = rng.uniform(lo - 0.1, hi + 0.1, size=(4000, 2))
+    a, b = dom.elements[:, 0], dom.elements[:, 1]
+    t = rng.uniform(size=(a.size, 1))
+    on_edges = t * dom.nodes[a] + (1.0 - t) * dom.nodes[b]
+    got_fn = solver._linear_interpolant(dom.nodes, u)
+    want_fn = LinearNDInterpolator(dom.nodes, u)
+    for probes in (box, on_edges, dom.nodes):
+        got, want = got_fn(probes), want_fn(probes)
+        assert np.array_equal(got, want, equal_nan=True)
+    outside = np.isnan(want_fn(box))
+    assert 0 < outside.sum() < box.shape[0]   # probes on both sides of the hull
+    assert not np.isnan(got_fn(on_edges)).any()
+
+
+def test_coarse_start_matches_the_scipy_interpolants():
+    # an ideal vertex cut at R_trunc: some fine nodes lie outside the
+    # coarse hull, so both the linear and the nearest path run
+    dom = triangulate(build_triangle(math.inf, 2.0, 2, 4 * 0.4 ** 2 - 1),
+                      0.1, 4.0)
+    params = SpaceParams.from_h(0.4)
+    coarse = triangulate(dom.triangle, 0.4, 4.0)
+    coarse_u = solve_dirichlet(coarse, _js_data(2.0), params=params).u
+    want = LinearNDInterpolator(coarse.nodes, coarse_u)(dom.nodes)
+    outside = np.isnan(want)
+    assert outside.any()
+    want[outside] = NearestNDInterpolator(coarse.nodes, coarse_u)(
+        dom.nodes[outside])
+    got = solver._coarse_start(dom, _js_data(2.0), params)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("schedule,builds", [([2.0, 4.0], 2),
