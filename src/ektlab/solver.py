@@ -49,9 +49,14 @@ Jenkins-Serrin sweeps solve the same problem for an increasing schedule of
 far-side data M with zero data on the two sides through p0.  The first M
 starts from the same problem solved on the triangle meshed at 4h and
 interpolated onto the fine nodes (nested iteration), or from zeros when
-that coarse pass fails; each later M starts from the secant prediction
-through the last two solves.  Truncation nodes (when an ideal vertex was
-cut off) carry no data: they stay free (natural boundary condition).
+that coarse pass fails.  Each later M starts from the Euler predictor
+along the tangent du/dM of the last solution (Allgower and Georg,
+Introduction to Numerical Continuation Methods, ch. 2): differentiating
+grad_f E(u) = 0 in M gives H_ff du_f = -(H v)_f, where v = du/dM on the
+fixed nodes is m_sign on the far side and 0 elsewhere, and one triangular
+solve with the last LU of that Newton solve gives du_f.  Truncation nodes
+(when an ideal vertex was cut off) carry no data: they stay free (natural
+boundary condition).
 """
 from __future__ import annotations
 
@@ -141,7 +146,14 @@ class GraphSolution:
 
 
 class _Assembly:
-    """Precomputed element data for the area functional on one mesh."""
+    """Precomputed element data for the area functional on one mesh.
+
+    lu is the last LU the last Newton solve on this assembly factored, or
+    None.  A Jenkins-Serrin sweep solves with it once, for the tangent of
+    that solution, and drops it before the next M's Newton starts; after
+    the last M it drops it unused.  Every Newton solve drops the LU it
+    finds before it factorizes, so one LU is alive at a time.
+    """
 
     def __init__(self, domain: TriangulatedDomain, params: SpaceParams):
         self.domain = domain
@@ -171,6 +183,7 @@ class _Assembly:
         self.n = domain.n_nodes
         self._pattern = None
         self._held = None   # (u, tilt at u) of the last array evaluated
+        self.lu = None
 
     def element_gradients(self, u: np.ndarray) -> np.ndarray:
         ue = u[self.elems]                                  # (E, 3)
@@ -232,6 +245,39 @@ class _Assembly:
         if self._pattern is None or not np.array_equal(self._pattern[0], free):
             self._pattern = self._free_pattern(free)
         return self._pattern
+
+    def hessian_vector(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """H(u) v over all nodes, element by element on (E, 3) arrays:
+        (H_e v_e)_i = b_i . M_e (b^T v_e), with M_e = [[hxx, hxy], [hxy,
+        hyy]] as in hessian, so no element block is formed.  Reads the held
+        tilt at u and keeps it."""
+        # hessian's M_e lines, repeated: a helper shared with hessian frees
+        # the fill's temporaries earlier, and under glibc malloc that heap
+        # layout raised the peak RSS of `figure sweep-d --H 0.4` by 0.2 MB
+        alpha, beta, w = self._held_tilt(u)
+        coef = self.area[:, None] / 3.0
+        w3 = w ** 3
+        hxx = _rowsum(coef * (1.0 / w - alpha ** 2 / w3))[:, None]
+        hxy = _rowsum(coef * (-alpha * beta / w3))[:, None]
+        hyy = _rowsum(coef * (1.0 / w - beta ** 2 / w3))[:, None]
+        gx, gy = self.element_gradients(v).T[:, :, None]
+        hv = ((hxx * gx + hxy * gy) * self.bgrad[:, :, 0]
+              + (hxy * gx + hyy * gy) * self.bgrad[:, :, 1])
+        return np.bincount(self.elems.ravel(), weights=hv.ravel(),
+                           minlength=self.n)
+
+    def tangent(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """du/dM at the solution u of the last Newton solve when its data
+        move by v per unit M (v is 0 on the free nodes): du = v, except
+        H_ff du_f = -(H v)_f on that solve's free nodes, solved with the
+        LU it left (a new one if it left none), which is then dropped."""
+        free = self._pattern[0]
+        rhs = -self.hessian_vector(u, v)[free]
+        lu = self.lu if self.lu is not None else _factorize(self.hessian(u, free))
+        self.lu = None
+        du = v.copy()
+        du[free] = lu.solve(rhs)
+        return du
 
     def hessian(self, u: np.ndarray, free: np.ndarray) -> sp.csc_matrix:
         """Free-free block of the Hessian; the pattern is built once per
@@ -382,8 +428,10 @@ def _newton(asm: _Assembly, u0: np.ndarray, fixed: np.ndarray):
     whose line search stalls gets one retry with a fresh factorization.
     Stops when |grad E| over the free nodes falls below _TOL.  The energy
     history decreases strictly until a step falls below the round-off of
-    E; such a step is taken whole and may change E by a few ulps.
+    E; such a step is taken whole and may change E by a few ulps.  The
+    last LU factored is left in asm.lu (None if the start had converged).
     """
+    asm.lu = None  # the LU a previous solve left: peak RSS holds one LU
     is_free = np.ones(asm.n, dtype=bool)
     is_free[fixed] = False
     if not is_free.any():
@@ -401,6 +449,7 @@ def _newton(asm: _Assembly, u0: np.ndarray, fixed: np.ndarray):
         rhs = -g[free]
         res = float(np.linalg.norm(rhs))
         if res < _TOL:
+            asm.lu = lu
             return u, res, it, energies
         last_norm = step_norm
         for fresh in ((True,) if lu is None else (False, True)):
@@ -424,6 +473,7 @@ def _newton(asm: _Assembly, u0: np.ndarray, fixed: np.ndarray):
     energy, g = asm.energy_grad(u)
     res = float(np.linalg.norm(g[free]))
     if res < _TOL:
+        asm.lu = lu
         return u, res, _MAX_ITERS, energies
     raise SolverError(f"Newton did not reach tol={_TOL:g}", iteration=_MAX_ITERS,
                       residual=res, energy=energy, step_norm=step_norm)
@@ -562,10 +612,9 @@ def solve_jenkins_serrin(a: float, b: float, k: int, H: float,
     The first solve starts from the same problem solved on the triangle
     meshed at 4h (nested iteration), or from zeros when that coarse mesh or
     its Newton fails or it has no free node.  Every later solve starts from
-    the secant predictor u1 + (M - M1) (u1 - u0) / (M1 - M0) through the
-    last two solves, with the history seeded by the exact zero-data
-    solution (M = 0, u = 0), so the second starts from u1 M / M1.  Newton
-    corrects the prediction.
+    the Euler predictor u1 + (M - M1) du/dM at the last solution u1, whose
+    tangent du/dM is one triangular solve with the last LU of u1's Newton
+    (_Assembly.tangent).  Newton corrects the prediction.
 
     H in [0, 1/2]; H = 0 runs the product-space minimal analogue (kappa = -1,
     tau = 0).  Returns one GraphSolution per M; the last carries the Cauchy
@@ -585,12 +634,13 @@ def solve_jenkins_serrin(a: float, b: float, k: int, H: float,
     params = SpaceParams.from_h(H)
     # one assembly for the schedule: every M has the same mesh and free set
     asm = _Assembly(domain, params)
+    # du/dM on the fixed nodes: the far side's data is m_sign M
+    v = np.where(domain.tags == TAGS.index("side_p1p2"), m_sign, 0.0)
     sols: List[GraphSolution] = []
-    prev_m, prev_u = 0.0, np.zeros(domain.n_nodes)
     for m in ms:
         data = {"side_p0p1": 0.0, "side_p0p2": 0.0, "side_p1p2": m_sign * m}
         if sols:
-            guess = prev_u + (m - prev_m) * du_dm
+            guess = sols[-1].u + (m - sols[-1].M) * du_dm
         else:
             guess = _coarse_start(domain, data, params)
         try:
@@ -600,12 +650,13 @@ def solve_jenkins_serrin(a: float, b: float, k: int, H: float,
             raise SolverError(exc.message, M=m, **exc.context) from exc
         sol.M = m
         if sols:
-            drop = float(np.min((sol.u - prev_u) * m_sign))
+            drop = float(np.min((sol.u - sols[-1].u) * m_sign))
             if drop < -1e-8:
                 sol.discretization_failure = True
         sols.append(sol)
-        du_dm = (sol.u - prev_u) / (m - prev_m)
-        prev_m, prev_u = m, sol.u
+        if m < ms[-1]:
+            du_dm = asm.tangent(sol.u, v)
+    asm.lu = None  # no tangent after the last M
     if len(sols) >= 2:
         far = _distance_to_tag(domain, "side_p1p2")
         mask = far >= 0.5 * far.max()

@@ -605,7 +605,7 @@ def test_boundary_mass_matches_the_edge_loop():
 def test_coarse_sweep_completes():
     # warm-started from the bare previous solution, the M = 16 solve on this
     # coarse mesh stalled its line search with the residual at 2.5e-9, just
-    # above the absolute tol; the secant prediction starts close enough
+    # above the absolute tol; a predicted start is close enough
     sols = solve_jenkins_serrin(1, 1, 2, 0.4, [2, 4, 8, 16], 0.08)
     assert [s.M for s in sols] == [2.0, 4.0, 8.0, 16.0]
     assert all(s.residual_norm < 1e-9 for s in sols)
@@ -702,6 +702,97 @@ def test_refactoring_every_iteration_keeps_d_and_rho(monkeypatch):
     assert len(calls) - n_simplified > n_simplified
     assert abs(distance_d(simplified) - distance_d(full)) < 1e-8
     assert abs(rho_estimate(simplified) - rho_estimate(full)) < 1e-8
+
+
+@pytest.mark.parametrize("H", [0.4, 0.0])
+def test_hessian_vector_product_matches_the_full_hessian(H):
+    dom = triangulate(build_triangle(1.0, 1.0, 2, 4 * H * H - 1), 0.08)
+    params = SpaceParams.from_h(H)
+    u, v = np.random.default_rng(23).normal(size=(2, dom.n_nodes))
+    every = np.arange(dom.n_nodes)
+    want = solver._Assembly(dom, params).hessian(u, every) @ v
+    got = solver._Assembly(dom, params).hessian_vector(u, v)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_tangent_is_the_derivative_of_the_solution_in_m():
+    dom = triangulate(build_triangle(1.0, 1.0, 2, 4 * 0.4 ** 2 - 1), 0.08)
+    params = SpaceParams.from_h(0.4)
+    asm = solver._Assembly(dom, params)
+    v = np.zeros(dom.n_nodes)  # du/dM of the data _js_data(M)
+    v[dom.nodes_with_tag("side_p1p2")] = 1.0
+    sol = solve_dirichlet(dom, _js_data(4.0), params=params, assembly=asm)
+    assert asm.lu is not None
+    tangent = asm.tangent(sol.u, v)
+    assert asm.lu is None
+    delta = 1e-2
+    up, down = (solve_dirichlet(dom, _js_data(4.0 + s), params=params,
+                                initial=sol.u).u for s in (delta, -delta))
+    central = (up - down) / (2 * delta)
+    # the LU the solve left is of an iterate near, not at, the solution
+    assert np.max(np.abs(tangent - central)) <= 1e-4 * np.max(np.abs(central))
+    # a solve that starts converged leaves no LU; the tangent factorizes at u
+    again = solve_dirichlet(dom, _js_data(4.0), params=params,
+                            initial=sol.u, assembly=asm)
+    assert again.newton_iters == 0 and asm.lu is None
+    fresh = asm.tangent(sol.u, v)
+    assert np.max(np.abs(fresh - central)) <= 1e-6 * np.max(np.abs(central))
+
+
+def test_tangent_predictor_factorizes_at_most_twice_per_later_m(monkeypatch):
+    calls = _counted_splu(monkeypatch)
+    starts = []
+    real = solver.solve_dirichlet
+
+    def marked(*args, **kwargs):
+        starts.append(len(calls))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_dirichlet", marked)
+    sols = solve_jenkins_serrin(1.0, 1.0, 2, 0.4, [2.0, 4.0, 8.0, 16.0], 0.03)
+    # factorizations from each M's solve to the next, its tangent included;
+    # the secant predictor took 3, 2, 2 and 7 + 6 + 5 iterations
+    per_m = np.diff(starts + [len(calls)])
+    assert len(per_m) == 4 and all(per_m[1:] <= 2)
+    assert sum(s.newton_iters for s in sols[1:]) <= 14
+
+
+class _Factors:
+    """SuperLU result behind a weak-referenceable handle: the solver keeps
+    only what splu returns, so the handle lives exactly as long as the LU."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, rhs):
+        return self.lu.solve(rhs)
+
+
+def test_one_lu_is_alive_at_a_time_and_none_after_the_sweep(monkeypatch):
+    made, alive_at_new, tangents = [], [], []
+    real_splu, real_tangent = solver.splu, solver._Assembly.tangent
+
+    def wrapped(h, **kwargs):
+        alive_at_new.append(sum(ref() is not None for ref in made))
+        lu = _Factors(real_splu(h, **kwargs))
+        made.append(weakref.ref(lu))
+        return lu
+
+    def tangent(self, u, v):
+        tangents.append(self.lu is not None)
+        return real_tangent(self, u, v)
+
+    monkeypatch.setattr(solver, "splu", wrapped)
+    monkeypatch.setattr(solver._Assembly, "tangent", tangent)
+    solve_jenkins_serrin(1.0, 1.0, 2, 0.4, [2.0, 4.0, 8.0], 0.05)
+    assert len(made) > 3 and alive_at_new == [0] * len(made)
+    # one tangent per M but the last, each solved with the LU its solve left
+    assert tangents == [True, True]
+    assert all(ref() is None for ref in made)
+    tangents.clear()
+    solve_jenkins_serrin(1.0, 1.0, 2, 0.4, [2.0], 0.05)
+    assert tangents == [] and alive_at_new == [0] * len(made)
+    assert all(ref() is None for ref in made)
 
 
 def test_nested_dissection_order_is_one_permutation_per_mesh():
