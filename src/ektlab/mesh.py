@@ -4,9 +4,13 @@ Finite triangles T_{a,b} are meshed star-shaped from p0: concentric metric
 circles at radius i*h carry nodes at angular spacing matched to the circle
 circumference, the curved far side contributes its own arclength-uniform
 boundary nodes, and a Delaunay pass filtered by centroid tests produces the
-elements.  Ring nodes within metric distance 0.4*h of the finely sampled
-far side are dropped; a k-d tree finds the candidate pairs, those within
-0.4*h in the chart, which is exact since the conformal factor is >= 1.
+elements.  When every node is used, the hull-fill simplices that the
+filter drops are kept, so the mesh hands out the Delaunay triangles of its
+nodes without a second qhull run.  Ring nodes within metric distance 0.4*h
+of the finely sampled far side are dropped; a k-d tree finds the candidate
+pairs, those within 0.4*h in the chart, which is exact since the conformal
+factor is >= 1.  A mesh that would need more than _MAX_POINTS points is
+refused before any is allocated.
 Ideal vertices (a or b infinite) are cut off by a truncation boundary at
 metric distance R_trunc from p0.  The flat half-strip (kappa = 0, k = 2,
 a infinite) gets a structured rectangle mesh instead, which keeps the
@@ -36,6 +40,10 @@ __all__ = ["TriangulatedDomain", "triangulate", "TAGS"]
 
 TAGS = ("side_p0p1", "side_p0p2", "side_p1p2", "truncation")
 
+# cap on the points a mesh may allocate, like cli._MAX_SAMPLES: with an
+# ideal vertex the rings grow as exp(delta * R_trunc)
+_MAX_POINTS = 10 ** 7
+
 
 @dataclass
 class TriangulatedDomain:
@@ -46,6 +54,8 @@ class TriangulatedDomain:
     target_h: float
     r_trunc: Optional[float] = None
     node_metric_radius: np.ndarray = field(default=None, repr=False)
+    # Delaunay simplices of the nodes that are not elements, or None
+    hull_fill: Optional[np.ndarray] = field(default=None, repr=False)
     _cache: Dict[str, np.ndarray] = field(
         init=False, repr=False, compare=False, default_factory=dict)
 
@@ -68,6 +78,15 @@ class TriangulatedDomain:
             value.setflags(write=False)
             self._cache[key] = value
         return self._cache[key]
+
+    def delaunay_triangles(self) -> np.ndarray:
+        """The Delaunay triangles of the nodes: the elements plus the hull
+        fill when the mesh was cut from a Delaunay triangulation of these
+        nodes, else qhull's simplices (the structured strip, a mirrored
+        mesh).  Not cached: the array would outlive its one use."""
+        if self.hull_fill is None:
+            return Delaunay(self.nodes).simplices
+        return np.concatenate([self.elements, self.hull_fill])
 
     def boundary_edges(self) -> np.ndarray:
         """Edges belonging to exactly one element, as sorted (i, j) rows in
@@ -149,9 +168,7 @@ def _far_side(triangle: GeodesicTriangle, r_trunc: Optional[float], h: float):
         def inside(pts):
             return np.hypot(*(pts - c).T) > rg
         return fine, inside
-    # ideal a-vertex
-    if r_trunc is None or r_trunc <= 0:
-        raise GeometryError("an ideal side needs a positive R_trunc")
+    # ideal a-vertex, r_trunc > 0
     if kappa == 0.0:
         b_y = p2[1]
         x_hi = math.sqrt(max(r_trunc ** 2 - b_y ** 2, 0.0))
@@ -209,6 +226,16 @@ def triangulate(triangle: GeodesicTriangle, target_h: float,
     if kappa == 0.0 and triangle.a_infinite and k == 2:
         return _strip(triangle, h, R_trunc)
     delta = math.sqrt(-kappa) if kappa < 0 else 0.0
+    if triangle.a_infinite:
+        if R_trunc is None or R_trunc <= 0:
+            raise GeometryError("an ideal side needs a positive R_trunc")
+        r_rings, what = R_trunc, f"R_trunc = {R_trunc:g}"
+    else:
+        # distance from p0 is convex along the far side (kappa <= 0), so
+        # the rings reach its farther end
+        r_rings = max(triangle.a, triangle.b)
+        what = f"a = {triangle.a:g}, b = {triangle.b:g}"
+    _check_points(_ring_points(delta, math.pi / k, r_rings, h), what, h)
     fine, inside_test = _far_side(triangle, R_trunc, h)
     far_nodes, _ = _metric_resample(fine, kappa, h)
     if triangle.a_infinite:
@@ -254,13 +281,36 @@ def triangulate(triangle: GeodesicTriangle, target_h: float,
     keep &= inside_test(cent)
     if triangle.a_infinite:
         keep &= np.hypot(cent[:, 0], cent[:, 1]) <= chart_radius(R_trunc, kappa) + 1e-12
-    elements = tri.simplices[keep]
-    elements = _orient_ccw(nodes, elements)
+    elements = _orient_ccw(nodes, tri.simplices[keep])
+    n_all = nodes.shape[0]
     nodes, elements, tags = _compact(nodes, elements, tags)
+    # the fill indexes the uncompacted nodes, so it is kept only when the
+    # compaction is the identity
+    fill = tri.simplices[~keep] if nodes.shape[0] == n_all else None
     dom = TriangulatedDomain(triangle=triangle, nodes=nodes, elements=elements,
-                             tags=tags, target_h=h, r_trunc=R_trunc)
+                             tags=tags, target_h=h, r_trunc=R_trunc,
+                             hull_fill=fill)
     _check_boundary(dom)
     return dom
+
+
+def _ring_points(delta, wedge, r, h):
+    """About how many points the rings out to metric radius r hold at
+    spacing h: wedge (cosh(delta r) - 1) / (delta h)^2, or wedge r^2 / (2 h^2)
+    when delta = 0."""
+    if delta == 0:
+        return wedge * r * r / 2.0 / h / h
+    # cosh overflows past 710, and 700 is far above any cap
+    dh = delta * h
+    return wedge * (math.cosh(min(delta * r, 700.0)) - 1.0) / dh / dh
+
+
+def _check_points(count, what, h):
+    """GeometryError, before anything is allocated, when a mesh would need
+    more than _MAX_POINTS points."""
+    if count > _MAX_POINTS:
+        raise GeometryError(f"{what} at target_h = {h:g} needs more than "
+                            f"{_MAX_POINTS:,} mesh points: raise target_h")
 
 
 def _clear_of(pts, fine, kappa, cut):
@@ -371,6 +421,8 @@ def _strip(triangle: GeodesicTriangle, h: float,
     if R_trunc is None or R_trunc <= 0:
         raise GeometryError("the strip needs a positive R_trunc")
     b = triangle.b
+    _check_points((R_trunc / h + 1.0) * (b / h + 1.0), f"R_trunc = {R_trunc:g}",
+                  h)
     nx = max(2, int(round(R_trunc / h)))
     ny = max(2, int(round(b / h)))
     xs = np.linspace(0.0, R_trunc, nx + 1)

@@ -565,6 +565,43 @@ def _linear_interpolant(points: np.ndarray, values: np.ndarray):
     return at
 
 
+def _locate(nodes: np.ndarray, triangles: np.ndarray, values: np.ndarray,
+            xi: np.ndarray) -> np.ndarray:
+    """values interpolated linearly over triangles at the points xi, NaN at
+    a point that no triangle holds.
+
+    Only the triangles whose bounding box meets the box of xi are tested,
+    and zero-area ones (qhull can emit them on collinear nodes) are skipped.
+    Each point takes the triangle whose smallest barycentric coordinate is
+    largest, so a point on an edge or at a node takes one of its triangles;
+    down to -100 eps counts as inside, as in qhull's find_simplex.  The
+    pass holds a (points, triangles) array: meant for a few hundred points
+    in a small region.
+    """
+    out = np.full(xi.shape[0], np.nan)
+    p = nodes[triangles]                                    # (T, 3, 2)
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    use = np.abs(det) > 1e-14
+    use &= np.all((p.min(axis=1) <= xi.max(axis=0))
+                  & (p.max(axis=1) >= xi.min(axis=0)), axis=1)
+    if not use.any():
+        return out
+    p0, e1, e2, det = p[use, 0], e1[use], e2[use], det[use]
+    dx = xi[:, :1] - p0[:, 0]                               # (points, triangles)
+    dy = xi[:, 1:] - p0[:, 1]
+    c1 = (dx * e2[:, 1] - dy * e2[:, 0]) / det
+    c2 = (dy * e1[:, 0] - dx * e1[:, 1]) / det
+    c0 = 1.0 - c1 - c2
+    best = np.argmax(np.minimum(np.minimum(c0, c1), c2), axis=1)
+    rows = np.arange(xi.shape[0])
+    c0, c1, c2 = c0[rows, best], c1[rows, best], c2[rows, best]
+    hit = np.minimum(np.minimum(c0, c1), c2) >= -100.0 * np.finfo(float).eps
+    v = values[triangles[use][best]]
+    out[hit] = (c0 * v[:, 0] + c1 * v[:, 1] + c2 * v[:, 2])[hit]
+    return out
+
+
 def _coarse_start(domain: TriangulatedDomain,
                   boundary_values: Mapping[str, BoundaryValue],
                   params: SpaceParams) -> Optional[np.ndarray]:
@@ -772,6 +809,11 @@ def boundary_theta_prime(sol: GraphSolution) -> np.ndarray:
     h and never converges there).  theta' is a windowed regression slope of
     the (intercept, ray angle) cloud.  Rows are (s, theta_prime).
 
+    u is interpolated linearly on the Delaunay triangles of the mesh nodes
+    (TriangulatedDomain.delaunay_triangles: the elements and the hull fill
+    the mesher cut away, so no second triangulation is built), and all
+    _N_RAYS x 9 probe points are located in one pass.
+
     Rays that exit the domain, break intercept monotonicity, or land within
     30% of the data cap are dropped; what survives is the resolved range,
     and fewer than _N_RAYS // 3 survivors raise SolverError.
@@ -796,15 +838,15 @@ def boundary_theta_prime(sol: GraphSolution) -> np.ndarray:
     lam_v = float(conformal_factor_xy(v[0], v[1], tri.kappa))
     rad_metric = h * np.arange(4.0, 12.5, 1.0)
     rad_chart = rad_metric / lam_v
-    interp_u = _linear_interpolant(dom.nodes, sol.u)
+    angs = a0 + np.linspace(0.08, 0.92, _N_RAYS) * (a1 - a0)
+    dirs = np.array([[math.cos(ang), math.sin(ang)] for ang in angs])
+    pts = v + rad_chart[:, None] * dirs[:, None, :]         # (rays, radii, 2)
+    u_rays = _locate(dom.nodes, dom.delaunay_triangles(), sol.u,
+                     pts.reshape(-1, 2)).reshape(_N_RAYS, -1)
     u_top = float(np.max(np.abs(sol.u)))
-    fracs = np.linspace(0.08, 0.92, _N_RAYS)
     s0s, th0s = [], []
     s_seen = []
-    for f in fracs:
-        ang = a0 + f * (a1 - a0)
-        pts = v + rad_chart[:, None] * np.array([math.cos(ang), math.sin(ang)])
-        uu = interp_u(pts)
+    for ang, uu in zip(angs, u_rays):
         ok = np.isfinite(uu)
         if ok.sum() < 4:
             continue

@@ -197,6 +197,10 @@ def build_triangle(a: float, b: float, k: int, kappa: float) -> GeodesicTriangle
     gamma = math.pi / k
     r1 = chart_radius(a, kappa)
     r2 = chart_radius(b, kappa)
+    for name, side, r in (("a", a, r1), ("b", b, r2)):
+        if kappa < 0 and not math.isinf(side) and r >= 2.0 / math.sqrt(-kappa):
+            raise GeometryError(f"side {name} = {side:g} is finite but its "
+                                "vertex rounds onto the ideal circle")
     p1 = (r1, 0.0)
     p2 = (r2 * math.cos(gamma), r2 * math.sin(gamma))
     if math.isinf(a) or math.isinf(b):

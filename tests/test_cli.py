@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import ektlab
-from ektlab import cli
+from ektlab import cli, solver
 from ektlab.cli import main
 from ektlab.helicoid import t_mu
 
@@ -507,6 +507,17 @@ def test_noid_domain_at_h_one_half_exits_2_before_making_out(tmp_path, capsys,
                "--out", str(tmp_path / "o")) == 2
     assert "noid-domain needs H in (0, 1/2)" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_noid_domain_with_b_on_the_ideal_circle_fails_before_meshing(
+        tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("meshed a triangle with a vertex on the ideal circle")
+
+    monkeypatch.setattr(solver, "triangulate", refuse)
+    assert run("figure", "noid-domain", "--H", "0.4", "--b", "1e6",
+               "--target-h", "0.1", "--out", str(tmp_path / "o")) == 1
+    assert "side b = 1e+06 is finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers,pool", [("100000", 3), ("2", 2), ("1", None)])

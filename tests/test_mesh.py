@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 from ektlab import mesh
 from ektlab.mesh import TAGS, triangulate
@@ -286,3 +287,73 @@ def test_ring_filter_matches_the_dense_distance(monkeypatch, args, h, r_trunc):
     assert fast.elements.dtype == ref.elements.dtype
     assert np.array_equal(fast.elements, ref.elements)
     assert np.array_equal(fast.tags, ref.tags)
+
+
+def _triangle_set(simplices):
+    return set(map(tuple, np.sort(simplices, axis=1).tolist()))
+
+
+@pytest.mark.parametrize("args, h, r_trunc", [
+    ((math.inf, 2.0, 2, -0.36), 0.1, 4.0),        # noid, H = 0.4
+    ((1.0, 1.0, 2, -0.36), 0.05, None),           # js-fine, H = 0.4
+])
+def test_delaunay_triangles_are_the_elements_and_the_hull_fill(args, h, r_trunc):
+    dom = triangulate(build_triangle(*args), h, r_trunc)
+    assert 0 < dom.hull_fill.shape[0] < dom.elements.shape[0] // 10
+    tris = dom.delaunay_triangles()
+    assert tris.shape[0] == dom.elements.shape[0] + dom.hull_fill.shape[0]
+    assert _triangle_set(tris) == _triangle_set(Delaunay(dom.nodes).simplices)
+
+
+def test_a_mesh_not_cut_from_delaunay_hands_out_qhulls_triangles():
+    strip = triangulate(build_triangle(math.inf, 1.0, 2, 0.0), 0.1, 3.0)
+    mirrored = triangulate(build_triangle(1.0, math.inf, 2, -0.36), 0.1, 3.0)
+    for dom in (strip, mirrored):
+        assert dom.hull_fill is None
+        assert np.array_equal(dom.delaunay_triangles(),
+                              Delaunay(dom.nodes).simplices)
+    # the strip's elements are not its Delaunay triangles
+    assert _triangle_set(strip.elements) != _triangle_set(Delaunay(strip.nodes).simplices)
+
+
+def _ring_point_sum(delta, wedge, r, h):
+    """Reference: the ring sizes of triangulate's loop, summed ring by ring."""
+    rho = h * np.arange(1, int(math.ceil(r / h - 0.4)))
+    dphi = h * delta / np.sinh(delta * rho)
+    return float(np.sum(np.ceil(wedge / dphi) + 1))
+
+
+@pytest.mark.parametrize("r", [8.0, 12.0, 15.0])
+def test_ring_point_estimate_tracks_the_rings(r):
+    # H = 0.4, k = 2, h = 0.1: about 25 k, 283 k and 1.7 M ring points
+    est = mesh._ring_points(0.6, math.pi / 2, r, 0.1)
+    assert est == pytest.approx(_ring_point_sum(0.6, math.pi / 2, r, 0.1), rel=0.05)
+
+
+@pytest.mark.parametrize("args, r_trunc, named", [
+    ((math.inf, 2.0, 2, -0.36), 40.0, "R_trunc = 40"),  # 5.6e12 ring points
+    ((2.0, math.inf, 2, -0.36), 40.0, "R_trunc = 40"),  # the mirrored path
+    ((30.0, 30.0, 2, -0.36), None, "a = 30, b = 30"),
+])
+def test_runaway_meshes_are_refused_before_allocating(monkeypatch, args,
+                                                      r_trunc, named):
+    def refuse(*a, **k):
+        raise AssertionError("meshing started before the point count check")
+
+    monkeypatch.setattr(mesh, "_far_side", refuse)
+    with pytest.raises(GeometryError, match=f"{named} at target_h = 0.1 needs "
+                       "more than 10,000,000 mesh points"):
+        triangulate(build_triangle(*args), 0.1, r_trunc)
+
+
+def test_point_cap_bounds_rings_and_strip(monkeypatch):
+    monkeypatch.setattr(mesh, "_MAX_POINTS", 10 ** 5)
+    noid = build_triangle(math.inf, 2.0, 2, -0.36)
+    assert triangulate(noid, 0.1, 8.0).n_nodes > 0       # about 25 k ring points
+    with pytest.raises(GeometryError, match="R_trunc = 12 at target_h = 0.1"):
+        triangulate(noid, 0.1, 12.0)                     # about 283 k
+    monkeypatch.setattr(mesh, "_MAX_POINTS", 1000)
+    strip = build_triangle(math.inf, 1.0, 2, 0.0)
+    assert triangulate(strip, 0.1, 4.0).n_nodes == 41 * 11
+    with pytest.raises(GeometryError, match="R_trunc = 4 at target_h = 0.05"):
+        triangulate(strip, 0.05, 4.0)                    # 81 x 21 nodes

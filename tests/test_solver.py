@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
 
 from ektlab import helicoid as hc
-from ektlab import solver
+from ektlab import mesh, solver
 from ektlab.mesh import build_triangle, triangulate
 from ektlab.solver import (
     SolverError,
@@ -190,6 +190,67 @@ def test_vertex_probe_rejections():
     sols = solve_jenkins_serrin(1.0, math.inf, 2, 0.4, [2.0], 0.1, R_trunc=3.0)
     with pytest.raises(SolverError, match="p2 is ideal"):
         boundary_theta_prime(sols[-1])
+
+
+def test_vertex_probe_rejects_a_flat_solution():
+    # u = 0: every ray's intercept is 0, so every ray is dropped
+    dom = triangulate(build_triangle(math.inf, 2.0, 2, -0.36), 0.1, 4.0)
+    sol = solver.GraphSolution(domain=dom, u=np.zeros(dom.n_nodes),
+                               params=SpaceParams.from_h(0.4),
+                               residual_norm=0.0, newton_iters=0)
+    with pytest.raises(SolverError, match=r"only 0 usable rays; "
+                       r"sampled heights cover \[0, 0\]"):
+        boundary_theta_prime(sol)
+
+
+def test_vertex_probe_builds_no_delaunay_on_a_cut_mesh(monkeypatch):
+    sols = solve_jenkins_serrin(math.inf, 2.0, 2, 0.4, [2.0, 4.0], 0.1,
+                                R_trunc=4.0)
+    built = []
+    real = solver.Delaunay
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "Delaunay", counted)
+    monkeypatch.setattr(mesh, "Delaunay", counted)
+    got = boundary_theta_prime(sols[-1])
+    assert built == []
+    # the same samples as interpolating over a fresh triangulation
+    monkeypatch.setattr(solver, "_locate", lambda nodes, tris, values, xi:
+                        LinearNDInterpolator(nodes, values)(xi))
+    want = boundary_theta_prime(sols[-1])
+    assert got.shape == want.shape and got.shape[0] >= solver._N_RAYS // 3
+    assert np.abs(got - want).max() < 1e-13
+
+
+def test_locate_matches_scipy_within_round_off():
+    # qhull's barycentric transforms carry round-off of their own (up to
+    # 7e-14 at the nodes of T(1, 1) at h = 0.1, unit normal data), where the
+    # locate is exact
+    rng = np.random.default_rng(11)
+    cut = triangulate(build_triangle(math.inf, 2.0, 2, -0.36), 0.2, 4.0)
+    strip = triangulate(build_triangle(math.inf, hc.t_mu(-1.5), 2, 0.0), 0.2,
+                        4.0)
+    for dom in (cut, strip):
+        tris = dom.delaunay_triangles()
+        u = rng.normal(size=dom.n_nodes)
+        lo, hi = dom.nodes.min(axis=0), dom.nodes.max(axis=0)
+        box = rng.uniform(lo - 0.1, hi + 0.1, size=(1500, 2))
+        e = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+        t = rng.uniform(size=(e.shape[0], 1))
+        on_edges = t * dom.nodes[e[:, 0]] + (1.0 - t) * dom.nodes[e[:, 1]]
+        want_fn = LinearNDInterpolator(dom.nodes, u)
+        for probes in (box, on_edges, dom.nodes):
+            got, want = solver._locate(dom.nodes, tris, u, probes), want_fn(probes)
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.nanmax(np.abs(got - want)) <= 1e-12 * np.abs(u).max()
+        assert 0 < np.isnan(want_fn(box)).sum() < box.shape[0]
+        assert np.array_equal(solver._locate(dom.nodes, tris, u, dom.nodes), u)
+    far = np.array([[50.0, 50.0], [51.0, 50.0]])
+    assert np.isnan(solver._locate(cut.nodes, cut.delaunay_triangles(),
+                                   np.zeros(cut.n_nodes), far)).all()
 
 
 def test_max_nu_sits_at_origin(dual_sign_solves):

@@ -165,6 +165,16 @@ def test_build_triangle_ideal_vertices():
     assert math.isinf(flat.p1[0])
 
 
+def test_build_triangle_rejects_a_finite_side_on_the_ideal_circle():
+    # at kappa = -0.36 tanh(0.3 s) rounds to 1 from s = 64 on
+    assert chart_radius(64.0, -0.36) == 2.0 / 0.6
+    with pytest.raises(GeometryError, match=r"side b = 1e\+06 is finite"):
+        build_triangle(math.inf, 1e6, 2, -0.36)
+    with pytest.raises(GeometryError, match="side a = 64 is finite"):
+        build_triangle(64.0, 1.0, 2, -0.36)
+    assert build_triangle(1.0, 16.0, 2, -0.36).p2 != (0.0, 0.0)
+
+
 def test_interior_angle_at_p2_threshold_and_monotonicity():
     # at b* = arccosh(1/sin(pi/k)) / delta the angle is a right angle
     for k in (2, 3, 4, 6):
