@@ -4,9 +4,12 @@ Finite triangles T_{a,b} are meshed star-shaped from p0: concentric metric
 circles at radius i*h carry nodes at angular spacing matched to the circle
 circumference, the curved far side contributes its own arclength-uniform
 boundary nodes, and a Delaunay pass filtered by centroid tests produces the
-elements.  When every node is used, the hull-fill simplices that the
-filter drops are kept, so the mesh hands out the Delaunay triangles of its
-nodes without a second qhull run.  Ring nodes within metric distance 0.4*h
+elements.  Each ring is laid out only over the angles that are not, by a
+round-off margin, past the far side, so the points built follow the kept
+mesh, not the whole wedge; the inside test still decides every point
+built.  When every node is used, the hull-fill simplices that the filter
+drops are kept, so the mesh hands out the Delaunay triangles of its nodes
+without a second qhull run.  Ring nodes within metric distance 0.4*h
 of the finely sampled far side are dropped; a k-d tree finds the candidate
 pairs, those within 0.4*h in the chart, which is exact since the conformal
 factor is >= 1.  A mesh that would need more than _MAX_POINTS points is
@@ -139,7 +142,10 @@ def _arc_points(c: np.ndarray, rg: float, th0: float, th1: float, n: int) -> np.
 
 
 def _far_side(triangle: GeodesicTriangle, r_trunc: Optional[float], h: float):
-    """Fine far-side polyline (from the a-end toward p2) and the inside test."""
+    """Fine far-side polyline (from the a-end toward p2), the inside test,
+    and the region past the far side as an angle psi and a map from chart
+    radius r to a cosine bound: the points r (cos phi, sin phi) with
+    cos(phi - psi) > bound fail the inside test."""
     kappa, k = triangle.kappa, triangle.k
     p2 = np.array(triangle.p2)
     if not triangle.a_infinite:
@@ -153,7 +159,9 @@ def _far_side(triangle: GeodesicTriangle, r_trunc: Optional[float], h: float):
             def inside(pts):
                 d = pts - p1
                 return normal_sign * (t[0] * d[:, 1] - t[1] * d[:, 0]) > 0.0
-            return fine, inside
+            # the outward unit normal and the distance of the line from p0
+            n = normal_sign * np.array([t[1], -t[0]]) / np.hypot(*t)
+            return fine, inside, _half_plane(n, float(n @ p1))
         disk_r = 2.0 / math.sqrt(-kappa)
         cr = _geodesic_circle(p1, p2, disk_r)
         if cr is None:
@@ -167,7 +175,7 @@ def _far_side(triangle: GeodesicTriangle, r_trunc: Optional[float], h: float):
 
         def inside(pts):
             return np.hypot(*(pts - c).T) > rg
-        return fine, inside
+        return fine, inside, _disk(c, rg)
     # ideal a-vertex, r_trunc > 0
     if kappa == 0.0:
         b_y = p2[1]
@@ -179,7 +187,7 @@ def _far_side(triangle: GeodesicTriangle, r_trunc: Optional[float], h: float):
 
         def inside(pts):
             return pts[:, 1] < b_y
-        return fine, inside
+        return fine, inside, _half_plane(np.array([0.0, 1.0]), b_y)
     delta = math.sqrt(-kappa)
     disk_r = 2.0 / delta
     cy = (p2 @ p2 - 2.0 * disk_r * p2[0] + disk_r ** 2) / (2.0 * p2[1])
@@ -210,7 +218,47 @@ def _far_side(triangle: GeodesicTriangle, r_trunc: Optional[float], h: float):
 
     def inside(pts):
         return np.hypot(*(pts - c).T) > rg
-    return fine, inside
+    return fine, inside, _disk(c, rg)
+
+
+def _half_plane(n, d):
+    """The half-plane x . n >= d (n a unit vector, d > 0) as _far_side's
+    angle and cosine bound."""
+    return math.atan2(n[1], n[0]), lambda r: d / r
+
+
+def _disk(c, rg):
+    """The disk |x - c| <= rg (not holding 0) as _far_side's angle and
+    cosine bound."""
+    dc = float(np.hypot(*c))
+    return (math.atan2(c[1], c[0]),
+            lambda r: (r * r + dc * dc - rg * rg) / (2.0 * r * dc))
+
+
+def _ring_angles(wedge, m, psi, bound):
+    """np.linspace(0, wedge, m + 1), bit for bit, less the angles that lie
+    by a margin inside the arc cos(phi - psi) > bound past the far side.
+
+    The arc is cut by two steps and 1e-6 rad at each end, so round-off in
+    the bound cannot drop a point the inside test would keep: that test
+    still decides every angle built here.  Only the kept index ranges are
+    formed, so the cost follows the mesh, not the wedge.
+    """
+    step = wedge / m
+    half = math.acos(min(max(bound, -1.0), 1.0)) - 2.0 * step - 1e-6
+    kept = [(0, m + 1)]
+    # psi lies in (-pi, pi] and the wedge in [0, pi], so the arc meets it
+    # as it is or turned once; an arc of half <= 0 drops nothing
+    for centre in (psi, psi + 2.0 * math.pi):
+        lo = math.floor((centre - half) / step) + 1     # drop [lo, hi)
+        hi = max(lo, math.ceil((centre + half) / step))
+        kept = [(a, b) for a0, b0 in kept
+                for a, b in ((a0, min(b0, lo)), (max(a0, hi), b0)) if a < b]
+    # j * step is what linspace computes, and it sets the last angle to wedge
+    phi = np.concatenate([np.arange(a, b) * step for a, b in kept] or [[]])
+    if kept and kept[-1][1] == m + 1:
+        phi[-1] = wedge
+    return phi
 
 
 def triangulate(triangle: GeodesicTriangle, target_h: float,
@@ -236,7 +284,7 @@ def triangulate(triangle: GeodesicTriangle, target_h: float,
         r_rings = max(triangle.a, triangle.b)
         what = f"a = {triangle.a:g}, b = {triangle.b:g}"
     _check_points(_ring_points(delta, math.pi / k, r_rings, h), what, h)
-    fine, inside_test = _far_side(triangle, R_trunc, h)
+    fine, inside_test, (psi, bound) = _far_side(triangle, R_trunc, h)
     far_nodes, _ = _metric_resample(fine, kappa, h)
     if triangle.a_infinite:
         r_dom = R_trunc
@@ -256,7 +304,7 @@ def triangulate(triangle: GeodesicTriangle, target_h: float,
         else:
             dphi = h / rho
         m = max(1, int(math.ceil(wedge / dphi)))
-        phi = np.linspace(0.0, wedge, m + 1)
+        phi = _ring_angles(wedge, m, psi, bound(r_chart))
         ring = np.column_stack([r_chart * np.cos(phi), r_chart * np.sin(phi)])
         rings.append(ring[inside_test(ring)])
         i += 1

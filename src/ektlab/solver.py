@@ -45,6 +45,16 @@ free-free pattern depend on the mesh alone, so a Jenkins-Serrin sweep
 builds one assembly per mesh for its whole M schedule, and drops it when
 the sweep returns.
 
+The element arrays are stored component-major, as (3, E) rows: the basis
+gradients bx, by, the quadrature points qx, qy and lambda there (Anjam and
+Valdman, Appl. Math. Comput. 267 (2015) 252-263).  So the tilt, energy,
+gradient, Hessian coefficients and H v work on contiguous rows of E
+entries, not on strided (E, 3) columns.  The scatters stay element-major:
+each element's three gradient or H v entries and nine Hessian entries are
+written into an (E, 3) or (E, 3, 3) buffer, so np.bincount and np.add.at
+add them element by element, corner by corner, and every sum is added in
+the same order whatever the storage layout.
+
 Jenkins-Serrin sweeps solve the same problem for an increasing schedule of
 far-side data M with zero data on the two sides through p0.  The first M
 starts from the same problem solved on the triangle meshed at 4h and
@@ -126,13 +136,12 @@ class GraphSolution:
         if self._grads is None:
             dom = self.domain
             asm = _Assembly(dom, self.params)
-            ea = asm.element_gradients(self.u) * asm.area[:, None]
             # corner-major, as one scatter per corner would add them
             idx = dom.elements.T.ravel()
             wt = np.bincount(idx, np.tile(asm.area, 3), dom.n_nodes)
             acc = np.column_stack([
-                np.bincount(idx, np.tile(ea[:, c], 3), dom.n_nodes) / wt
-                for c in range(2)])
+                np.bincount(idx, np.tile(gc * asm.area, 3), dom.n_nodes) / wt
+                for gc in asm.element_gradients(self.u)])
             _, g = asm.energy_grad(np.asarray(self.u, dtype=float))
             self._grads = (acc, g)
         return self._grads
@@ -153,47 +162,49 @@ class _Assembly:
     that solution, and drops it before the next M's Newton starts; after
     the last M it drops it unused.  Every Newton solve drops the LU it
     finds before it factorizes, so one LU is alive at a time.
+
+    bx, by (the basis gradients), qx, qy (the quadrature points) and lam
+    (lambda there) are (3, E) rows: row i is corner i, or the midpoint of
+    the edge from corner i to corner i + 1, of every element.
     """
 
     def __init__(self, domain: TriangulatedDomain, params: SpaceParams):
         self.domain = domain
         self.params = params
         nodes, elems = domain.nodes, domain.elements
-        p = nodes[elems]                                    # (E, 3, 2)
-        e1 = p[:, 1] - p[:, 0]
-        e2 = p[:, 2] - p[:, 0]
-        area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        x = nodes[:, 0][elems.T]                            # (3, E)
+        y = nodes[:, 1][elems.T]
+        area2 = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
         if np.any(area2 <= 0):
             raise SolverError("mesh contains non-CCW or degenerate elements")
         self.area = area2 / 2.0
+        # the five rows share one allocation: as five arrays they raised the
+        # peak RSS of js-fine by 2.1 MB through heap layout (medians of 12)
+        self.bx, self.by, self.qx, self.qy, self.lam = np.empty((5,) + x.shape)
+        nxt, prv = [1, 2, 0], [2, 0, 1]
         # grad phi_i = rot90(p_{i+2} - p_{i+1}) / (2A)
-        b = np.empty((elems.shape[0], 3, 2))
-        for i in range(3):
-            d = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-            b[:, i, 0] = -d[:, 1]
-            b[:, i, 1] = d[:, 0]
-        self.bgrad = b / area2[:, None, None]
+        np.divide(-(y[prv] - y[nxt]), area2, out=self.bx)
+        np.divide(x[prv] - x[nxt], area2, out=self.by)
         # edge midpoints as quadrature points, weight 1/3 each
-        q = np.empty((elems.shape[0], 3, 2))
-        for i in range(3):
-            q[:, i] = (p[:, i] + p[:, (i + 1) % 3]) / 2.0
-        self.qpts = q
-        self.lam = conformal_factor_xy(q[:, :, 0], q[:, :, 1], params.kappa)
+        np.divide(x + x[nxt], 2.0, out=self.qx)
+        np.divide(y + y[nxt], 2.0, out=self.qy)
+        self.lam[...] = conformal_factor_xy(self.qx, self.qy, params.kappa)
         self.elems = elems
         self.n = domain.n_nodes
         self._pattern = None
         self._held = None   # (u, tilt at u) of the last array evaluated
         self.lu = None
 
-    def element_gradients(self, u: np.ndarray) -> np.ndarray:
-        ue = u[self.elems]                                  # (E, 3)
-        return np.einsum("ei,eid->ed", ue, self.bgrad)
+    def element_gradients(self, u: np.ndarray):
+        """(u_x, u_y) per element, each of shape (E,)."""
+        ue = u[self.elems.T]                                # (3, E)
+        return _rowsum(ue * self.bx), _rowsum(ue * self.by)
 
     def _tilted(self, u):
-        g = self.element_gradients(u)                       # (E, 2)
+        gx, gy = self.element_gradients(u)
         tau = self.params.tau
-        alpha = g[:, None, 0] / self.lam + tau * self.qpts[:, :, 1]
-        beta = g[:, None, 1] / self.lam - tau * self.qpts[:, :, 0]
+        alpha = gx / self.lam + tau * self.qy
+        beta = gy / self.lam - tau * self.qx
         w = np.sqrt(1.0 + alpha ** 2 + beta ** 2)
         return alpha, beta, w
 
@@ -206,20 +217,39 @@ class _Assembly:
             self._held = (np.array(u, dtype=float), self._tilted(u))
         return self._held[1]
 
-    def energy(self, u: np.ndarray) -> float:
-        _, _, w = self._held_tilt(u)
+    def _energy(self, w):
         return float(np.sum(self.area / 3.0 * _rowsum(self.lam ** 2 * w)))
+
+    def energy(self, u: np.ndarray) -> float:
+        return self._energy(self._held_tilt(u)[2])
 
     def energy_grad(self, u: np.ndarray):
         alpha, beta, w = self._held_tilt(u)
-        coef = self.area[:, None] / 3.0
-        # local gradient: g_i = A/3 sum_q lam_q (alpha_q b_ix + beta_q b_iy) / W_q
-        sx = _rowsum(coef * (self.lam * alpha / w))
-        sy = _rowsum(coef * (self.lam * beta / w))
-        gi = sx[:, None] * self.bgrad[:, :, 0] + sy[:, None] * self.bgrad[:, :, 1]
-        g = np.bincount(self.elems.ravel(), weights=gi.ravel(), minlength=self.n)
-        energy = float(np.sum(self.area / 3.0 * _rowsum(self.lam ** 2 * w)))
-        return energy, g
+        coef = self.area / 3.0
+        # local gradient: g_i = A/3 sum_q lam_q (alpha_q b_ix + beta_q b_iy) / W_q;
+        # one buffer holds each ratio in turn, rounded as coef * (lam a / w)
+        t = self.lam * alpha
+        t /= w
+        t *= coef
+        sx = _rowsum(t)
+        np.multiply(self.lam, beta, out=t)
+        t /= w
+        t *= coef
+        sy = _rowsum(t)
+        del t
+        return self._energy(w), self._scatter(sx, sy)
+
+    def _scatter(self, sx, sy):
+        """Nodal sums of the element vectors sx b_x + sy b_y.  The products
+        are written into an element-major (E, 3) buffer through its
+        transpose, so np.bincount adds them element by element, corner by
+        corner."""
+        out = np.empty(self.elems.shape)
+        rows = out.T                                        # (3, E) view
+        np.multiply(sx, self.bx, out=rows)
+        rows += sy * self.by
+        return np.bincount(self.elems.ravel(), weights=out.ravel(),
+                           minlength=self.n)
 
     def _free_pattern(self, free: np.ndarray):
         """CSC pattern of the free-free block and the slot of each element
@@ -247,24 +277,22 @@ class _Assembly:
         return self._pattern
 
     def hessian_vector(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """H(u) v over all nodes, element by element on (E, 3) arrays:
+        """H(u) v over all nodes, element by element:
         (H_e v_e)_i = b_i . M_e (b^T v_e), with M_e = [[hxx, hxy], [hxy,
         hyy]] as in hessian, so no element block is formed.  Reads the held
         tilt at u and keeps it."""
         # hessian's M_e lines, repeated: a helper shared with hessian frees
-        # the fill's temporaries earlier, and under glibc malloc that heap
-        # layout raised the peak RSS of `figure sweep-d --H 0.4` by 0.2 MB
+        # the tilt before the fill, and under glibc malloc that heap layout
+        # raised the peak RSS of `figure sweep-d --H 0.4` by 0.2 MB, and by
+        # 0.3 MB again on the (3, E) rows (medians of 8 runs each)
         alpha, beta, w = self._held_tilt(u)
-        coef = self.area[:, None] / 3.0
+        coef = self.area / 3.0
         w3 = w ** 3
-        hxx = _rowsum(coef * (1.0 / w - alpha ** 2 / w3))[:, None]
-        hxy = _rowsum(coef * (-alpha * beta / w3))[:, None]
-        hyy = _rowsum(coef * (1.0 / w - beta ** 2 / w3))[:, None]
-        gx, gy = self.element_gradients(v).T[:, :, None]
-        hv = ((hxx * gx + hxy * gy) * self.bgrad[:, :, 0]
-              + (hxy * gx + hyy * gy) * self.bgrad[:, :, 1])
-        return np.bincount(self.elems.ravel(), weights=hv.ravel(),
-                           minlength=self.n)
+        hxx = _rowsum(coef * (1.0 / w - alpha ** 2 / w3))
+        hxy = _rowsum(coef * (-alpha * beta / w3))
+        hyy = _rowsum(coef * (1.0 / w - beta ** 2 / w3))
+        gx, gy = self.element_gradients(v)
+        return self._scatter(hxx * gx + hxy * gy, hxy * gx + hyy * gy)
 
     def tangent(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """du/dM at the solution u of the last Newton solve when its data
@@ -287,29 +315,34 @@ class _Assembly:
         _, indices, indptr, slots = self.pattern(free)
         alpha, beta, w = self._held_tilt(u)
         self._held = None
-        coef = self.area[:, None] / 3.0
+        coef = self.area / 3.0
         # M_q = (I - v v^T / W^2) / W per quadrature point (lambda^2 cancels)
         w3 = w ** 3
-        hxx = _rowsum(coef * (1.0 / w - alpha ** 2 / w3))[:, None]
-        hxy = _rowsum(coef * (-alpha * beta / w3))[:, None]
-        hyy = _rowsum(coef * (1.0 / w - beta ** 2 / w3))[:, None]
-        bx = self.bgrad[:, :, 0]
-        by = self.bgrad[:, :, 1]
+        hxx = _rowsum(coef * (1.0 / w - alpha ** 2 / w3))
+        hxy = _rowsum(coef * (-alpha * beta / w3))
+        hyy = _rowsum(coef * (1.0 / w - beta ** 2 / w3))
+        bx, by = self.bx, self.by
         # b gradients are constant per element, so sum the quadrature first;
         # h_ij = p_i bx_j + q_i by_j with (p, q) = [[hxx, hxy], [hxy, hyy]] b
         p = hxx * bx + hxy * by
         q = hxy * bx + hyy * by
-        h = p[:, :, None] * bx[:, None, :] + q[:, :, None] * by[:, None, :]
-        data = np.bincount(slots, weights=h.ravel(),
-                           minlength=indices.size + 1)[:-1]
-        return sp.csc_matrix((data, indices, indptr),
+        # C order, so h.ravel() below is a view: einsum's default output
+        # here runs e fastest, and its ravel would copy all 9E entries
+        h = np.einsum("ie,je->eij", p, bx, order="C")       # (E, 3, 3)
+        h += np.einsum("ie,je->eij", q, by)
+        # np.add.at adds in slot order as np.bincount does, without
+        # bincount's int64 copy of the 9E int32 slots (1.3 MB on js-fine)
+        data = np.zeros(indices.size + 1)
+        np.add.at(data, slots, h.ravel())
+        return sp.csc_matrix((data[:-1], indices, indptr),
                              shape=(free.size, free.size))
 
 
 def _rowsum(a: np.ndarray) -> np.ndarray:
-    """Sum over the three quadrature points of an (E, 3) array, added left
-    to right as a.sum(axis=1) does, without the reduction's overhead."""
-    return a[:, 0] + a[:, 1] + a[:, 2]
+    """Sum over the three quadrature points of a (3, E) array: its rows,
+    added left to right as the element-major a.T.sum(axis=1) would add
+    them, on contiguous rows."""
+    return a[0] + a[1] + a[2]
 
 
 def _nd_order(domain: TriangulatedDomain) -> np.ndarray:

@@ -357,3 +357,62 @@ def test_point_cap_bounds_rings_and_strip(monkeypatch):
     assert triangulate(strip, 0.1, 4.0).n_nodes == 41 * 11
     with pytest.raises(GeometryError, match="R_trunc = 4 at target_h = 0.05"):
         triangulate(strip, 0.05, 4.0)                    # 81 x 21 nodes
+
+
+def _whole_wedge(wedge, m, psi, bound):
+    """Reference: every ring over the whole wedge, as first built, for the
+    inside test to filter."""
+    return np.linspace(0.0, wedge, m + 1)
+
+
+@pytest.mark.parametrize("args, h, r_trunc", [
+    ((math.inf, 2.0, 2, -0.36), 0.02, 4.0),       # noid, H = 0.4
+    ((math.inf, 2.0, 2, -0.36), 0.1, 8.0),
+    ((1.0, 1.0, 2, -0.36), 0.05, None),           # a finite triangle
+    ((1.0, 1.5, 3, 0.0), 0.03, None),             # kappa = 0: a straight far side
+    ((math.inf, 1.0, 3, 0.0), 0.05, 3.0),         # kappa = 0, ideal: y < b_y
+])
+def test_rings_built_inside_the_far_side_match_the_whole_wedge(monkeypatch, args,
+                                                               h, r_trunc):
+    tri = build_triangle(*args)
+    real = mesh._ring_angles
+    built = []
+
+    def recorded(*a):
+        built.append(real(*a))
+        return built[-1]
+
+    monkeypatch.setattr(mesh, "_ring_angles", recorded)
+    fast = triangulate(tri, h, r_trunc)
+    # each angle once, in order: a ring that no cut reaches stays whole
+    assert all(np.all(np.diff(phi) > 0) for phi in built)
+    monkeypatch.setattr(mesh, "_ring_angles", _whole_wedge)
+    ref = triangulate(tri, h, r_trunc)
+    for name in ("nodes", "elements", "tags", "hull_fill"):
+        got, want = getattr(fast, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_the_inside_test_gets_only_the_kept_ring_angles(monkeypatch):
+    """At H = 0.4, b = 2, R_trunc = 12, h = 0.1 the whole-wedge rings hold
+    283 k points for 473 nodes.  Each ring now hands the inside test its
+    kept points and at most the round-off margin past each cut end."""
+    real = mesh._far_side
+    calls = []
+
+    def counted(*args):
+        fine, inside, cap = real(*args)
+
+        def test(pts):
+            ok = inside(pts)
+            calls.append((len(pts), int(np.count_nonzero(ok))))
+            return ok
+        return fine, test, cap
+
+    monkeypatch.setattr(mesh, "_far_side", counted)
+    dom = triangulate(build_triangle(math.inf, 2.0, 2, -0.36), 0.1, 12.0)
+    rings = calls[:-1]  # the last call tests the Delaunay centroids
+    assert len(rings) == 119
+    assert max(n - kept for n, kept in rings) <= 8
+    assert sum(n for n, _ in rings) < 2 * dom.n_nodes

@@ -24,7 +24,7 @@ from ektlab.solver import (
     solve_dirichlet,
     solve_jenkins_serrin,
 )
-from ektlab.spaces import GeometryError, SpaceParams
+from ektlab.spaces import GeometryError, SpaceParams, conformal_factor_xy
 
 FLAT_HALF = SpaceParams(kappa=0.0, tau=0.5)
 ZERO = {t: 0.0 for t in ("side_p0p1", "side_p0p2", "side_p1p2")}
@@ -451,14 +451,28 @@ def test_unmeshable_coarse_triangle_falls_back_to_zeros():
     assert np.array_equal(sols[0].u, zero.u)
 
 
+def _element_major(asm):
+    """The assembly's (3, E) rows in the element-major layout they replaced:
+    b gradients and quadrature points (E, 3, 2), lambda (E, 3)."""
+    bgrad = np.stack([asm.bx.T, asm.by.T], axis=-1)
+    qpts = np.stack([asm.qx.T, asm.qy.T], axis=-1)
+    return bgrad, qpts, asm.lam.T
+
+
+def _element_major_tilt(asm, u):
+    """(alpha, beta, W) at u as (E, 3) arrays."""
+    return tuple(t.T for t in asm._tilted(u))
+
+
 def _element_hessians(asm, u):
     """Per-element 3x3 Hessians, b (I - v v^T / W^2) b^T / W summed over
     the quadrature points in one einsum."""
-    alpha, beta, w = asm._tilted(u)
+    alpha, beta, w = _element_major_tilt(asm, u)
+    bgrad = _element_major(asm)[0]
     v = np.stack([alpha, beta], axis=-1)                     # (E, 3q, 2)
     m = (np.eye(2) - v[..., :, None] * v[..., None, :] / w[..., None, None] ** 2)
     m *= (asm.area[:, None] / 3.0 / w)[..., None, None]
-    return np.einsum("eid,eqdf,ejf->eij", asm.bgrad, m, asm.bgrad)
+    return np.einsum("eid,eqdf,ejf->eij", bgrad, m, bgrad)
 
 
 def test_free_hessian_matches_the_full_matrix_block():
@@ -485,19 +499,20 @@ def _reference_kernels(asm, u, free):
     """Energy, gradient and Hessian values as first written: .sum(axis=1)
     over the quadrature, np.add.at for the scatter and w ** 3 in each of
     the three Hessian coefficients."""
-    alpha, beta, w = asm._tilted(u)
-    energy = float(np.sum(asm.area / 3.0 * np.sum(asm.lam ** 2 * w, axis=1)))
+    alpha, beta, w = _element_major_tilt(asm, u)
+    bgrad, _, lam = _element_major(asm)
+    energy = float(np.sum(asm.area / 3.0 * np.sum(lam ** 2 * w, axis=1)))
     coef = asm.area[:, None] / 3.0
-    sx = (coef * (asm.lam * alpha / w)).sum(axis=1)
-    sy = (coef * (asm.lam * beta / w)).sum(axis=1)
-    gi = sx[:, None] * asm.bgrad[:, :, 0] + sy[:, None] * asm.bgrad[:, :, 1]
+    sx = (coef * (lam * alpha / w)).sum(axis=1)
+    sy = (coef * (lam * beta / w)).sum(axis=1)
+    gi = sx[:, None] * bgrad[:, :, 0] + sy[:, None] * bgrad[:, :, 1]
     g = np.zeros(asm.n)
     np.add.at(g, asm.elems.ravel(), gi.ravel())
     c0 = coef * (1.0 / w - alpha ** 2 / w ** 3)
     c1 = coef * (-alpha * beta / w ** 3)
     c2 = coef * (1.0 / w - beta ** 2 / w ** 3)
     hxx, hxy, hyy = (c.sum(axis=1)[:, None] for c in (c0, c1, c2))
-    bx, by = asm.bgrad[:, :, 0], asm.bgrad[:, :, 1]
+    bx, by = bgrad[:, :, 0], bgrad[:, :, 1]
     p = hxx * bx + hxy * by
     q = hxy * bx + hyy * by
     h = p[:, :, None] * bx[:, None, :] + q[:, :, None] * by[:, None, :]
@@ -507,7 +522,7 @@ def _reference_kernels(asm, u, free):
 
 
 def _reference_nodal_gradients(asm, u):
-    eg = asm.element_gradients(u)
+    eg = np.column_stack(asm.element_gradients(u))
     acc = np.zeros((asm.n, 2))
     wt = np.zeros(asm.n)
     for loc in range(3):
@@ -534,6 +549,92 @@ def test_assembly_kernels_are_bit_identical_to_the_reference():
     nodal, got_g = sol._gradients()
     assert np.array_equal(nodal, _reference_nodal_gradients(asm, u))
     assert np.array_equal(got_g, g)
+
+
+def _reference_geometry(dom, params):
+    """Area, b gradients, quadrature points and lambda built element-major,
+    (E, 3, 2) and (E, 3), one corner at a time as first written."""
+    p = dom.nodes[dom.elements]                              # (E, 3, 2)
+    e1 = p[:, 1] - p[:, 0]
+    e2 = p[:, 2] - p[:, 0]
+    area2 = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    b = np.empty((dom.elements.shape[0], 3, 2))
+    q = np.empty_like(b)
+    for i in range(3):
+        d = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
+        b[:, i, 0] = -d[:, 1]
+        b[:, i, 1] = d[:, 0]
+        q[:, i] = (p[:, i] + p[:, (i + 1) % 3]) / 2.0
+    lam = conformal_factor_xy(q[:, :, 0], q[:, :, 1], params.kappa)
+    return area2 / 2.0, b / area2[:, None, None], q, lam
+
+
+def _reference_hessian_vector(asm, u, v):
+    """H(u) v as first written on (E, 3) arrays: the element gradients of v
+    by einsum, .sum(axis=1) over the quadrature and np.add.at for the
+    scatter."""
+    alpha, beta, w = _element_major_tilt(asm, u)
+    bgrad = _element_major(asm)[0]
+    coef = asm.area[:, None] / 3.0
+    hxx = (coef * (1.0 / w - alpha ** 2 / w ** 3)).sum(axis=1)[:, None]
+    hxy = (coef * (-alpha * beta / w ** 3)).sum(axis=1)[:, None]
+    hyy = (coef * (1.0 / w - beta ** 2 / w ** 3)).sum(axis=1)[:, None]
+    gx, gy = np.einsum("ei,eid->ed", v[asm.elems], bgrad).T[:, :, None]
+    hv = ((hxx * gx + hxy * gy) * bgrad[:, :, 0]
+          + (hxy * gx + hyy * gy) * bgrad[:, :, 1])
+    out = np.zeros(asm.n)
+    np.add.at(out, asm.elems.ravel(), hv.ravel())
+    return out
+
+
+# (a, b, k, R_trunc): a finite triangle and noid's ideal one
+_KERNEL_MESHES = {"finite": (1.0, 1.0, 2, None), "ideal": (math.inf, 2.0, 2, 4.0)}
+
+
+@pytest.mark.parametrize("H", [0.4, 0.0])
+@pytest.mark.parametrize("shape", sorted(_KERNEL_MESHES))
+def test_assembly_geometry_is_bit_identical_to_the_element_major_build(shape, H):
+    a, b, k, r_trunc = _KERNEL_MESHES[shape]
+    dom = triangulate(build_triangle(a, b, k, 4 * H * H - 1), 0.1, r_trunc)
+    params = SpaceParams.from_h(H)
+    got = (solver._Assembly(dom, params).area,
+           *_element_major(solver._Assembly(dom, params)))
+    for want, have in zip(_reference_geometry(dom, params), got):
+        # tobytes also tells -0.0 from 0.0
+        assert have.shape == want.shape and have.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("H", [0.4, 0.0])
+@pytest.mark.parametrize("shape", sorted(_KERNEL_MESHES))
+def test_hessian_vector_is_bit_identical_to_the_element_major_kernel(shape, H):
+    a, b, k, r_trunc = _KERNEL_MESHES[shape]
+    dom = triangulate(build_triangle(a, b, k, 4 * H * H - 1), 0.1, r_trunc)
+    asm = solver._Assembly(dom, SpaceParams.from_h(H))
+    u, v = np.random.default_rng(29).normal(size=(2, dom.n_nodes))
+    assert np.array_equal(asm.hessian_vector(u, v),
+                          _reference_hessian_vector(asm, u, v))
+
+
+def test_a_fresh_assembly_holds_at_most_128_bytes_per_element():
+    """bx, by, qx, qy, lam (3 doubles each) and area: 16 doubles per
+    element.  The mesh's own arrays, such as elements, are not counted; a
+    cached area / 3 or a transposed copy of the elements would not fit."""
+    dom = triangulate(build_triangle(math.inf, 2.0, 2, 4 * 0.4 ** 2 - 1),
+                      0.05, 4.0)
+    asm = solver._Assembly(dom, SpaceParams.from_h(0.4))
+    owned = [a for a in vars(dom).values() if isinstance(a, np.ndarray)]
+    held = {}
+    stack = list(vars(asm).values())
+    while stack:
+        a = stack.pop()
+        if isinstance(a, (tuple, list)):
+            stack.extend(a)
+        elif isinstance(a, np.ndarray) and not any(np.shares_memory(a, m)
+                                                   for m in owned):
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            held[id(a)] = a.nbytes
+    assert sum(held.values()) <= 128 * dom.elements.shape[0]
 
 
 def test_one_tilt_per_distinct_array_in_a_newton_solve(monkeypatch):
