@@ -7,17 +7,20 @@ boundary nodes, and a Delaunay pass filtered by centroid tests produces the
 elements.  Each ring is laid out only over the angles that are not, by a
 round-off margin, past the far side, so the points built follow the kept
 mesh, not the whole wedge; the inside test still decides every point
-built.  When every node is used, the hull-fill simplices that the filter
-drops are kept, so the mesh hands out the Delaunay triangles of its nodes
-without a second qhull run.  Ring nodes within metric distance 0.4*h
-of the finely sampled far side are dropped; a k-d tree finds the candidate
-pairs, those within 0.4*h in the chart, which is exact since the conformal
-factor is >= 1.  A mesh that would need more than _MAX_POINTS points is
-refused before any is allocated.
+built.  Ring nodes within metric distance 0.4*h of the finely sampled far
+side are dropped (_clear_of).  No point is built twice: the rings lie at
+distinct radii and clear of the far side, the truncation arc stops short
+of its crossing, and a far side collapsed onto p2 is refused.  So the
+nodes are the point sets stacked as built (_collect); a repeated point
+would lie in no Delaunay simplex and be dropped, or the mesh refused.
+When every node is used, the hull-fill simplices that the filter drops
+are kept, so the mesh hands out the Delaunay triangles of its nodes
+without a second qhull run.  A mesh that would need more than _MAX_POINTS
+points is refused before any is allocated.
 Ideal vertices (a or b infinite) are cut off by a truncation boundary at
-metric distance R_trunc from p0.  The flat half-strip (kappa = 0, k = 2,
-a infinite) gets a structured rectangle mesh instead, which keeps the
-refinement study clean.
+metric distance R_trunc from p0, which must exceed the finite side.  The
+flat half-strip (kappa = 0, k = 2, a infinite) gets a structured rectangle
+mesh instead, which keeps the refinement study clean.
 
 Boundary tags: side_p0p1 (the phi = 0 ray), side_p0p2 (the phi = pi/k ray),
 side_p1p2 (the far side), truncation.  TriangulatedDomain.tags holds one
@@ -117,9 +120,8 @@ def _metric_resample(fine: np.ndarray, kappa: float, spacing: float):
     total = cum[-1]
     n = max(1, int(round(total / spacing)))
     targets = np.linspace(0.0, total, n + 1)
-    x = np.interp(targets, cum, fine[:, 0])
-    y = np.interp(targets, cum, fine[:, 1])
-    out = np.column_stack([x, y])
+    out = np.column_stack([np.interp(targets, cum, fine[:, 0]),
+                           np.interp(targets, cum, fine[:, 1])])
     out[0], out[-1] = fine[0], fine[-1]
     return out, total
 
@@ -277,6 +279,9 @@ def triangulate(triangle: GeodesicTriangle, target_h: float,
     if triangle.a_infinite:
         if R_trunc is None or R_trunc <= 0:
             raise GeometryError("an ideal side needs a positive R_trunc")
+        if R_trunc <= triangle.b:  # the truncation would cut p2 off
+            raise GeometryError(f"R_trunc = {R_trunc:g} does not reach past the "
+                                f"finite side, which is {triangle.b:g} long")
         r_rings, what = R_trunc, f"R_trunc = {R_trunc:g}"
     else:
         # distance from p0 is convex along the far side (kappa <= 0), so
@@ -286,31 +291,22 @@ def triangulate(triangle: GeodesicTriangle, target_h: float,
     _check_points(_ring_points(delta, math.pi / k, r_rings, h), what, h)
     fine, inside_test, (psi, bound) = _far_side(triangle, R_trunc, h)
     far_nodes, _ = _metric_resample(fine, kappa, h)
-    if triangle.a_infinite:
-        r_dom = R_trunc
-    else:
-        r_dom = float(np.max(metric_radius(np.hypot(*fine.T), kappa)))
+    r_dom = R_trunc if triangle.a_infinite else float(
+        np.max(metric_radius(np.hypot(*fine.T), kappa)))
 
     rings = [np.zeros((0, 2))]
     wedge = math.pi / k
     i = 1
     while i * h < r_dom - 0.4 * h:
         rho = i * h
-        if triangle.a_infinite and rho > R_trunc - 0.4 * h:
-            break
         r_chart = chart_radius(rho, kappa)
-        if delta > 0:
-            dphi = h * delta / math.sinh(delta * rho)
-        else:
-            dphi = h / rho
+        dphi = h * delta / math.sinh(delta * rho) if delta > 0 else h / rho
         m = max(1, int(math.ceil(wedge / dphi)))
         phi = _ring_angles(wedge, m, psi, bound(r_chart))
         ring = np.column_stack([r_chart * np.cos(phi), r_chart * np.sin(phi)])
         rings.append(ring[inside_test(ring)])
         i += 1
     rings = np.concatenate(rings)
-    chunks = [np.zeros((1, 2)), rings[_clear_of(rings, fine, kappa, 0.4 * h)],
-              far_nodes]
     trunc_nodes = np.zeros((0, 2))
     if triangle.a_infinite:
         r_t = chart_radius(R_trunc, kappa)
@@ -319,9 +315,9 @@ def triangulate(triangle: GeodesicTriangle, target_h: float,
         n_t = max(1, int(math.ceil(arc_metric / h)))
         phi = np.linspace(0.0, phi_cross, n_t + 1)[:-1]  # crossing node comes from the far side
         trunc_nodes = np.column_stack([r_t * np.cos(phi), r_t * np.sin(phi)])
-        chunks.append(trunc_nodes)
-
-    nodes, tags = _collect(chunks, far_nodes, trunc_nodes, wedge)
+    nodes, tags = _collect([np.zeros((1, 2)),
+                            rings[_clear_of(rings, fine, kappa, 0.4 * h)],
+                            far_nodes, trunc_nodes], wedge)
     tri = Delaunay(nodes)
     cent = nodes[tri.simplices].mean(axis=1)
     keep = (cent[:, 1] > -1e-12)
@@ -382,54 +378,26 @@ def _first_tag(cand: np.ndarray) -> np.ndarray:
     return np.where(cand.any(axis=1), cand.argmax(axis=1), -1)
 
 
-def _collect(chunks, far_nodes, trunc_nodes, wedge):
-    """Merge node chunks with dedup and assign boundary tags by priority.
-
-    Points whose coordinates round to the same multiple of 1e-9 are one
-    node, numbered in first-occurrence order.  far_nodes and trunc_nodes
-    are probed by the same key, after the chunks, so they tag nodes
-    without adding any.
-    """
-    pts = np.concatenate([np.reshape(c, (-1, 2)) for c in chunks])
-    n_pts = pts.shape[0]
-    keys = np.rint(np.concatenate([pts, far_nodes, trunc_nodes]) * 1e9)
-    keys = keys.astype(np.int64)
-    # lexsort is stable, so each run of equal keys starts at its first
-    # occurrence; group numbers the runs in key order
-    srt = np.lexsort(keys.T[::-1])
-    run = np.ones(srt.size, dtype=bool)
-    run[1:] = (keys[srt[1:]] != keys[srt[:-1]]).any(axis=1)
-    group = np.empty(srt.size, dtype=np.int64)
-    group[srt] = np.cumsum(run) - 1
-    first = srt[run]
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    n_nodes = int(np.count_nonzero(first < n_pts))
-    node = rank[group[:n_pts]]
-
-    def probed(lo, hi):
-        hit = np.zeros(order.size, dtype=bool)
-        hit[group[lo:hi]] = True
-        return hit[group[:n_pts]]
-
-    x, y = pts[:, 0], pts[:, 1]
+def _collect(chunks, wedge):
+    """The chunks (p0, rings, far-side nodes, truncation nodes) stacked as
+    built, and each node's tag by TAGS priority: a leg by distance from its
+    ray, the other two sides by chunk.  No point repeats: the rings lie at
+    distinct radii, _clear_of clears them off the far side, the truncation
+    arc leaves its crossing to the far side, and a far side collapsed onto
+    p2 is refused.  A repeat would lie in no Delaunay simplex, so _compact
+    would drop it or _check_boundary would refuse the mesh."""
+    nodes = np.concatenate(chunks)
+    x, y = nodes[:, 0], nodes[:, 1]
     r = np.hypot(x, y)
     at_p0 = r < 1e-12
     scale = 1e-9 * np.maximum(r, 1.0)
-    n_far = len(far_nodes)
+    side = np.repeat([-1, -1, 2, 3], [len(c) for c in chunks])
     # one column per tag, in priority order
     cand = np.column_stack([
         at_p0 | (np.abs(y) < scale),
         at_p0 | (np.abs(x * math.sin(wedge) - y * math.cos(wedge)) < scale),
-        probed(n_pts, n_pts + n_far),
-        probed(n_pts + n_far, keys.shape[0]),
-    ])
-    # a node's candidates are those of all its duplicates
-    hit = np.zeros((n_nodes, len(TAGS)), dtype=bool)
-    rows, cols = np.nonzero(cand)
-    hit[node[rows], cols] = True
-    return pts[first[order[:n_nodes]]], _first_tag(hit)
+        side == 2, side == 3])
+    return nodes, _first_tag(cand)
 
 
 def _orient_ccw(nodes, elements):
@@ -440,8 +408,7 @@ def _orient_ccw(nodes, elements):
     flip = area2 < 0
     elements = elements.copy()
     elements[flip] = elements[flip][:, ::-1]
-    good = np.abs(area2) > 1e-14
-    return elements[good]
+    return elements[np.abs(area2) > 1e-14]
 
 
 def _compact(nodes, elements, tags):
@@ -491,12 +458,10 @@ def _strip(triangle: GeodesicTriangle, h: float,
 def _mirrored(triangle: GeodesicTriangle, target_h: float,
               R_trunc: Optional[float]) -> TriangulatedDomain:
     """Mesh an ideal-b triangle by reflecting the mirrored ideal-a mesh."""
-    k = triangle.k
-    swapped = build_triangle(triangle.b, triangle.a, k, triangle.kappa)
+    swapped = build_triangle(triangle.b, triangle.a, triangle.k, triangle.kappa)
     dom = triangulate(swapped, target_h, R_trunc)
-    ang = math.pi / k
     z = dom.nodes[:, 0] + 1j * dom.nodes[:, 1]
-    w = np.exp(1j * ang) * np.conj(z)
+    w = np.exp(1j * (math.pi / triangle.k)) * np.conj(z)
     nodes = np.column_stack([w.real, w.imag])
     # the mirror swaps the legs side_p0p1 (0) and side_p0p2 (1)
     tags = np.where(np.isin(dom.tags, (0, 1)), 1 - dom.tags, dom.tags)

@@ -520,6 +520,21 @@ def test_noid_domain_with_b_on_the_ideal_circle_fails_before_meshing(
     assert "side b = 1e+06 is finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--a", "inf", "--b", "4.5", "--H", "0.4"),
+    ("solve", "--a", "4.5", "--b", "inf", "--H", "0.4"),
+    ("figure", "noid-domain", "--H", "0.4", "--b", "4.5", "--target-h", "0.05"),
+])
+def test_truncation_short_of_the_finite_side_exits_1(tmp_path, capsys, argv):
+    # R_trunc defaults to 4: the solve used to exit 0 with d taken along a
+    # leg the mesh had cut short
+    assert run(*argv, "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert ("R_trunc = 4 does not reach past the finite side, which is 4.5 "
+            "long") in err
+    assert "b = 4.5" not in err
+
+
 @pytest.mark.parametrize("workers,pool", [("100000", 3), ("2", 2), ("1", None)])
 def test_sweep_pool_is_no_larger_than_the_task_list(tmp_path, monkeypatch,
                                                     workers, pool):

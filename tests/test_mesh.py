@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial import Delaunay
+from scipy.spatial import Delaunay, cKDTree
 
 from ektlab import mesh
 from ektlab.mesh import TAGS, triangulate
@@ -97,6 +97,26 @@ def test_ideal_vertex_needs_truncation():
     far = dom.nodes_with_tag("side_p1p2")
     assert far.size > 0
     assert np.hypot(*dom.nodes[far].T).max() < 2.0 / math.sqrt(0.96)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("sides", [(math.inf, 4.5), (4.5, math.inf)])
+@pytest.mark.parametrize("r_trunc", [4.0, 4.5])
+def test_truncation_short_of_the_finite_side_is_refused(sides, k, r_trunc):
+    # at R_trunc = 4 the centroid filter used to cut p2 off, leaving nodes
+    # up to metric radius 4.0068 and a shortened leg to integrate d along
+    with pytest.raises(GeometryError) as err:
+        triangulate(build_triangle(*sides, k, -0.36), 0.1, r_trunc)
+    assert str(err.value) == (f"R_trunc = {r_trunc:g} does not reach past "
+                              "the finite side, which is 4.5 long")
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_truncation_just_past_the_finite_side_keeps_p2(k):
+    tri = build_triangle(math.inf, 4.5, k, -0.36)
+    dom = triangulate(tri, 0.1, 4.6)
+    assert np.min(np.hypot(*(dom.nodes - tri.p2).T)) < 1e-12
+    assert dom.node_metric_radius.max() <= 4.6 + 1e-9
 
 
 def test_doubly_ideal_wedge_is_rejected():
@@ -205,12 +225,14 @@ def test_bad_target_h_rejected():
         triangulate(tri, math.nan)
 
 
-def _collect_loop(chunks, far_nodes, trunc_nodes, wedge):
-    """Reference for mesh._collect: one point at a time through a dict."""
+def _collect_loop(chunks, wedge):
+    """Reference for mesh._collect: one point at a time through a dict, a
+    point repeated to 1e-9 counted once, and the far-side and truncation
+    chunks found again by key."""
     def key(p):
         return (round(float(p[0]) * 1e9), round(float(p[1]) * 1e9))
-    far_keys = {key(p) for p in far_nodes}
-    trunc_keys = {key(p) for p in trunc_nodes}
+    far_keys = {key(p) for p in chunks[2]}
+    trunc_keys = {key(p) for p in chunks[3]}
     nodes, index, tags = [], {}, {}
     for chunk in chunks:
         for p in np.reshape(chunk, (-1, 2)):
@@ -233,7 +255,8 @@ def _collect_loop(chunks, far_nodes, trunc_nodes, wedge):
     return np.array(nodes), tags
 
 
-def test_collect_matches_the_loop_reference(monkeypatch):
+def _spy_on_collect(monkeypatch):
+    """The (chunks, wedge) and result of every mesh._collect call."""
     seen = []
     real = mesh._collect
 
@@ -242,24 +265,60 @@ def test_collect_matches_the_loop_reference(monkeypatch):
         return seen[-1][1]
 
     monkeypatch.setattr(mesh, "_collect", spy)
+    return seen
+
+
+def test_collect_matches_the_loop_reference(monkeypatch):
+    seen = _spy_on_collect(monkeypatch)
     triangulate(build_triangle(1.0, 1.5, 3, -0.75), 0.05)
     triangulate(build_triangle(1.0, 1.0, 2, 0.0), 0.05)
     triangulate(build_triangle(math.inf, 2.0, 2, -0.36), 0.05, 4.0)
     triangulate(build_triangle(2.0, math.inf, 3, -0.64), 0.05, 4.0)
-    # duplicates a hair apart, a far node on a leg and a truncation node
-    wedge = math.pi / 3
-    far = np.array([[1.0, 0.0], [0.5, 0.5]])
-    trunc = np.array([[2.0, 0.0]])
-    chunks = [np.zeros((1, 2)), np.array([[0.3, 0.0], [0.3 + 4e-10, 1e-11]]),
-              np.zeros((0, 2)), np.array([[1.0, 0.0], [0.5, 0.5]]),
-              np.array([[0.5 * math.cos(wedge), 0.5 * math.sin(wedge)],
-                        [0.5 + 1e-10, 0.5]]), trunc]
-    seen.append(((chunks, far, trunc, wedge), real(chunks, far, trunc, wedge)))
-    assert len(seen) == 5
+    assert len(seen) == 4
     for args, (nodes, tags) in seen:
         want_nodes, want_tags = _collect_loop(*args)
+        assert nodes.dtype == want_nodes.dtype and tags.dtype == np.int64
         assert np.array_equal(nodes, want_nodes)
         assert {i: TAGS[t] for i, t in enumerate(tags) if t >= 0} == want_tags
+
+
+def _corpus(n, seed=26):
+    """n seeded triangles: ideal a, ideal b and finite in turn, kappa = 0
+    for one in four, k from 2 to 6, R_trunc past the finite side."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        kind = i % 3
+        kappa = 0.0 if i % 4 == 0 else -float(rng.uniform(0.05, 1.0))
+        k = int(rng.integers(2, 7))
+        h = float(rng.uniform(0.05, 0.2))
+        b = float(rng.uniform(0.3, 2.5))
+        if kind == 2:
+            yield (float(rng.uniform(0.3, 2.5)), b, k, kappa), h, None
+            continue
+        if kappa == 0.0 and k == 2:
+            k = 3  # the flat ideal k = 2 wedge is the structured strip
+        sides = (math.inf, b) if kind == 0 else (b, math.inf)
+        yield (*sides, k, kappa), h, b + float(rng.uniform(0.2, 1.5))
+
+
+@pytest.mark.parametrize("args, h, r_trunc", list(_corpus(48)))
+def test_collect_gets_no_repeated_point_and_tags_sides_by_chunk(
+        monkeypatch, args, h, r_trunc):
+    seen = _spy_on_collect(monkeypatch)
+    triangulate(build_triangle(*args), h, r_trunc)
+    (chunks, wedge), (nodes, tags) = seen[0]
+    assert len(seen) == 1 and len(chunks) == 4
+    r = np.hypot(*nodes.T)
+    close = cKDTree(nodes).query_pairs(1e-9 * max(r.max(), 1.0))
+    assert not close
+    on_leg = (np.abs(nodes[:, 1]) < 1e-9 * np.maximum(r, 1.0)) | (
+        np.abs(nodes[:, 0] * math.sin(wedge) - nodes[:, 1] * math.cos(wedge))
+        < 1e-9 * np.maximum(r, 1.0))
+    n_p0, n_rings, n_far, n_trunc = map(len, chunks)
+    side = np.repeat([-1, -1, 2, 3], [n_p0, n_rings, n_far, n_trunc])
+    assert n_p0 == 1 and n_far >= 2 and (n_trunc > 0) == (r_trunc is not None)
+    assert np.array_equal(nodes, np.concatenate(chunks))
+    assert np.all(np.where(on_leg, tags < 2, tags == side))
 
 
 @pytest.mark.parametrize("args, h, r_trunc", [
