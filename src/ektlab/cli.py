@@ -96,7 +96,10 @@ def _config_value(option: argparse.Action, text: str):
     """A config value parsed as the option's flag parses it; a repeatable
     option takes a number list and a switch a truth word."""
     if isinstance(option, argparse._StoreTrueAction):
-        return text.strip().lower() in ("1", "true", "yes")
+        word = text.strip().lower()
+        if word not in ("1", "true", "yes", "0", "false", "no"):
+            raise ValueError(f"{text!r} is not one of 1, true, yes, 0, false, no")
+        return word in ("1", "true", "yes")
     if isinstance(option, argparse._AppendAction):
         return _float_list(text)
     value = (option.type or str)(text)
@@ -282,7 +285,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ figure
 
-def _figure_catenoid_domains(args: argparse.Namespace, out: str) -> int:
+def _figure_catenoid_domains(args: argparse.Namespace) -> int:
     mus = args.mus if args.mus else [-3.0, 3.0]
     panels = []
     verdicts = {}
@@ -296,6 +299,7 @@ def _figure_catenoid_domains(args: argparse.Namespace, out: str) -> int:
         verdicts[f"{mu:g}"] = entry
     params = {"figure": "catenoid-domains", "mus": mus, "k": args.k,
               "step": args.step, "s_cap": args.s_cap, "H": 0.5}
+    out = _prepare_out(args.out)
     svg = os.path.join(out, "catenoid_domains.svg")
     write_domain_panels_svg(svg, panels, params)
     _write_json(os.path.join(out, "catenoid_domains.json"),
@@ -318,7 +322,7 @@ def _sweep_point(task):
     return a, b, richardson_extrapolate(per_m), per_m
 
 
-def _figure_sweep_d(args: argparse.Namespace, out: str) -> int:
+def _figure_sweep_d(args: argparse.Namespace) -> int:
     a_grid = sorted(args.a_grid)
     b_grid = sorted(args.b_grid)
     tasks = [(a, b, args.k, args.H, tuple(args.M), args.target_h)
@@ -339,6 +343,7 @@ def _figure_sweep_d(args: argparse.Namespace, out: str) -> int:
               f"M={list(args.M)!r} target_h={args.target_h!r} "
               f"a_grid={a_grid!r} b_grid={b_grid!r}")
     rows = [header, "a,b,d"] + [f"{a!r},{b!r},{dv!r}" for a, b, dv, _ in results]
+    out = _prepare_out(args.out)
     csv_path = os.path.join(out, "sweep_d.csv")
     _write_lines(csv_path, rows)
     verdict = {
@@ -354,7 +359,7 @@ def _figure_sweep_d(args: argparse.Namespace, out: str) -> int:
     return 0
 
 
-def _figure_noid_domain(args: argparse.Namespace, out: str) -> int:
+def _figure_noid_domain(args: argparse.Namespace) -> int:
     r_trunc = args.r_trunc if args.r_trunc is not None else 4.0
     sols = solve_jenkins_serrin(math.inf, args.b, args.k, args.H,
                                 list(args.M), args.target_h, R_trunc=r_trunc)
@@ -372,6 +377,7 @@ def _figure_noid_domain(args: argparse.Namespace, out: str) -> int:
               "M": list(args.M), "target_h": args.target_h,
               "R_trunc": r_trunc, "step": args.step,
               "gauge": "waist on +x axis at distance d_estimate"}
+    out = _prepare_out(args.out)
     svg = os.path.join(out, "noid_domain.svg")
     write_domain_svg(svg, asm.pieces, rep, params)
     payload = report_json_dict(rep, curve.total_turning)
@@ -397,15 +403,15 @@ _FIGURES = {"catenoid-domains": _figure_catenoid_domains,
 def cmd_figure(args: argparse.Namespace) -> int:
     if args.name == "noid-domain" and not args.H < 0.5:
         raise UsageError("noid-domain needs H in (0, 1/2) (bounded domain)")
-    return _FIGURES[args.name](args, _prepare_out(args.out))
+    return _FIGURES[args.name](args)
 
 
 # ------------------------------------------------------------------- audit
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    out = _prepare_out(args.out)
     rows = run_audit(fault_eps=args.fault_inject)
     table = format_table(rows)
+    out = _prepare_out(args.out)
     print(table)
     _write_lines(os.path.join(out, "audit.txt"), [table])
     return 1 if any(not r.passed for r in rows) else 0

@@ -4,10 +4,12 @@ Finite triangles T_{a,b} are meshed star-shaped from p0: concentric metric
 circles at radius i*h carry nodes at angular spacing matched to the circle
 circumference, the curved far side contributes its own arclength-uniform
 boundary nodes, and a Delaunay pass filtered by centroid tests produces the
-elements.  Each ring is laid out only over the angles that are not, by a
-round-off margin, past the far side, so the points built follow the kept
-mesh, not the whole wedge; the inside test still decides every point
-built.  Ring nodes within metric distance 0.4*h of the finely sampled far
+elements.  The region past the far side is one half-plane (a straight
+side) or disk (a geodesic circle).  It gives the inside test, and each
+ring its arc of angles in the region: a ring is laid out only over the
+angles not, by a round-off margin, in that arc, so the points built follow
+the kept mesh, not the whole wedge, and the inside test still decides
+every point built.  Ring nodes within metric distance 0.4*h of the far
 side are dropped (_clear_of).  No point is built twice: the rings lie at
 distinct radii and clear of the far side, the truncation arc stops short
 of its crossing, and a far side collapsed onto p2 is refused.  So the
@@ -117,13 +119,12 @@ def _metric_resample(fine: np.ndarray, kappa: float, spacing: float):
     mid = (fine[1:] + fine[:-1]) / 2.0
     lam = conformal_factor_xy(mid[:, 0], mid[:, 1], kappa)
     cum = np.concatenate([[0.0], np.cumsum(lam * seg)])
-    total = cum[-1]
-    n = max(1, int(round(total / spacing)))
-    targets = np.linspace(0.0, total, n + 1)
+    n = max(1, int(round(cum[-1] / spacing)))
+    targets = np.linspace(0.0, cum[-1], n + 1)
     out = np.column_stack([np.interp(targets, cum, fine[:, 0]),
                            np.interp(targets, cum, fine[:, 1])])
     out[0], out[-1] = fine[0], fine[-1]
-    return out, total
+    return out
 
 
 def _geodesic_circle(p1: np.ndarray, p2: np.ndarray, disk_r: float):
@@ -138,16 +139,38 @@ def _geodesic_circle(p1: np.ndarray, p2: np.ndarray, disk_r: float):
     return c, rg
 
 
-def _arc_points(c: np.ndarray, rg: float, th0: float, th1: float, n: int) -> np.ndarray:
-    th = np.linspace(th0, th1, n)
-    return np.column_stack([c[0] + rg * np.cos(th), c[1] + rg * np.sin(th)])
+def _half_plane(n, d):
+    """The half-plane x . n >= d past a straight far side (n the outward
+    unit normal, d > 0 its distance from p0) as (inside, psi, bound)."""
+    return (lambda pts: pts @ n < d, math.atan2(n[1], n[0]),
+            lambda r: d / r)
+
+
+def _disk(c, rg):
+    """The disk |x - c| <= rg past a circular far side (0 outside it) as
+    (inside, psi, bound)."""
+    dc = float(np.hypot(*c))
+    return (lambda pts: np.hypot(*(pts - c).T) > rg, math.atan2(c[1], c[0]),
+            lambda r: (r * r + dc * dc - rg * rg) / (2.0 * r * dc))
+
+
+def _arc(c, rg, start, end, h):
+    """Fine samples of the short arc of |x - c| = rg from start to end, and
+    the disk it bounds as _far_side's region."""
+    th0, th1 = (math.atan2(*(p - c)[::-1]) for p in (start, end))
+    # walk the short way (the arc inside the chart disk)
+    dth = (th1 - th0 + math.pi) % (2.0 * math.pi) - math.pi
+    n = max(16, int(math.ceil(abs(dth) * rg / (h / 4.0))))
+    th = np.linspace(th0, th0 + dth, n)
+    fine = np.column_stack([c[0] + rg * np.cos(th), c[1] + rg * np.sin(th)])
+    return fine, _disk(c, rg)
 
 
 def _far_side(triangle: GeodesicTriangle, r_trunc: Optional[float], h: float):
-    """Fine far-side polyline (from the a-end toward p2), the inside test,
-    and the region past the far side as an angle psi and a map from chart
-    radius r to a cosine bound: the points r (cos phi, sin phi) with
-    cos(phi - psi) > bound fail the inside test."""
+    """The fine far-side polyline (from the a-end toward p2) and the region
+    past the far side, a half-plane or a disk, as (inside, psi, bound):
+    inside(pts) is false for the points in the region, and the points
+    r (cos phi, sin phi) with cos(phi - psi) > bound(r) lie in it."""
     kappa, k = triangle.kappa, triangle.k
     p2 = np.array(triangle.p2)
     if not triangle.a_infinite:
@@ -156,28 +179,13 @@ def _far_side(triangle: GeodesicTriangle, r_trunc: Optional[float], h: float):
             n = max(8, int(math.ceil(np.hypot(*(p2 - p1)) / (h / 4.0))))
             fine = p1 + np.linspace(0.0, 1.0, n)[:, None] * (p2 - p1)
             t = p2 - p1
-            normal_sign = math.copysign(1.0, t[0] * (-p1[1]) - t[1] * (-p1[0]))
-
-            def inside(pts):
-                d = pts - p1
-                return normal_sign * (t[0] * d[:, 1] - t[1] * d[:, 0]) > 0.0
-            # the outward unit normal and the distance of the line from p0
-            n = normal_sign * np.array([t[1], -t[0]]) / np.hypot(*t)
-            return fine, inside, _half_plane(n, float(n @ p1))
-        disk_r = 2.0 / math.sqrt(-kappa)
-        cr = _geodesic_circle(p1, p2, disk_r)
+            normal = np.array([t[1], -t[0]]) / np.hypot(*t)
+            normal *= math.copysign(1.0, normal @ p1)  # outward: p0 inside
+            return fine, _half_plane(normal, float(normal @ p1))
+        cr = _geodesic_circle(p1, p2, 2.0 / math.sqrt(-kappa))
         if cr is None:
             raise GeometryError("degenerate far side through the origin")
-        c, rg = cr
-        th1, th2 = (math.atan2(*(p - c)[::-1]) for p in (p1, p2))
-        # walk the short way (the arc inside the disk)
-        dth = (th2 - th1 + math.pi) % (2.0 * math.pi) - math.pi
-        n = max(16, int(math.ceil(abs(dth) * rg / (h / 4.0))))
-        fine = _arc_points(c, rg, th1, th1 + dth, n)
-
-        def inside(pts):
-            return np.hypot(*(pts - c).T) > rg
-        return fine, inside, _disk(c, rg)
+        return _arc(*cr, p1, p2, h)
     # ideal a-vertex, r_trunc > 0
     if kappa == 0.0:
         b_y = p2[1]
@@ -186,16 +194,11 @@ def _far_side(triangle: GeodesicTriangle, r_trunc: Optional[float], h: float):
             raise GeometryError("R_trunc does not reach past p2")
         n = max(8, int(math.ceil((x_hi - p2[0]) / (h / 4.0))))
         fine = np.column_stack([np.linspace(x_hi, p2[0], n), np.full(n, b_y)])
-
-        def inside(pts):
-            return pts[:, 1] < b_y
-        return fine, inside, _half_plane(np.array([0.0, 1.0]), b_y)
-    delta = math.sqrt(-kappa)
-    disk_r = 2.0 / delta
+        return fine, _half_plane(np.array([0.0, 1.0]), b_y)
+    disk_r = 2.0 / math.sqrt(-kappa)
     cy = (p2 @ p2 - 2.0 * disk_r * p2[0] + disk_r ** 2) / (2.0 * p2[1])
     c = np.array([disk_r, cy])
     rg = math.sqrt(c @ c - disk_r ** 2)
-    th2 = math.atan2(*(p2 - c)[::-1])
     # trim the arc at the truncation circle |z| = r_t
     r_t = chart_radius(r_trunc, kappa)
     m = (r_t ** 2 + disk_r ** 2) / 2.0
@@ -213,28 +216,7 @@ def _far_side(triangle: GeodesicTriangle, r_trunc: Optional[float], h: float):
     if not cands:
         raise GeometryError("truncation circle misses the far side inside the wedge")
     z_cross = min(cands, key=lambda z: abs(math.atan2(z[1], z[0])))
-    th_cross = math.atan2(*(z_cross - c)[::-1])
-    dth = (th2 - th_cross + math.pi) % (2.0 * math.pi) - math.pi
-    n = max(16, int(math.ceil(abs(dth) * rg / (h / 4.0))))
-    fine = _arc_points(c, rg, th_cross, th_cross + dth, n)
-
-    def inside(pts):
-        return np.hypot(*(pts - c).T) > rg
-    return fine, inside, _disk(c, rg)
-
-
-def _half_plane(n, d):
-    """The half-plane x . n >= d (n a unit vector, d > 0) as _far_side's
-    angle and cosine bound."""
-    return math.atan2(n[1], n[0]), lambda r: d / r
-
-
-def _disk(c, rg):
-    """The disk |x - c| <= rg (not holding 0) as _far_side's angle and
-    cosine bound."""
-    dc = float(np.hypot(*c))
-    return (math.atan2(c[1], c[0]),
-            lambda r: (r * r + dc * dc - rg * rg) / (2.0 * r * dc))
+    return _arc(c, rg, z_cross, p2, h)
 
 
 def _ring_angles(wedge, m, psi, bound):
@@ -289,8 +271,8 @@ def triangulate(triangle: GeodesicTriangle, target_h: float,
         r_rings = max(triangle.a, triangle.b)
         what = f"a = {triangle.a:g}, b = {triangle.b:g}"
     _check_points(_ring_points(delta, math.pi / k, r_rings, h), what, h)
-    fine, inside_test, (psi, bound) = _far_side(triangle, R_trunc, h)
-    far_nodes, _ = _metric_resample(fine, kappa, h)
+    fine, (inside_test, psi, bound) = _far_side(triangle, R_trunc, h)
+    far_nodes = _metric_resample(fine, kappa, h)
     r_dom = R_trunc if triangle.a_infinite else float(
         np.max(metric_radius(np.hypot(*fine.T), kappa)))
 

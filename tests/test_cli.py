@@ -167,6 +167,30 @@ def test_config_key_that_names_no_option_exits_2(tmp_path, capsys, line):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("word,written", [
+    ("YES", True), ("true", True), ("1", True),
+    ("No", False), ("false", False), ("0", False)])
+def test_config_switch_reads_truth_words_in_any_case(tmp_path, word, written):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"obj = {word}\n")
+    out = tmp_path / "o"
+    flag = [] if written else ["--obj"]
+    assert run("helicoid", "--mu", "1", *flag, "--config", str(cfg),
+               "--out", str(out)) == 0
+    assert (out / "helicoid_mu_1.obj").exists() == written
+
+
+@pytest.mark.parametrize("word", ["ture", "on", ""])
+def test_config_switch_misspelled_exits_2(tmp_path, capsys, word):
+    # a misspelled switch used to read as false and exit 0 with no OBJ
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# switches\nobj = {word}\n")
+    assert run("helicoid", "--mu", "1", "--config", str(cfg),
+               "--out", str(tmp_path / "o")) == 2
+    assert f"{cfg}:2: {word!r} is not one of" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_missing_file_exits_2(tmp_path):
     assert run("helicoid", "--mu", "1", "--config", str(tmp_path / "nope"),
                "--out", str(tmp_path / "o")) == 2
@@ -608,3 +632,14 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep-d", "--H", "0.4", "--a-grid", "40", "--b-grid", "1",
+     "--target-h", "0.5"),
+    ("noid-domain", "--H", "0.4", "--b", "4.5", "--target-h", "0.05"),
+])
+def test_a_failed_figure_leaves_no_out_directory(tmp_path, argv):
+    # the mesh cap and the truncation check refuse these before any output
+    assert run("figure", *argv, "--out", str(tmp_path / "o")) == 1
+    assert not (tmp_path / "o").exists()

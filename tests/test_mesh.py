@@ -461,13 +461,13 @@ def test_the_inside_test_gets_only_the_kept_ring_angles(monkeypatch):
     calls = []
 
     def counted(*args):
-        fine, inside, cap = real(*args)
+        fine, (inside, psi, bound) = real(*args)
 
         def test(pts):
             ok = inside(pts)
             calls.append((len(pts), int(np.count_nonzero(ok))))
             return ok
-        return fine, test, cap
+        return fine, (test, psi, bound)
 
     monkeypatch.setattr(mesh, "_far_side", counted)
     dom = triangulate(build_triangle(math.inf, 2.0, 2, -0.36), 0.1, 12.0)
@@ -475,3 +475,49 @@ def test_the_inside_test_gets_only_the_kept_ring_angles(monkeypatch):
     assert len(rings) == 119
     assert max(n - kept for n, kept in rings) <= 8
     assert sum(n for n, _ in rings) < 2 * dom.n_nodes
+
+
+# the four kinds of far side: (triangle args, R_trunc)
+_FAR_SIDES = {
+    "flat finite": ((1.0, 1.5, 3, 0.0), None),          # a half-plane
+    "hyperbolic finite": ((1.0, 1.5, 2, -0.36), None),  # a disk
+    "flat ideal": ((math.inf, 1.0, 3, 0.0), 3.0),       # the half-plane y >= b_y
+    "hyperbolic ideal": ((math.inf, 2.0, 2, -0.36), 4.0),
+}
+
+
+def _far_region(kind):
+    args, r_trunc = _FAR_SIDES[kind]
+    tri = build_triangle(*args)
+    fine, region = mesh._far_side(tri, r_trunc, 0.05)
+    return tri, region, 1.5 * float(np.hypot(*fine.T).max())
+
+
+@pytest.mark.parametrize("kind", sorted(_FAR_SIDES))
+def test_the_inside_test_and_the_ring_cut_describe_one_region(kind):
+    tri, (inside, psi, bound), r_max = _far_region(kind)
+    wedge = math.pi / tri.k
+    rng = np.random.default_rng(27)
+    r = rng.uniform(0.01, r_max, 4000)
+    phi = rng.uniform(0.0, wedge, 4000)
+    pts = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+    gap = np.cos(phi - psi) - bound(r)
+    clear = np.abs(gap) > 1e-9
+    ok = inside(pts)
+    assert np.array_equal(ok[clear], gap[clear] < 0)
+    assert 500 < np.count_nonzero(ok) < 3500  # both sides are sampled
+
+
+@pytest.mark.parametrize("kind", sorted(_FAR_SIDES))
+def test_the_ring_cut_never_drops_a_point_inside(kind):
+    tri, (inside, psi, bound), r_max = _far_region(kind)
+    wedge = math.pi / tri.k
+    rng = np.random.default_rng(270)
+    dropped = 0
+    for r, m in zip(rng.uniform(0.01, r_max, 200), rng.integers(1, 3000, 200)):
+        full = np.linspace(0.0, wedge, m + 1)
+        gone = full[~np.isin(full, mesh._ring_angles(wedge, m, psi, bound(r)))]
+        pts = np.column_stack([r * np.cos(gone), r * np.sin(gone)])
+        assert not inside(pts).any(), (r, m)
+        dropped += gone.size
+    assert dropped > 0
