@@ -8,13 +8,15 @@ and judges the tiled boundary (self_intersections).
 Crossings are found by a vectorized sweep over candidate segment pairs.
 The candidates come from a top-down refinement of blocks of consecutive
 segments: block pairs whose bounding boxes are apart drop out, and so do
-runs of segments too straight for any two of them to meet.  Covered-twice
+runs of segments too straight for any two of them to meet; single
+segments are read only at the end, for the surviving pairs, in slices.
+The sweep's arrays are freed before the raster is made.  Covered-twice
 regions are measured by winding-number rasterization: open chains are closed
-through arcs just inside the ideal circle, each scanline accumulates signed
-crossings, and pixels with |winding| >= 2 are summed with the hyperbolic
-density (2/(1-r^2))^2.  That one raster per boundary also gives the SVG
-fill: a figure cell is a 4 x 4 block of raster pixels of which at least 8
-have |winding| >= 2.
+through arcs just inside the ideal circle, the segments that cross a
+scanline add signed crossings to an int32 raster, and pixels with
+|winding| >= 2 are summed with the hyperbolic density (2/(1-r^2))^2.  That
+one raster per boundary also gives the SVG fill: a figure cell is a 4 x 4
+block of raster pixels of which at least 8 have |winding| >= 2.
 """
 from __future__ import annotations
 
@@ -105,6 +107,15 @@ def _parametrize(pieces: Sequence[np.ndarray]):
     return points, params
 
 
+def _pair(f, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """f(x[2m], y[2m + 1]) for each row pair m; an odd last row pairs with itself."""
+    h = x.shape[0] // 2
+    out = np.empty((x.shape[0] - h,) + x.shape[1:])
+    f(x[0:2 * h:2], y[1::2], out=out[:h])
+    f(x[2 * h:], y[2 * h:], out=out[h:])
+    return out
+
+
 def _candidate_pairs(A: np.ndarray, B: np.ndarray, d: np.ndarray,
                      lens: np.ndarray, piece_id: np.ndarray,
                      slack: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -128,25 +139,34 @@ def _candidate_pairs(A: np.ndarray, B: np.ndarray, d: np.ndarray,
     A cleared run is exact to drop: its directions lie within theta/2 of one
     unit vector u, so any points of its segments i and j >= i + 2 are at
     least cos(theta/2) * sum_{i<m<j} len_m > slack apart along u.
+
+    Level 0 is not stored: its U is filled in place in one buffer, level 1
+    is built from U, A, B and lens (level 0's W is zero), and level 0's
+    boxes are read from A and B only at the end, for the pairs that
+    survive, _PAIR_CHUNK pairs at a time.
     """
-    ang = np.arctan2(d[:, 1], d[:, 0])
-    turn = np.abs((np.diff(ang) + np.pi) % (2.0 * np.pi) - np.pi)
-    turn[piece_id[1:] != piece_id[:-1]] = np.pi
-    levels = [(np.minimum(A, B), np.maximum(A, B), lens,
-               np.zeros_like(lens), np.append(turn, np.pi))]
-    while levels[-1][2].size > 1:
-        lo, hi, mn, W, U = (np.concatenate([x, x[-1:]]) if x.shape[0] % 2 else x
-                            for x in levels[-1])
-        levels.append((np.minimum(lo[0::2], lo[1::2]), np.maximum(hi[0::2], hi[1::2]),
-                       np.minimum(mn[0::2], mn[1::2]), U[0::2] + W[1::2],
-                       U[0::2] + U[1::2]))
+    U = np.arctan2(d[:, 1], d[:, 0])
+    np.subtract(U[1:], U[:-1], out=U[:-1])
+    U[:-1] += np.pi
+    U[:-1] %= 2.0 * np.pi
+    U[:-1] -= np.pi
+    np.abs(U, out=U)
+    U[:-1][piece_id[1:] != piece_id[:-1]] = np.pi
+    U[-1] = np.pi
+    levels = [(np.minimum(_pair(np.minimum, A, A), _pair(np.minimum, B, B)),
+               np.maximum(_pair(np.maximum, A, A), _pair(np.maximum, B, B)),
+               _pair(np.minimum, lens, lens), U[0::2] + 0.0,
+               _pair(np.add, U, U))] if lens.size > 1 else []
+    while levels and levels[-1][2].size > 1:
+        lo, hi, mn, W, U = levels[-1]
+        levels.append((_pair(np.minimum, lo, lo), _pair(np.maximum, hi, hi),
+                       _pair(np.minimum, mn, mn), _pair(np.add, U, W),
+                       _pair(np.add, U, U)))
     P = Q = np.zeros(1, dtype=np.int64)
-    for L in range(len(levels) - 1, -1, -1):
-        lo, hi, mn, W, U = levels[L]
+    for L in range(len(levels), 0, -1):
+        lo, hi, mn, W, U = levels[L - 1]
         near = np.all((lo[P] <= hi[Q] + slack) & (lo[Q] <= hi[P] + slack), axis=1)
         P, Q = P[near], Q[near]
-        if L == 0:
-            break
         theta = np.where(P == Q, W[P], U[P] + W[Q])
         cleared = ((Q - P <= 1) & (theta < np.pi)
                    & (np.cos(theta / 2.0) * np.minimum(mn[P], mn[Q]) > slack))
@@ -157,9 +177,17 @@ def _candidate_pairs(A: np.ndarray, B: np.ndarray, d: np.ndarray,
                             (2 * P[~same, None] + [0, 0, 1, 1]).ravel()])
         Q = np.concatenate([(2 * Q[same, None] + [0, 1, 1]).ravel(),
                             (2 * Q[~same, None] + [0, 1, 0, 1]).ravel()])
-        inside = Q < levels[L - 1][2].size
+        inside = Q < (levels[L - 2][2].size if L > 1 else lens.size)
         P, Q = P[inside], Q[inside]
-    keep = (P < Q) & ((Q - P > 1) | (piece_id[P] != piece_id[Q]))
+    keep = np.empty(P.size, dtype=bool)
+    for start in range(0, P.size, _PAIR_CHUNK):
+        p, q = P[start:start + _PAIR_CHUNK], Q[start:start + _PAIR_CHUNK]
+        near = (p < q) & ((q - p > 1) | (piece_id[p] != piece_id[q]))
+        for c in (0, 1):
+            ap, bp, aq, bq = A[p, c], B[p, c], A[q, c], B[q, c]
+            near &= ((np.minimum(ap, bp) <= np.maximum(aq, bq) + slack)
+                     & (np.minimum(aq, bq) <= np.maximum(ap, bp) + slack))
+        keep[start:start + _PAIR_CHUNK] = near
     return P[keep], Q[keep]
 
 
@@ -173,9 +201,22 @@ def self_intersections(pieces: Sequence[np.ndarray]) -> EmbeddednessReport:
     before.  Near-tangential configurations (parameter or perpendicular
     clearance within _EPS_GEOM) are listed as uncertain instead of decided.
     The area and the figure's fill cells come from one multiplicity_two_area
-    raster of the thinned pieces.
+    raster of the thinned pieces, which runs after the sweep's arrays are
+    freed.
     """
     pieces, params = _parametrize(pieces)
+    crossings, uncertain = _sweep(pieces, params)
+    area, fill_cells = multiplicity_two_area(pieces)
+    return EmbeddednessReport(self_intersections=crossings,
+                              multiplicity_2_area=area,
+                              embedded=not crossings,
+                              uncertain=uncertain,
+                              fill_cells=fill_cells)
+
+
+def _sweep(pieces: List[np.ndarray], params: List[np.ndarray]):
+    """The sorted crossings and the sorted, distinct uncertain pairs of the
+    thinned pieces, as self_intersections reports them."""
     A = np.vstack([p[:-1] for p in pieces])
     B = np.vstack([p[1:] for p in pieces])
     sA = np.concatenate([q[:-1] for q in params])
@@ -188,14 +229,11 @@ def self_intersections(pieces: Sequence[np.ndarray]) -> EmbeddednessReport:
     # twice the sweep's 10 * _EPS_GEOM gap, so that round-off in the boxes
     # and the turning cannot drop a pair the sweep reports
     first, second = _candidate_pairs(A, B, d, lens, piece_id, 20 * _EPS_GEOM)
-    crossings = []
-    uncertain = []
+    crossings, uncertain = [], []
     # fixed-size slices of the pair list bound the sweep's temporaries
     for start in range(0, first.size, _PAIR_CHUNK):
-        pi_ = first[start:start + _PAIR_CHUNK]
-        pj_ = second[start:start + _PAIR_CHUNK]
-        a1, d1 = A[pi_], d[pi_]
-        a2, d2 = A[pj_], d[pj_]
+        pi_, pj_ = first[start:start + _PAIR_CHUNK], second[start:start + _PAIR_CHUNK]
+        a1, d1, a2, d2 = A[pi_], d[pi_], A[pj_], d[pj_]
         denom = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
         rhs = a2 - a1
         near_par = np.abs(denom) <= _EPS_GEOM * np.maximum(lens[pi_] * lens[pj_], 1e-300)
@@ -221,13 +259,7 @@ def self_intersections(pieces: Sequence[np.ndarray]) -> EmbeddednessReport:
         crossings.extend(zip(lo[sure].tolist(), hi[sure].tolist(),
                              zip(x.tolist(), y.tolist())))
         uncertain.extend(zip(lo[unsure].tolist(), hi[unsure].tolist()))
-    crossings.sort()
-    area, fill_cells = multiplicity_two_area(pieces)
-    return EmbeddednessReport(self_intersections=crossings,
-                              multiplicity_2_area=area,
-                              embedded=not crossings,
-                              uncertain=sorted(set(uncertain)),
-                              fill_cells=fill_cells)
+    return sorted(crossings), sorted(set(uncertain))
 
 
 def _close_chains(pieces: List[np.ndarray]) -> List[np.ndarray]:
@@ -295,33 +327,29 @@ def _winding_grid(loops: Sequence[np.ndarray], grid: int):
     raster of [-1, 1]^2 (rows are y), and the pixel-center coordinates.
 
     A loop segment crosses the scanlines with lo <= y < hi; each crossing
-    event (row, x, +-1) counts for the pixels at or right of x.
+    event (row, x, +-1) counts for the pixels at or right of x.  The raster
+    is int32 and summed in place; its events come only from the segments
+    that cross a scanline, whose end points are gathered from the loop.
     """
     px = 2.0 / grid
     centers = -1.0 + (np.arange(grid) + 0.5) * px
-    wind = np.zeros((grid, grid + 1), dtype=np.int64)
+    wind = np.zeros((grid, grid + 1), dtype=np.int32)
     for loop in loops:
-        a, b = loop[:-1], loop[1:]
-        y0, y1 = a[:, 1], b[:, 1]
-        keep = y0 != y1
-        a, b, y0, y1 = a[keep], b[keep], y0[keep], y1[keep]
-        lo = np.minimum(y0, y1)
-        hi = np.maximum(y0, y1)
-        i_lo = np.searchsorted(centers, lo, side="left")
-        i_hi = np.searchsorted(centers, hi, side="left")
-        counts = i_hi - i_lo
-        seg_of = np.repeat(np.arange(a.shape[0]), counts)
-        if seg_of.size == 0:
-            continue
-        local = np.arange(seg_of.size) - np.repeat(
-            np.concatenate([[0], np.cumsum(counts)[:-1]]), counts)
-        row = i_lo[seg_of] + local
-        yr = centers[row]
-        tt = (yr - y0[seg_of]) / (y1[seg_of] - y0[seg_of])
+        # searchsorted is monotone: a segment's first row is its ends' lower row
+        rows = np.searchsorted(centers, loop[:, 1], side="left")
+        counts = np.abs(np.diff(rows))
+        seg = np.flatnonzero(counts)
+        counts, a, b = counts[seg], loop[seg], loop[seg + 1]
+        seg_of = np.repeat(np.arange(seg.size), counts)
+        row = np.repeat(np.minimum(rows[seg], rows[seg + 1]) - (np.cumsum(counts) - counts),
+                        counts) + np.arange(seg_of.size)
+        y0, y1 = a[seg_of, 1], b[seg_of, 1]
+        tt = (centers[row] - y0) / (y1 - y0)
         xc = a[seg_of, 0] + tt * (b[seg_of, 0] - a[seg_of, 0])
         col = np.searchsorted(centers, xc, side="left")
-        np.add.at(wind, (row, col), np.where(y1[seg_of] > y0[seg_of], 1, -1))
-    return np.cumsum(wind[:, :-1], axis=1), centers
+        np.add.at(wind, (row, col), np.where(y1 > y0, 1, -1))
+    np.cumsum(wind, axis=1, out=wind)
+    return wind[:, :-1], centers
 
 
 def multiplicity_two_area(pieces: Sequence[np.ndarray]) -> Tuple[float, np.ndarray]:
@@ -331,7 +359,8 @@ def multiplicity_two_area(pieces: Sequence[np.ndarray]) -> Tuple[float, np.ndarr
     Cells centred beyond chart radius 1 - 2e-6 count no area.  A fill cell
     is a 4 x 4 block of the raster in which at least 8 of the 16 pixels
     have |winding| >= 2; the cells come as (row, column) pairs on the
-    _GRID // 4 raster, in row-major order.
+    _GRID // 4 raster, in row-major order.  The raster is _winding_grid's
+    int32 grid, filled from the segments that cross a scanline only.
     """
     loops = _close_chains([np.asarray(p, dtype=float) for p in pieces])
     if not loops:
@@ -340,9 +369,9 @@ def multiplicity_two_area(pieces: Sequence[np.ndarray]) -> Tuple[float, np.ndarr
     px = 2.0 / _GRID
     c2 = centers * centers
     # the metric only on the cells covered twice, in row-major order as a
-    # boolean mask would take them: full-grid arrays cost 8 MB each at
+    # boolean mask would take them: full-grid float arrays cost 8 MB each at
     # grid = 1024
-    i, j = np.nonzero(np.abs(wind) >= 2)
+    i, j = np.nonzero((wind >= 2) | (wind <= -2))
     r2 = c2[j] + c2[i]
     lam2 = np.where(np.sqrt(r2) <= 1.0 - 2e-6, 4.0 / (1.0 - r2) ** 2, 0.0) * px * px
     side = _GRID // 4

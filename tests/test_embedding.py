@@ -1,5 +1,6 @@
 """Self-intersection sweep, covered-twice area, SVG export."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -556,3 +557,88 @@ def test_tight_spiral_decisions_match_the_scalar_loop(pitch, per_turn, min_uncer
     assert len(crossings) > 10000 and len(uncertain) >= min_uncertain
     assert rep.self_intersections == crossings
     assert rep.uncertain == uncertain
+
+
+def _brute_force_winding(loops, centers):
+    """Winding number at each pixel center, pixel by pixel: a segment
+    counts for row r when min(y0, y1) <= c_r < max(y0, y1), and for the
+    pixels whose center is at or right of its crossing x."""
+    wind = np.zeros((centers.size, centers.size), dtype=np.int64)
+    for loop in loops:
+        (x0, y0), (x1, y1) = loop[:-1].T, loop[1:].T
+        for r, yr in enumerate(centers):
+            on = (np.minimum(y0, y1) <= yr) & (yr < np.maximum(y0, y1))
+            tt = (yr - y0[on]) / (y1[on] - y0[on])
+            xc = x0[on] + tt * (x1[on] - x0[on])
+            sign = np.where(y1[on] > y0[on], 1, -1)
+            for c, xp in enumerate(centers):
+                wind[r, c] = np.sum(sign[xp >= xc])
+    return wind
+
+
+def _star_polygon(seed):
+    rng = np.random.default_rng(seed)
+    th = np.sort(rng.uniform(0.0, 4.0 * math.pi, 60))
+    r = rng.uniform(0.1, 0.9, 60)
+    p = np.column_stack([r * np.cos(th), r * np.sin(th)])
+    return np.vstack([p, p[:1]])
+
+
+_T = np.linspace(0.0, 2.0 * math.pi, 201)
+_T2 = np.linspace(0.0, 4.0 * math.pi, 161)
+
+
+@pytest.mark.parametrize("grid,loop", [
+    (32, np.column_stack([0.6 * np.sin(2 * _T) / 2.0, 0.6 * np.sin(_T)])),
+    (48, np.column_stack([0.7 * np.cos(_T2), 0.7 * np.sin(_T2)])),
+    (64, _star_polygon(8)),
+    # vertices on pixel centers of the 32 grid: rows at a vertex and
+    # crossings at a center exercise both ends of the counting rule
+    (32, -1.0 + (np.array([[4, 4], [20, 4], [20, 12], [12, 20], [4, 12], [4, 4]])
+                 + 0.5) * (2.0 / 32)),
+], ids=["figure-eight", "circle-twice", "random-star", "center-vertices"])
+def test_winding_grid_matches_a_per_pixel_count(grid, loop):
+    wind, centers = emb._winding_grid([loop], grid)
+    assert wind.shape == (grid, grid)
+    ref = _brute_force_winding([loop], centers)
+    assert np.any(np.abs(ref) >= 1)
+    assert np.array_equal(wind, ref)
+
+
+_FEW = np.array([[0.0, 0.0], [0.4, 0.4], [0.4, 0.0], [0.0, 0.4],
+                 [0.2, -0.2], [0.1, 0.5]])
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["one-piece", "two-pieces"])
+@pytest.mark.parametrize("segments", [1, 2, 3, 4, 5])
+def test_candidate_search_on_one_to_five_segments(segments, split, monkeypatch):
+    """Odd segment counts pad the block pyramid; one segment has no level
+    above the segments.  The verdicts match the all-pairs loop."""
+    rng = np.random.default_rng(segments)
+    crossings = []
+    for pts in [_FEW[:segments + 1]] + [rng.uniform(-0.8, 0.8, (segments + 1, 2))
+                                        for _ in range(8)]:
+        pieces = [pts[:2], pts[1:]] if split and segments > 1 else [pts]
+        crossings.append(_assert_matches_all_pairs(pieces, monkeypatch).crossings)
+    assert crossings[0] == [0, 0, 1, 2, 4][segments - 1]
+
+
+@pytest.mark.parametrize("curve,bound_mb", [("spiral", 48), ("double-rose", 72)])
+def test_self_intersections_memory_stays_bounded(curve, bound_mb):
+    """200,001 points: the sweep's arrays are gone before the raster, the
+    raster is int32, and level 0 of the pair search is read in slices."""
+    if curve == "spiral":  # 20 turns
+        t = np.linspace(0.0, 40.0 * math.pi, 200001)
+        r = 0.05 + 0.9 * t / t[-1]
+    else:  # traced twice: about 100k near-parallel pairs reach the sweep
+        t = np.linspace(0.0, 4.0 * math.pi, 200001)
+        r = 0.5 + 0.3 * np.cos(3.0 * t)
+    pieces = [np.column_stack([r * np.cos(t), r * np.sin(t)])]
+    tracemalloc.start()
+    try:
+        rep = self_intersections(pieces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.crossings == 0
+    assert peak < bound_mb * 2 ** 20
