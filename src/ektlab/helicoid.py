@@ -14,10 +14,10 @@ t_mu and the surface contains the vertical fibers over (0, +-t_mu).
 f is found for all samples at once: Psi(x) = int_0^x |integrand| is
 tabulated at fixed Gauss-Legendre panel edges and Newton runs inside each
 sample's panel, so f(v) depends on v alone.  g_mu, by adaptive quadrature,
-is the independent reference the inversion is checked against.  Only the
-quadrature routes (g_mu, t_mu, blowup_half_period and
-vertex_base_distance_quadrature) import scipy.integrate, in their bodies,
-so importing this module does not load it.
+is the independent reference the inversion is checked against; t_mu is
+a complete elliptic integral, in closed form.  Only the quadrature routes
+(g_mu, blowup_half_period and vertex_base_distance_quadrature) import
+scipy.integrate, in their bodies, so importing this module does not load it.
 
 Sign conventions in this chart: the sampled profile column h = (v - f)/2
 follows the published parametrization and feeds sigma = lim h'/(1+h^2)
@@ -117,30 +117,21 @@ def g_mu(x: float, mu: float) -> float:
 def t_mu(mu: float) -> float:
     """Half-period of the profile: infinite iff |mu| <= 1/2.
 
-    The improper integral uses the rationalized integrand, split at y = 1
-    with the tail mapped back to (0, 1] by y -> 1/y; both pieces are smooth
-    and bounded.
+    Otherwise y = 2 tan(theta) and an integration by parts turn the improper
+    integral of |integrand| into (|1-c^2|/|c|) times the complete elliptic
+    integral int_0^(pi/2) cos^2 / sqrt(1 - (1-c^2) sin^2) = (c^2/3) R_D(0, 1, c^2)
+    (DLMF 19.25.1), so
+
+        t_mu = 8 |mu| |1+2mu| / (3 |1-2mu|^3) R_D(0, 1, c^2),
+
+    with |1 - c^2| = 8|mu|/(1-2mu)^2 taken from mu, free of cancellation.
     """
     if abs(mu) <= 0.5:
         return math.inf
+    from scipy.special import elliprd
     c = c_of_mu(mu)
-
-    def f_head(y: float) -> float:
-        return abs(float(_integrand(y * y, c)))
-
-    def f_tail(t: float) -> float:
-        return abs(float(_integrand(1.0 / (t * t), c))) / (t * t)
-
-    from scipy import integrate
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        head, e1 = integrate.quad(f_head, 0.0, 1.0, epsabs=1e-14, epsrel=1e-14,
-                                  limit=300)
-        tail, e2 = integrate.quad(f_tail, 0.0, 1.0, epsabs=1e-14, epsrel=1e-14,
-                                  limit=300)
-    if e1 + e2 > 1e-10:
-        raise QuadratureError("t_mu quadrature did not converge", e1 + e2)
-    return head + tail
+    scale = 8.0 * abs(mu) * abs(1.0 + 2.0 * mu) / (3.0 * abs(1.0 - 2.0 * mu) ** 3)
+    return scale * float(elliprd(0.0, 1.0, c * c))
 
 
 def blowup_half_period(mu: float, f_stop: float = 1e8) -> float:

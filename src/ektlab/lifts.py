@@ -2,9 +2,9 @@
 
 Horizontality along a base path means z' = -lambda tau (y x' - x y').  Along
 a straight chart segment the factor (y x' - x y') is constant, so each
-segment contributes -tau (y0 dx - x0 dy) times the line integral of lambda,
-which is evaluated with nested Gauss rules and refined wherever the embedded
-error estimate exceeds the local tolerance.
+segment contributes -tau (y0 dx - x0 dy) times the line integral of lambda.
+On a straight chord lambda = 4/q(t) with q quadratic in t, so that integral
+is an atanh in closed form, exact up to round-off.
 
 For a closed curve the end-height gap equals 2 tau times the enclosed metric
 area: div(lambda (x, y)/2) = lambda^2 makes Area = oint lambda (x dy - y dx)/2
@@ -32,16 +32,6 @@ __all__ = [
     "circle_path",
 ]
 
-# nodes/weights on [0, 1]
-_GL3_X, _GL3_W = np.polynomial.legendre.leggauss(3)
-_GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
-_GL3_X = (_GL3_X + 1.0) / 2.0
-_GL3_W /= 2.0
-_GL5_X = (_GL5_X + 1.0) / 2.0
-_GL5_W /= 2.0
-
-_LOCAL_TOL = 1e-8
-_MAX_DEPTH = 30
 _AREA_SEG = 5e-4    # chart length of the subdivided segments in enclosed_area
 _CIRCLE_SEGS = 20001
 
@@ -54,63 +44,48 @@ def _as_xy(path, params: SpaceParams) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
     if bad.size:
         raise GeometryError(f"path has a non-finite point at sample {bad[0]}")
-    if params.kappa < 0.0:
+    bad = np.flatnonzero(_q(pts, params.kappa) <= 0.0)   # only for kappa < 0
+    if bad.size:
         ideal = 2.0 / math.sqrt(-params.kappa)
-        bad = np.flatnonzero(np.hypot(pts[:, 0], pts[:, 1]) >= ideal)
-        if bad.size:
-            raise GeometryError(f"path sample {bad[0]} lies on or outside the "
-                                f"ideal circle |z| = {ideal}")
+        raise GeometryError(f"path sample {bad[0]} lies on or outside the "
+                            f"ideal circle |z| = {ideal}")
     if np.any(np.all(pts[1:] == pts[:-1], axis=1)):
         raise GeometryError("consecutive path samples must be distinct")
     return pts
 
 
-def _lambda_line_integral(p: np.ndarray, q: np.ndarray, params: SpaceParams,
-                          depth: int = 0) -> float:
-    """int_0^1 lambda(p + t(q-p)) dt with a GL5/GL3 error estimate."""
-
-    def gl(nodes, weights):
-        xs = p[0] + nodes * (q[0] - p[0])
-        ys = p[1] + nodes * (q[1] - p[1])
-        return float(np.dot(weights, conformal_factor_xy(xs, ys, params.kappa)))
-
-    fine = gl(_GL5_X, _GL5_W)
-    if abs(fine - gl(_GL3_X, _GL3_W)) <= _LOCAL_TOL or depth >= _MAX_DEPTH:
-        if depth >= _MAX_DEPTH:
-            raise GeometryError("step-size underflow in horizontal lift")
-        return fine
-    mid = (p + q) / 2.0
-    return (_lambda_line_integral(p, mid, params, depth + 1)
-            + _lambda_line_integral(mid, q, params, depth + 1)) / 2.0
+def _q(pts: np.ndarray, kappa: float) -> np.ndarray:
+    """4/lambda = 4 + kappa |z|^2 per sample, positive inside the model disk."""
+    return 4.0 + kappa * (pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1])
 
 
 def horizontal_lift(path, z0: float, params: SpaceParams) -> np.ndarray:
     """Lift a sampled base path horizontally, starting at height z0.
 
-    Returns the height z at each of the n samples of the (n, 2) path.  The
-    connection form is linear in the velocity, so the per-segment increment
-    is exact up to the quadrature of lambda along the segment.
+    Returns the height z at each of the n samples of the (n, 2) path.  On
+    the chord p -> p + d, lambda = 4/q(t) with q(t) = alpha + beta t +
+    gamma t^2 (alpha = q(0), beta = 2 kappa p.d, gamma = kappa |d|^2), so
+    int_0^1 lambda dt = 8 atanh(r/s)/r with s = 2 alpha + beta =
+    q(0) + q(1) - gamma and r^2 = beta^2 - 4 alpha gamma =
+    -4 kappa (4 |d|^2 + kappa (p x d)^2).  For kappa < 0, s > r >= 0 and
+    atanh(r/s) = log1p(r (s + r) / (2 q(0) q(1)))/2 has no cancellation and
+    stays finite next to the ideal circle.  r = 0 leaves 8/s, exactly 1 at
+    kappa = 0; kappa > 0 makes r imaginary and the atanh an arctan.
     """
     pts = _as_xy(path, params)
+    k = params.kappa
     seg = pts[1:] - pts[:-1]
     # y0 dx - x0 dy is constant along each straight segment
     cross = pts[:-1, 1] * seg[:, 0] - pts[:-1, 0] * seg[:, 1]
-
-    if params.kappa == 0.0:
-        lam_int = np.ones(len(seg))
+    q = _q(pts, k)
+    d2 = seg[:, 0] * seg[:, 0] + seg[:, 1] * seg[:, 1]
+    s = q[:-1] + q[1:] - k * d2
+    r = np.sqrt(np.abs(4.0 * k * (4.0 * d2 + k * cross * cross)))
+    if k > 0.0:
+        angle = np.arctan2(r, s)
     else:
-        # vectorized GL5 first, adaptive fallback where the GL3 check fails
-        xs = pts[:-1, 0][:, None] + _GL5_X[None, :] * seg[:, 0][:, None]
-        ys = pts[:-1, 1][:, None] + _GL5_X[None, :] * seg[:, 1][:, None]
-        fine = conformal_factor_xy(xs, ys, params.kappa) @ _GL5_W
-        xs3 = pts[:-1, 0][:, None] + _GL3_X[None, :] * seg[:, 0][:, None]
-        ys3 = pts[:-1, 1][:, None] + _GL3_X[None, :] * seg[:, 1][:, None]
-        coarse = conformal_factor_xy(xs3, ys3, params.kappa) @ _GL3_W
-        lam_int = fine
-        bad = np.abs(fine - coarse) > _LOCAL_TOL
-        for i in np.nonzero(bad)[0]:
-            lam_int[i] = _lambda_line_integral(pts[i], pts[i + 1], params)
-
+        angle = 0.5 * np.log1p(r * (s + r) / (2.0 * q[:-1] * q[1:]))
+    lam_int = np.divide(8.0 * angle, r, out=8.0 / s, where=r > 0.0)
     dz = -params.tau * cross * lam_int
     return z0 + np.concatenate(([0.0], np.cumsum(dz)))
 

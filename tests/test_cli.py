@@ -51,6 +51,14 @@ def test_distinct_members_write_distinct_files(tmp_path, capsys):
     assert json.loads((out / "helicoid_mu_0.5.json").read_text())["mu"] == 0.5
 
 
+def test_helicoid_next_to_the_strip_edge(tmp_path):
+    """mu = -0.5001 has t_mu ~ 1/|c| ~ 1e4, which the closed form reaches."""
+    out = tmp_path / "o"
+    assert run("helicoid", "--mu", "-0.5001", "--spacing", "1", "--out", str(out)) == 0
+    rep = json.loads((out / "helicoid_mu_-0.5001.json").read_text())
+    assert rep["t_mu"] == pytest.approx(10000.9994452, rel=1e-9)
+
+
 def test_a_stalled_profile_inversion_is_a_numeric_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("ektlab.helicoid._NEWTON_ITERS", 1)
     assert run("helicoid", "--mu", "-0.6", "--out", str(tmp_path / "o")) == 1

@@ -48,6 +48,26 @@ def test_half_period_infinite_inside_the_strip(mu):
     assert math.isinf(hc.t_mu(mu))
 
 
+@pytest.mark.parametrize("mu", [-0.5001, -0.500001, -0.5000000001])
+def test_half_period_next_to_the_strip_edge(mu):
+    """As mu -> -1/2 from below, c -> 0 and t_mu |c| -> 1: the elliptic
+    integral is finite and accurate right up to the edge."""
+    t = hc.t_mu(mu)
+    assert math.isfinite(t)
+    assert abs(t * abs(hc.c_of_mu(mu)) - 1.0) <= 1e-7
+
+
+@pytest.mark.parametrize("mu", [1e6, -1e6, 1e9, -1e9, 1e12, -1e12])
+def test_half_period_far_out_approaches_pi_over_2_mu(mu):
+    """As |mu| -> inf, c -> -1 and the integrand tends to (1 - c^2)/(4 + y^2),
+    so t_mu = pi/(2|mu|) (1 + O(1/|mu|))."""
+    assert abs(2.0 * abs(mu) * hc.t_mu(mu) / math.pi - 1.0) <= 1.0 / abs(mu)
+
+
+def test_half_period_next_to_the_edge_matches_the_blowup_oracle():
+    assert hc.blowup_half_period(-0.5001) == pytest.approx(hc.t_mu(-0.5001), rel=1e-9)
+
+
 def test_c_sigma_closed_forms():
     for mu in (0.7, 1.0, 3.0, -0.8, -2.5):
         assert hc.c_of_mu(mu) == pytest.approx((1 + 2 * mu) / (1 - 2 * mu))

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from ektlab.audit import _densify
 from ektlab.lifts import (_AREA_SEG, circle_path, enclosed_area, holonomy_gap,
@@ -101,6 +102,78 @@ def test_tau_zero_lift_stays_flat():
     assert holonomy_gap(circle_path(1.2), params) == pytest.approx(0.0, abs=1e-12)
     lift = horizontal_lift(circle_path(1.2), 0.0, params)
     assert np.max(np.abs(lift)) < 1e-12
+
+
+def _chord_increment(p, q, params, points=None, epsrel=1e-13):
+    """The lift's increment over the chord p -> q, with int_0^1 lambda dt by
+    scipy's adaptive quadrature."""
+    d = q - p
+    lam, _ = integrate.quad(
+        lambda t: float(conformal_factor_xy(p[0] + t * d[0], p[1] + t * d[1],
+                                            params.kappa)),
+        0.0, 1.0, points=points, epsabs=0.0, epsrel=epsrel, limit=400)
+    return -params.tau * (p[1] * d[0] - p[0] * d[1]) * lam
+
+
+def _disk_point(rng, radius):
+    r, a = radius * math.sqrt(rng.uniform()), rng.uniform(0.0, 2.0 * math.pi)
+    return np.array([r * math.cos(a), r * math.sin(a)])
+
+
+@pytest.mark.parametrize("kappa", [-0.36, -1.0, -4.0])
+def test_chord_increment_matches_quadrature_inside_the_disk(kappa):
+    """Chords with both ends inside 0.999 of the ideal radius, every other
+    one shortened by a factor 10^[-8, 0]."""
+    params = SpaceParams(kappa=kappa, tau=0.5)
+    rng = np.random.default_rng(11)
+    radius = 0.999 * 2.0 / math.sqrt(-kappa)
+    for i in range(40):
+        p, q = _disk_point(rng, radius), _disk_point(rng, radius)
+        if i % 2:
+            q = p + (q - p) * 10.0 ** (-8.0 * i / 39.0)
+        z = horizontal_lift(np.array([p, q]), 0.0, params)
+        assert z[1] == pytest.approx(_chord_increment(p, q, params), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kappa", [-0.36, -1.0, -4.0])
+def test_chord_increment_next_to_the_ideal_circle(kappa):
+    """Chords ending within 1e-9 R of the ideal circle |z| = R, where lambda
+    peaks near t = 1: finite, and equal to a quadrature refined there."""
+    params = SpaceParams(kappa=kappa, tau=0.5)
+    rng = np.random.default_rng(12)
+    ideal = 2.0 / math.sqrt(-kappa)
+    for _ in range(10):
+        p = _disk_point(rng, 0.999 * ideal)
+        a = rng.uniform(0.0, 2.0 * math.pi)
+        r = ideal * (1.0 - 10.0 ** rng.uniform(-10.0, -9.0))
+        q = np.array([r * math.cos(a), r * math.sin(a)])
+        z = horizontal_lift(np.array([p, q]), 0.0, params)
+        ref = _chord_increment(p, q, params, epsrel=1e-8,
+                               points=[1.0 - 10.0 ** -k for k in range(2, 10)])
+        assert math.isfinite(z[1])
+        assert z[1] == pytest.approx(ref, rel=1e-7, abs=0.0)
+
+
+def test_chord_increment_matches_quadrature_for_positive_kappa():
+    """kappa > 0 turns the chord integral's atanh into an arctan."""
+    params = SpaceParams(kappa=0.75, tau=0.5)
+    rng = np.random.default_rng(13)
+    for i in range(20):
+        p, q = rng.uniform(-5.0, 5.0, 2), rng.uniform(-5.0, 5.0, 2)
+        if i % 2:
+            q = p + (q - p) * 1e-6
+        z = horizontal_lift(np.array([p, q]), 0.0, params)
+        assert z[1] == pytest.approx(_chord_increment(p, q, params), rel=1e-12, abs=0.0)
+
+
+def test_a_flat_lift_cumulates_the_cross_terms_exactly():
+    """At kappa = 0, lambda = 1 and each increment is -tau (y0 dx - x0 dy),
+    bit for bit."""
+    path = np.cumsum(np.random.default_rng(14).normal(size=(500, 2)), axis=0)
+    seg = path[1:] - path[:-1]
+    cross = path[:-1, 1] * seg[:, 0] - path[:-1, 0] * seg[:, 1]
+    expected = 0.7 + np.concatenate(([0.0], np.cumsum(-NIL.tau * cross)))
+    assert np.array_equal(horizontal_lift(path, 0.7, NIL), expected)
 
 
 def _ngon(radius, n, clockwise=False):
