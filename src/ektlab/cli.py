@@ -183,8 +183,9 @@ _DOMAINS = {
 # the residuals a few temporaries of it (the inversion's are block-sized)
 _MAX_SAMPLES = 10 ** 7
 
-# largest helicoid window: the inversion squares x and c x, where
-# x <= 2 |v| and c < 2**54 for |mu| < 1/2, so both squares stay finite
+# largest helicoid window: the inversion forms x^2, c^2 x^2 and c m x^2
+# (m = 1 - c^2), where x <= 2 |v| and |c| < 2**54 for |mu| < 1/2, so all
+# three stay finite (c m x^2 below about 2e249)
 _MAX_WINDOW = 1e100
 
 def _write_obj(path: str, profile, u_max: float) -> None:

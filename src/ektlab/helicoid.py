@@ -11,13 +11,13 @@ with f(0) = 0 and f'(0) = 1 - 2mu.  For |mu| <= 1/2 the graph is entire
 (half-period t_mu infinite); otherwise f blows up at the finite half-period
 t_mu and the surface contains the vertical fibers over (0, +-t_mu).
 
-f is found for all samples at once: Psi(x) = int_0^x |integrand| is
-tabulated at fixed Gauss-Legendre panel edges and Newton runs inside each
-sample's panel, so f(v) depends on v alone.  g_mu, by adaptive quadrature,
-is the independent reference the inversion is checked against; t_mu is
-a complete elliptic integral, in closed form.  Only the quadrature routes
-(g_mu, blowup_half_period and vertex_base_distance_quadrature) import
-scipy.integrate, in their bodies, so importing this module does not load it.
+f is found for all samples at once by Halley's method on Psi(x) =
+|int_0^x integrand|, an incomplete elliptic integral in closed form (one
+Carlson R_D), inside closed-form bounds, so f(v) depends on v alone.  g_mu,
+by adaptive quadrature, is the independent reference it is checked against;
+t_mu = Psi(inf) is a complete elliptic integral.  Only g_mu,
+blowup_half_period and vertex_base_distance_quadrature import scipy.integrate,
+in their bodies, so importing this module does not load it.
 
 Sign conventions in this chart: the sampled profile column h = (v - f)/2
 follows the published parametrization and feeds sigma = lim h'/(1+h^2)
@@ -80,33 +80,32 @@ def c_of_mu(mu: float) -> float:
 _FAULT_INTEGRAND_EPS = 0.0
 
 
-def _integrand(y2: np.ndarray, c: float) -> np.ndarray:
-    """Slope integrand as a function of y^2 (even in y).
-
-    The raw form (1 + c sqrt(4+y^2)/sqrt(4+c^2 y^2))/2 is kept for c >= 0;
-    for c < 0 it is a difference of nearly equal terms at large y, so the
-    rationalized equivalent 2(1-c^2)/(4+c^2 y^2 + |c| sqrt((4+c^2y^2)(4+y^2)))
-    is used instead.
-    """
+def _slope(y2: np.ndarray, mu: float) -> np.ndarray:
+    """Slope integrand I as a function of y^2 (even in y): the raw form
+    (1 + c sqrt(4+y^2)/sqrt(4+c^2 y^2))/2 for c >= 0; for c < 0, where that
+    cancels at large y, 2m/(4+c^2 y^2 + |c| sqrt((4+c^2y^2)(4+y^2))) with
+    m = 1 - c^2 = -8mu/(1-2mu)^2 taken from mu, free of cancellation."""
+    c = c_of_mu(mu)
     if c >= 0.0:
-        out = 0.5 * (1.0 + c * np.sqrt(4.0 + y2) / np.sqrt(4.0 + c * c * y2))
-    else:
-        den = 4.0 + c * c * y2 + abs(c) * np.sqrt((4.0 + c * c * y2) * (4.0 + y2))
-        out = 2.0 * (1.0 - c * c) / den
-    if _FAULT_INTEGRAND_EPS != 0.0:
-        out = out + _FAULT_INTEGRAND_EPS / (1.0 + y2)
-    return out
+        return 0.5 * (1.0 + c * np.sqrt(4.0 + y2) / np.sqrt(4.0 + c * c * y2))
+    den = 4.0 + c * c * y2 + abs(c) * np.sqrt((4.0 + c * c * y2) * (4.0 + y2))
+    return 2.0 * (-8.0 * mu / (1.0 - 2.0 * mu) ** 2) / den
+
+
+def _integrand(y2: np.ndarray, mu: float) -> np.ndarray:
+    """The slope integrand, plus eps/(1+y^2) inside fault_injection(eps)."""
+    return _slope(y2, mu) + _FAULT_INTEGRAND_EPS / (1.0 + y2)
 
 
 def g_mu(x: float, mu: float) -> float:
     """Odd slope quadrature from 0 to x, absolute tolerance 1e-10."""
-    c = c_of_mu(mu)
+    c_of_mu(mu)  # undefined at mu = 1/2
     if x == 0.0:
         return 0.0
     from scipy import integrate
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(lambda y: float(_integrand(y * y, c)),
+        val, err = integrate.quad(lambda y: float(_integrand(y * y, mu)),
                                   0.0, abs(x), epsabs=1e-12, epsrel=1e-12,
                                   limit=200)
     if err > 1e-10:
@@ -168,58 +167,54 @@ def _f_prime_rhs(f, c: float):
     return 2.0 * s1 / (s1 + c * s2)
 
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(15)
-_ROUND = 64        # panels added to the Psi table per round
 _BLOCK = 2 ** 14   # samples per Newton block, which bounds its temporaries
 _NEWTON_ITERS = 50
 
 
-def _gauss(a: np.ndarray, b: np.ndarray, c: float) -> np.ndarray:
-    """int_a^b |integrand| per pair by one 15-point Gauss-Legendre panel; the
-    row sum adds each row alike at any batch size (a BLAS gemv would not)."""
-    half = (b - a) / 2.0
-    y = ((a + b) / 2.0)[:, None] + half[:, None] * _GL_X
-    return np.sum(np.abs(_integrand(y * y, c)) * _GL_W, axis=1) * half
+def _psi(x: np.ndarray, mu: float, c: float, m: float) -> np.ndarray:
+    """Psi(x) = |int_0^x I| in closed form, I the slope integrand and
+    m = 1 - c^2 taken from mu: y = 2 tan(theta) and DLMF 19.21's connection
+    formulas fold all but one Carlson R_D into x I(x), so int_0^x I =
+    x I(x) - c m x^3 R_D(4+x^2, 4, 4+c^2 x^2)/3.  Where I cancels (c < 0)
+    both terms carry the sign of m; the grouping stays finite to x = 2e100."""
+    from scipy.special import elliprd
+    rd = elliprd(4.0 + x * x, 4.0, 4.0 + (c * x) ** 2)
+    g = x * _slope(x * x, mu) - x * ((c * x) * (m * x) * rd) / 3.0
+    if _FAULT_INTEGRAND_EPS != 0.0:  # the integral of the injected eps/(1+y^2)
+        g = g + _FAULT_INTEGRAND_EPS * np.arctan(x)
+    return np.abs(g)
 
 
-def _psi_table(c: float, w_max: float):
-    """Panel edges e and Psi(e) = int_0^e |integrand| from 0 until Psi
-    passes w_max, in rounds of _ROUND panels summed in order, so the
-    table's prefix does not depend on w_max.  A panel from e is
-    min(max(1/8, e/64), max(1/(2|c|), e/4)) wide: 8 half-widths or more
-    from the singularities at +-2i and +-2i/|c|, and 1/8 for |c| <= 4 up
-    to e = 8."""
-    a = 0.5 / abs(c)
-    edges, psi = [0.0], np.zeros(1)
-    while psi[-1] <= w_max:
-        x = edges[-1]
-        for _ in range(_ROUND):
-            x += min(max(0.125, x / 64.0), max(a, x / 4.0))
-            edges.append(x)
-        e = np.array(edges[-_ROUND - 1:])
-        sums = np.cumsum(np.concatenate((psi[-1:], _gauss(e[:-1], e[1:], c))))
-        if sums[-1] == psi[-1]:
-            raise QuadratureError(
-                f"the slope quadrature saturates below |v| = {w_max!r}", w_max - psi[-1])
-        psi = np.concatenate((psi, sums[1:]))
-    return np.array(edges), psi
-
-
-def _invert_psi(w: np.ndarray, e: np.ndarray, psi: np.ndarray, c: float,
-                mu: float) -> np.ndarray:
-    """The x >= 0 with Psi(x) = w.  Psi increases with one convexity per
-    branch, so Newton from the chord of w's panel converges monotonically;
-    a sample stops once |Psi(x) - w| <= 4 eps w or x stops moving."""
-    k = np.searchsorted(psi, w, side="right") - 1
-    lo, hi, base = e[k], e[k + 1], psi[k]
-    x = lo + (w - base) / (psi[k + 1] - base) * (hi - lo)
+def _invert_psi(w: np.ndarray, mu: float, t: float) -> np.ndarray:
+    """The x >= 0 with Psi(x) = w, by Newton on (Psi - w)/sqrt(|I|) (Halley's
+    method, its gain capped at 2) clipped to a bracket: |I| lies between
+    I(0) = 1/|1-2mu| and its limit, 1 for |mu| < 1/2, else 0 with
+    |I(y)| <= |m|/(c^2 y^2), so x is in [w/max, w/min], or in
+    [w |1-2mu|, |m|/(c^2 (t - w))] (started there past t/2) when t is
+    finite.  An injected fault e widens |I| by e and Psi by e pi/2 < 2e; a
+    bound it breaks only keeps x finite.  A sample stops once |Psi(x) - w|
+    <= 4 eps w, or x stops moving or two-cycles at Psi's round-off floor."""
+    c, m = c_of_mu(mu), -8.0 * mu / (1.0 - 2.0 * mu) ** 2
+    i0, e = 1.0 / abs(1.0 - 2.0 * mu), abs(_FAULT_INTEGRAND_EPS)
+    s0 = 1.0 if mu < 0.5 else -1.0  # sign of the integrand
+    if math.isinf(t):
+        lo, hi, x = w / (max(i0, 1.0) + e), w / max(min(i0, 1.0) - e, 0.25), w / i0
+    else:
+        gap, lo = t - w, w / (i0 + e)
+        hi = abs(m) / (c * c * np.where(gap > 2.0 * e, gap - 2.0 * e, gap))
+        x = np.where(w > t / 2.0, hi, lo)
+    x_prev = np.full_like(w, np.nan)
     todo = np.arange(w.size)
     for _ in range(_NEWTON_ITERS):
-        xt = x[todo]
-        err = base[todo] + _gauss(lo[todo], xt, c) - w[todo]
-        step = err / np.abs(_integrand(xt * xt, c))
+        xt, wt = x[todo], w[todo]
+        err = _psi(xt, mu, c, m) - wt
+        i, q = np.abs(_integrand(xt * xt, mu)), 4.0 + (c * xt) ** 2
+        di = s0 * 2.0 * c * m * (xt / np.sqrt(4.0 + xt * xt)) / q / np.sqrt(q)  # |I|'
+        step = err / i / np.maximum(1.0 - 0.5 * err * di / (i * i), 0.5)
         x_next = np.clip(xt - step, lo[todo], hi[todo])
-        done = (np.abs(err) <= 4.0 * np.finfo(float).eps * w[todo]) | (x_next == xt)
+        done = ((np.abs(err) <= 4.0 * np.finfo(float).eps * wt) | (x_next == xt)
+                | (x_next == x_prev[todo]))
+        x_prev[todo] = xt
         x[todo] = np.where(done, xt, x_next)
         todo = todo[~done]
         if todo.size == 0:
@@ -230,8 +225,8 @@ def _invert_psi(w: np.ndarray, e: np.ndarray, psi: np.ndarray, c: float,
 
 def _profile_values(mu: float, t: float, v: np.ndarray) -> np.ndarray:
     """f on an array of any shape, each sample solved on its own: closed
-    forms at mu in {0, +-1/2}; otherwise one Psi table up to max |v|, then
-    Newton per sample in blocks of _BLOCK, so f(v) depends on v alone."""
+    forms at mu in {0, +-1/2}; otherwise Halley on the closed-form Psi in
+    blocks of _BLOCK, so f(v) depends on v alone."""
     outside = ~(np.abs(v) < t)
     if np.any(outside):
         raise GeometryError(f"{np.count_nonzero(outside)} sample(s) outside "
@@ -242,12 +237,10 @@ def _profile_values(mu: float, t: float, v: np.ndarray) -> np.ndarray:
         return np.zeros_like(v)
     if mu == -0.5:
         return 2.0 * v
-    c = c_of_mu(mu)
     w = np.abs(v).ravel()
-    e, psi = _psi_table(c, float(np.max(w, initial=0.0)))
     x = np.empty_like(w)
     for i in range(0, w.size, _BLOCK):
-        x[i:i + _BLOCK] = _invert_psi(w[i:i + _BLOCK], e, psi, c, mu)
+        x[i:i + _BLOCK] = _invert_psi(w[i:i + _BLOCK], mu, t)
     s0 = 1.0 if mu < 0.5 else -1.0  # sign of the integrand
     return np.where(v * s0 < 0.0, -1.0, 1.0) * x.reshape(v.shape)
 
@@ -390,10 +383,9 @@ def vertex_base_distance_quadrature(mu: float) -> float:
     """Quadrature route for the base distance (dual check of the closed form)."""
     if abs(mu) <= 0.5:
         raise GeometryError("needs |mu| > 1/2")
-    c = c_of_mu(mu)
 
     def f_head(x: float) -> float:
-        return 2.0 * abs(float(_integrand(x * x, c))) / math.sqrt(4.0 + x * x)
+        return 2.0 * abs(float(_integrand(x * x, mu))) / math.sqrt(4.0 + x * x)
 
     def f_tail(t: float) -> float:
         return f_head(1.0 / t) / (t * t)

@@ -252,8 +252,8 @@ def test_profile_of_a_sample_does_not_depend_on_its_batch(mu):
 
 
 def test_profile_of_a_sample_does_not_depend_on_its_block():
-    """A batch over several Newton blocks, with a far sample that lengthens
-    the Psi table, against single samples."""
+    """A batch over several Newton blocks, with one sample next to the
+    half-period, against single samples."""
     mu = -0.6
     rng = np.random.default_rng(8)
     t = hc.t_mu(mu)
@@ -274,10 +274,50 @@ def test_inversion_next_to_the_half_period(mu):
     assert prof.f[1] == 0.0 and prof.f[0] == -prof.f[2]
 
 
-def test_a_sample_past_the_tabulated_half_period_is_a_quadrature_error():
-    t = hc.t_mu(-3.0)
-    with pytest.raises(hc.QuadratureError, match="saturates"):
-        hc.invert_profile(-3.0, [0.5 * t, np.nextafter(t, 0.0)])
+@pytest.mark.parametrize("mu", [-3.0, -0.5000001, 3.0])
+def test_the_last_sample_below_the_half_period_inverts(mu):
+    """v = nextafter(t_mu, 0) inverts to a finite f past f at (1 - 1e-12) t.
+    Fails at the parent: its Gauss-Legendre Psi table raised "saturates"
+    for round-off at all three mu."""
+    t = hc.t_mu(mu)
+    prof = hc.invert_profile(mu, [(1.0 - 1e-12) * t, np.nextafter(t, 0.0)])
+    f = prof.f * (1.0 if mu < 0.5 else -1.0)
+    assert np.all(np.isfinite(f)) and 0.0 < f[0] < f[1]
+
+
+PSI_MUS = [-20.0, 20.0, -3.0, 3.0, -1.5, -0.6, 0.6, -0.51, 0.51, -0.25, 0.25, 0.49]
+
+
+@pytest.mark.parametrize("mu", PSI_MUS)
+def test_closed_form_psi_matches_the_quadrature(mu):
+    """Psi against g_mu's adaptive quadrature at 10 seeded x.  Fails at the
+    parent, which tabulated Psi and had no _psi."""
+    x = 10.0 ** np.random.default_rng(30).uniform(-3.0, 1.5, 10)
+    c, m = hc.c_of_mu(mu), -8.0 * mu / (1.0 - 2.0 * mu) ** 2
+    psi = hc._psi(x, mu, c, m)
+    ref = np.array([abs(hc.g_mu(float(xx), mu)) for xx in x])
+    np.testing.assert_allclose(psi, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("mu", [-1e6, -1e3, 1e3, 1e6])
+def test_inversion_far_out_in_mu(mu):
+    """Odd, and g_mu(f) = v to 1e-9 |v| at 0.5 t and 0.99 t.  Passes at the
+    parent too."""
+    t = hc.t_mu(mu)
+    v = np.array([0.5 * t, 0.99 * t, -0.5 * t, -0.99 * t])
+    f = hc.invert_profile(mu, v).f
+    assert np.all(np.isfinite(f)) and np.array_equal(f[:2], -f[2:])
+    for vv, ff in zip(v, f):
+        assert abs(hc.g_mu(float(ff), mu) - vv) <= 1e-9 * abs(vv)
+
+
+def test_newton_stops_on_a_two_cycle_at_the_round_off_floor():
+    """Found by a seeded search: this sample's iterates alternate between two
+    x with |Psi - w| just over 4 eps w, and without the two-cycle stop the
+    inversion stalls.  Passes at the parent, which tabulated Psi."""
+    mu, v = 288054.0586006664, 5.383749039471294e-06
+    f = hc.invert_profile(mu, [-v, v]).f
+    assert f[0] == -f[1] and abs(hc.g_mu(float(f[1]), mu) - v) <= 1e-9 * v
 
 
 def test_samples_outside_the_open_domain_are_rejected():

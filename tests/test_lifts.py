@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ektlab.audit import _densify
 from ektlab.lifts import (_AREA_SEG, circle_path, enclosed_area, holonomy_gap,
                           horizontal_lift)
 from ektlab.spaces import GeometryError, SpaceParams, conformal_factor_xy
 
 NIL = SpaceParams(kappa=0.0, tau=0.5)
 H2R = SpaceParams(kappa=-1.0, tau=0.25)
+# the audit's holonomy square, by its corners
+SQUARE = np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (1.0, 1.0)])
 
 
 def square_path(side: float, n_per_edge: int = 400):
@@ -73,6 +74,13 @@ def test_square_loop_gap_and_area():
     path = square_path(0.8)
     assert enclosed_area(path, NIL) == pytest.approx(0.64, rel=1e-8)
     assert holonomy_gap(path, NIL) == pytest.approx(2 * NIL.tau * 0.64, abs=1e-7)
+
+
+def test_corner_square_gap_is_2tau_area_exactly():
+    """The lift is exact on straight chords, so the audit's square needs no
+    densifying: gap 4.0 = 2 tau area 4.0 to the bit."""
+    gap, area = holonomy_gap(SQUARE, NIL), enclosed_area(SQUARE, NIL)
+    assert gap == 2.0 * NIL.tau * area == 4.0
 
 
 def test_off_center_loop_sees_only_its_own_area():
@@ -189,8 +197,7 @@ def _ngon(radius, n, clockwise=False):
     (_ngon(2.0, 1000, clockwise=True), 0.0),
     (_ngon(1.9, 1000), -1.0),
     (_ngon(3.2, 1000), -0.36),
-    (_densify(np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0),
-                        (1.0, 1.0)]), 4000), 0.0),
+    (SQUARE, 0.0),
     (_random_polygon(7, 40, 0.5, 3.0), -0.36),
     (_random_polygon(8, 60, 0.2, 5.0), 0.0),
 ], ids=["circle-cw-flat", "circle-k1", "circle-k0.36", "audit-square",
