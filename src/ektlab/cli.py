@@ -154,7 +154,10 @@ def _distinct(ok):
 # Every numeric option's domain, keyed by dest: (test, what the value must
 # be).  Rules that span fields or belong to one figure stay in the commands.
 _DOMAINS = {
-    **dict.fromkeys(("mu", "fault_inject"), (math.isfinite, "finite")),
+    # t_mu cubes 1 - 2mu and sigma squares 1 + 2mu as Python floats, which
+    # overflow (or, in t_mu, round to 0) not far past |mu| = 1e100
+    "mu": (lambda mu: abs(mu) <= 1e100, "at most 1e100 in magnitude"),
+    "fault_inject": (math.isfinite, "finite"),
     **dict.fromkeys(("spacing", "u_max", "b", "target_h", "r_trunc", "step",
                      "s_cap"), (_positive, "positive and finite")),
     # the helicoid window is used only when t_mu = inf; the sample cap bounds it
@@ -170,10 +173,10 @@ _DOMAINS = {
     "M": (lambda M: _distinct(_positive)(M) and M == sorted(M),
           "a non-empty, strictly increasing list of positive finite values"),
     # a panel's label and verdict key is f"{mu:g}"
-    "mus": (lambda mus: _distinct(lambda mu: 0.5 < abs(mu) < math.inf)(mus)
+    "mus": (lambda mus: _distinct(lambda mu: 0.5 < abs(mu) <= 1e100)(mus)
             and len({f"{mu:g}" for mu in mus}) == len(mus),
-            "non-empty and distinct to 6 significant digits, each with finite "
-            "|mu| > 1/2"),
+            "non-empty and distinct to 6 significant digits, each with "
+            "1/2 < |mu| <= 1e100"),
 }
 
 
@@ -483,8 +486,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("audit", help="run the invariant suite")
     p.add_argument("--fault-inject", dest="fault_inject", type=float,
-                   default=0.0, help="integrand perturbation for the "
-                   "negative-control mode")
+                   default=0.0, help="negative control: shift the member "
+                   "that helicoid-residuals-mu-quarter inverts by this much")
     common(p)
     p.set_defaults(func=cmd_audit)
     return parser

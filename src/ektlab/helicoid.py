@@ -13,7 +13,8 @@ t_mu and the surface contains the vertical fibers over (0, +-t_mu).
 
 f is found for all samples at once by Halley's method on Psi(x) =
 |int_0^x integrand|, an incomplete elliptic integral in closed form (one
-Carlson R_D), inside closed-form bounds, so f(v) depends on v alone.  g_mu,
+Carlson R_D), inside closed-form bounds, so f(v) depends on mu and v alone:
+the module holds no state that a call could change.  g_mu,
 by adaptive quadrature, is the independent reference it is checked against;
 t_mu = Psi(inf) is a complete elliptic integral.  Only g_mu,
 blowup_half_period and vertex_base_distance_quadrature import scipy.integrate,
@@ -28,7 +29,6 @@ operator, the strip solver, and the exported meshes.
 """
 from __future__ import annotations
 
-import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -57,7 +57,6 @@ __all__ = [
     "vertex_base_distance",
     "vertex_base_distance_quadrature",
     "profile_csv_lines",
-    "fault_injection",
 ]
 
 
@@ -75,11 +74,6 @@ def c_of_mu(mu: float) -> float:
     return (1.0 + 2.0 * mu) / (1.0 - 2.0 * mu)
 
 
-# additive perturbation of the slope integrand; nonzero only inside the
-# audit's fault-injection negative control
-_FAULT_INTEGRAND_EPS = 0.0
-
-
 def _slope(y2: np.ndarray, mu: float) -> np.ndarray:
     """Slope integrand I as a function of y^2 (even in y): the raw form
     (1 + c sqrt(4+y^2)/sqrt(4+c^2 y^2))/2 for c >= 0; for c < 0, where that
@@ -92,11 +86,6 @@ def _slope(y2: np.ndarray, mu: float) -> np.ndarray:
     return 2.0 * (-8.0 * mu / (1.0 - 2.0 * mu) ** 2) / den
 
 
-def _integrand(y2: np.ndarray, mu: float) -> np.ndarray:
-    """The slope integrand, plus eps/(1+y^2) inside fault_injection(eps)."""
-    return _slope(y2, mu) + _FAULT_INTEGRAND_EPS / (1.0 + y2)
-
-
 def g_mu(x: float, mu: float) -> float:
     """Odd slope quadrature from 0 to x, absolute tolerance 1e-10."""
     c_of_mu(mu)  # undefined at mu = 1/2
@@ -105,7 +94,7 @@ def g_mu(x: float, mu: float) -> float:
     from scipy import integrate
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(lambda y: float(_integrand(y * y, mu)),
+        val, err = integrate.quad(lambda y: float(_slope(y * y, mu)),
                                   0.0, abs(x), epsabs=1e-12, epsrel=1e-12,
                                   limit=200)
     if err > 1e-10:
@@ -179,36 +168,32 @@ def _psi(x: np.ndarray, mu: float, c: float, m: float) -> np.ndarray:
     both terms carry the sign of m; the grouping stays finite to x = 2e100."""
     from scipy.special import elliprd
     rd = elliprd(4.0 + x * x, 4.0, 4.0 + (c * x) ** 2)
-    g = x * _slope(x * x, mu) - x * ((c * x) * (m * x) * rd) / 3.0
-    if _FAULT_INTEGRAND_EPS != 0.0:  # the integral of the injected eps/(1+y^2)
-        g = g + _FAULT_INTEGRAND_EPS * np.arctan(x)
-    return np.abs(g)
+    return np.abs(x * _slope(x * x, mu) - x * ((c * x) * (m * x) * rd) / 3.0)
 
 
 def _invert_psi(w: np.ndarray, mu: float, t: float) -> np.ndarray:
     """The x >= 0 with Psi(x) = w, by Newton on (Psi - w)/sqrt(|I|) (Halley's
     method, its gain capped at 2) clipped to a bracket: |I| lies between
     I(0) = 1/|1-2mu| and its limit, 1 for |mu| < 1/2, else 0 with
-    |I(y)| <= |m|/(c^2 y^2), so x is in [w/max, w/min], or in
-    [w |1-2mu|, |m|/(c^2 (t - w))] (started there past t/2) when t is
-    finite.  An injected fault e widens |I| by e and Psi by e pi/2 < 2e; a
-    bound it breaks only keeps x finite.  A sample stops once |Psi(x) - w|
-    <= 4 eps w, or x stops moving or two-cycles at Psi's round-off floor."""
+    |I(y)| <= |m|/(c^2 y^2), so x is in [w/max, w/min] (min >= 1/2), or
+    in [w |1-2mu|, |m|/(c^2 (t - w))] (started there past t/2) when t is
+    finite.  The bracket and the steps read mu and w alone.  A sample stops
+    once |Psi(x) - w| <= 4 eps w, or x stops moving or two-cycles at Psi's
+    round-off floor."""
     c, m = c_of_mu(mu), -8.0 * mu / (1.0 - 2.0 * mu) ** 2
-    i0, e = 1.0 / abs(1.0 - 2.0 * mu), abs(_FAULT_INTEGRAND_EPS)
+    i0 = 1.0 / abs(1.0 - 2.0 * mu)
     s0 = 1.0 if mu < 0.5 else -1.0  # sign of the integrand
     if math.isinf(t):
-        lo, hi, x = w / (max(i0, 1.0) + e), w / max(min(i0, 1.0) - e, 0.25), w / i0
+        lo, hi, x = w / max(i0, 1.0), w / min(i0, 1.0), w / i0
     else:
-        gap, lo = t - w, w / (i0 + e)
-        hi = abs(m) / (c * c * np.where(gap > 2.0 * e, gap - 2.0 * e, gap))
+        lo, hi = w / i0, abs(m) / (c * c * (t - w))
         x = np.where(w > t / 2.0, hi, lo)
     x_prev = np.full_like(w, np.nan)
     todo = np.arange(w.size)
     for _ in range(_NEWTON_ITERS):
         xt, wt = x[todo], w[todo]
         err = _psi(xt, mu, c, m) - wt
-        i, q = np.abs(_integrand(xt * xt, mu)), 4.0 + (c * xt) ** 2
+        i, q = np.abs(_slope(xt * xt, mu)), 4.0 + (c * xt) ** 2
         di = s0 * 2.0 * c * m * (xt / np.sqrt(4.0 + xt * xt)) / q / np.sqrt(q)  # |I|'
         step = err / i / np.maximum(1.0 - 0.5 * err * di / (i * i), 0.5)
         x_next = np.clip(xt - step, lo[todo], hi[todo])
@@ -385,7 +370,7 @@ def vertex_base_distance_quadrature(mu: float) -> float:
         raise GeometryError("needs |mu| > 1/2")
 
     def f_head(x: float) -> float:
-        return 2.0 * abs(float(_integrand(x * x, mu))) / math.sqrt(4.0 + x * x)
+        return 2.0 * abs(float(_slope(x * x, mu))) / math.sqrt(4.0 + x * x)
 
     def f_tail(t: float) -> float:
         return f_head(1.0 / t) / (t * t)
@@ -396,18 +381,6 @@ def vertex_base_distance_quadrature(mu: float) -> float:
         head, _ = integrate.quad(f_head, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
         tail, _ = integrate.quad(f_tail, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
     return head + tail
-
-
-@contextlib.contextmanager
-def fault_injection(eps: float):
-    """Perturb the slope integrand additively (negative-control audits)."""
-    global _FAULT_INTEGRAND_EPS
-    old = _FAULT_INTEGRAND_EPS
-    _FAULT_INTEGRAND_EPS = float(eps)
-    try:
-        yield
-    finally:
-        _FAULT_INTEGRAND_EPS = old
 
 
 def profile_csv_lines(profile: HelicoidProfile):

@@ -13,10 +13,10 @@ every point built.  Ring nodes within metric distance 0.4*h of the far
 side are dropped (_clear_of).  No point is built twice: the rings lie at
 distinct radii and clear of the far side, the truncation arc stops short
 of its crossing, and a far side collapsed onto p2 is refused.  So the
-nodes are the point sets stacked as built (_collect); a repeated point
-would lie in no Delaunay simplex and be dropped, or the mesh refused.
-When every node is used, the hull-fill simplices that the filter drops
-are kept, so the mesh hands out the Delaunay triangles of its nodes
+nodes are the point sets stacked as built (_collect).  A repeated point
+would lie in no Delaunay simplex, and a mesh with a node in no element is
+refused, so every node is used and the hull-fill simplices that the filter
+drops are kept: the mesh hands out the Delaunay triangles of its nodes
 without a second qhull run.  A mesh that would need more than _MAX_POINTS
 points is refused before any is allocated.
 Ideal vertices (a or b infinite) are cut off by a truncation boundary at
@@ -307,15 +307,10 @@ def triangulate(triangle: GeodesicTriangle, target_h: float,
     keep &= inside_test(cent)
     if triangle.a_infinite:
         keep &= np.hypot(cent[:, 0], cent[:, 1]) <= chart_radius(R_trunc, kappa) + 1e-12
-    elements = _orient_ccw(nodes, tri.simplices[keep])
-    n_all = nodes.shape[0]
-    nodes, elements, tags = _compact(nodes, elements, tags)
-    # the fill indexes the uncompacted nodes, so it is kept only when the
-    # compaction is the identity
-    fill = tri.simplices[~keep] if nodes.shape[0] == n_all else None
+    elements = _orient_ccw(nodes, tri.simplices[keep].astype(np.int64))
     dom = TriangulatedDomain(triangle=triangle, nodes=nodes, elements=elements,
                              tags=tags, target_h=h, r_trunc=R_trunc,
-                             hull_fill=fill)
+                             hull_fill=tri.simplices[~keep])
     _check_boundary(dom)
     return dom
 
@@ -366,8 +361,8 @@ def _collect(chunks, wedge):
     ray, the other two sides by chunk.  No point repeats: the rings lie at
     distinct radii, _clear_of clears them off the far side, the truncation
     arc leaves its crossing to the far side, and a far side collapsed onto
-    p2 is refused.  A repeat would lie in no Delaunay simplex, so _compact
-    would drop it or _check_boundary would refuse the mesh."""
+    p2 is refused.  A repeat would lie in no Delaunay simplex, so
+    _check_boundary would refuse the mesh."""
     nodes = np.concatenate(chunks)
     x, y = nodes[:, 0], nodes[:, 1]
     r = np.hypot(x, y)
@@ -393,16 +388,13 @@ def _orient_ccw(nodes, elements):
     return elements[np.abs(area2) > 1e-14]
 
 
-def _compact(nodes, elements, tags):
-    used = np.zeros(nodes.shape[0], dtype=bool)
-    used[elements] = True
-    used = np.flatnonzero(used)
-    remap = -np.ones(nodes.shape[0], dtype=int)
-    remap[used] = np.arange(used.size)
-    return nodes[used], remap[elements], tags[used]
-
-
 def _check_boundary(dom: TriangulatedDomain):
+    """GeometryError for a node in no element or an untagged boundary node."""
+    used = np.zeros(dom.n_nodes, dtype=bool)
+    used[dom.elements] = True
+    if not used.all():
+        p = dom.nodes[np.argmin(used)]
+        raise GeometryError(f"node at ({p[0]:.6f}, {p[1]:.6f}) lies in no element")
     ends = dom.boundary_edges().ravel()
     untagged = ends[dom.tags[ends] < 0]
     if untagged.size:

@@ -220,6 +220,7 @@ def test_audit_fault_injection_flips_one_row(tmp_path):
     failed = [l for l in lines if "FAIL" in l]
     assert len(failed) == 1
     assert "helicoid-residuals-mu-quarter" in failed[0]
+    assert float(failed[0].split("measured=")[1].split()[0]) > 1e-4
 
 
 def test_catenoid_figure_verdicts(tmp_path):
@@ -377,6 +378,33 @@ def test_helicoid_window_past_the_overflow_limit_is_a_usage_error(
                  ("--mu", "1", "--window", "1e300")):
         with pytest.raises(AssertionError, match="work started"):
             run("helicoid", *argv, "--out", str(tmp_path / "o"))
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("argv,dest", [
+    (["helicoid", "--mu", "1"], "mu"),
+    (["figure", "catenoid-domains"], "mus"),
+], ids=["helicoid", "catenoid"])
+def test_mu_past_1e100_is_a_usage_error(tmp_path, capsys, no_work, argv, dest,
+                                        via):
+    # t_mu cubes and sigma squares mu as Python floats: OverflowError at 1e300
+    if via == "flag":
+        argv = argv + ["--mu=1e300"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{dest}=1e300\n")
+        argv = argv + ["--config", str(cfg)]
+    assert run(*argv, "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --mu must be") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_mu_at_1e100_keeps_its_outcome(tmp_path, capsys):
+    assert run("helicoid", "--mu=1e100", "--out", str(tmp_path / "h")) == 1
+    assert "need at least 5 profile samples" in capsys.readouterr().err
+    assert run("figure", "catenoid-domains", "--mu=1e100",
+               "--out", str(tmp_path / "c")) == 0
 
 
 # a flag value per option type, and what a config line gives the same option

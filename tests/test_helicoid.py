@@ -223,15 +223,17 @@ def test_profile_csv_lines_schema():
     assert v0 == -1.0 and f0 == pytest.approx(-prof.f[-1])
 
 
-def test_fault_injection_changes_residuals_only_while_active():
-    v = hc.residual_grid(0.25, spacing=1e-3, fraction=0.9, window=2.0)
-    prof = hc.invert_profile(0.25, v)
-    clean = hc.minimality_residual(prof)
-    with hc.fault_injection(1e-3):
-        dirty = hc.minimality_residual(hc.invert_profile(0.25, v))
-    assert dirty > 100 * max(clean, 1e-12)
-    assert hc.minimality_residual(hc.invert_profile(0.25, v)) == \
-        pytest.approx(clean)
+def test_audit_fault_fails_only_the_quarter_residual_row():
+    """The negative control: the profile of mu + eps, checked against the
+    slope law of mu, fails its row and no other; eps = 0 passes it."""
+    from ektlab.audit import run_audit
+
+    name = "helicoid-residuals-mu-quarter"
+    dirty = run_audit(1e-3)
+    assert [r.name for r in dirty if not r.passed] == [name]
+    assert next(r for r in dirty if r.name == name).measured > 1e-4
+    clean = next(r for r in run_audit(0.0) if r.name == name)
+    assert clean.passed and clean.measured < 1e-6
 
 
 @pytest.mark.parametrize("mu", [-20.0, -3.0, -0.51, 0.25, 0.501, 1.0, 20.0])

@@ -217,6 +217,23 @@ def test_check_boundary_raises_on_a_cleared_boundary_tag():
         mesh._check_boundary(dom)
 
 
+def test_a_node_in_no_element_is_refused(monkeypatch):
+    """A repeated point lies in no Delaunay simplex: the mesh is refused,
+    not handed out without it."""
+    real, repeated = mesh._collect, []
+
+    def repeat_one(chunks, wedge):
+        nodes, tags = real(chunks, wedge)
+        repeated.append(nodes[5])
+        return np.vstack([nodes, nodes[5]]), np.append(tags, tags[5])
+
+    monkeypatch.setattr(mesh, "_collect", repeat_one)
+    with pytest.raises(GeometryError, match="lies in no element") as err:
+        triangulate(build_triangle(1.0, 1.5, 3, -0.75), 0.1)
+    x, y = repeated[0]
+    assert f"node at ({x:.6f}, {y:.6f})" in str(err.value)
+
+
 def test_bad_target_h_rejected():
     tri = build_triangle(1.0, 1.0, 2, -0.75)
     with pytest.raises(GeometryError):
