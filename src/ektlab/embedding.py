@@ -6,11 +6,16 @@ waist, tiles the curve by the dihedral group of order 2k (assemble_domain)
 and judges the tiled boundary (self_intersections).
 
 Crossings are found by a vectorized sweep over candidate segment pairs.
-The candidates come from a top-down refinement of blocks of consecutive
-segments: block pairs whose bounding boxes are apart drop out, and so do
-runs of segments too straight for any two of them to meet; single
-segments are read only at the end, for the surviving pairs, in slices.
-The sweep's arrays are freed before the raster is made.  Covered-twice
+The thinned points of all pieces are one array, and segment m runs from
+its point m to point m + 1, so the segments are views of it; the junction
+segment from one piece's last point to the next piece's first is marked
+with piece_id -1 and never swept.  The candidates come from a top-down
+refinement of blocks of consecutive segments: block pairs whose bounding
+boxes are apart drop out, and so do runs of segments too straight for any
+two of them to meet; single segments are read only at the end, for the
+surviving pairs, in slices.  The sweep's arrays are freed before the
+raster is made, and the pieces it rasters are views of the same points.
+The raster's covered cells get their metric in one buffer.  Covered-twice
 regions are measured by winding-number rasterization: open chains are closed
 through arcs just inside the ideal circle, the segments that cross a
 scanline add signed crossings to an int32 raster, and pixels with
@@ -86,9 +91,10 @@ def _thin(ell: np.ndarray) -> np.ndarray:
 
 
 def _parametrize(pieces: Sequence[np.ndarray]):
-    """Thinned point arrays and their per-sample parameters: cumulative
-    Euclidean chart length, with consecutive pieces offset so parameters
-    stay distinct."""
+    """The thinned points of all pieces as one (n, 2) array P, their
+    per-sample parameters as one array S, and the thinned pieces as views
+    P[a:b].  A parameter is the cumulative Euclidean chart length, with
+    consecutive pieces offset so parameters stay distinct."""
     points, params = [], []
     offset = 0.0
     for n, p in enumerate(pieces):
@@ -104,7 +110,9 @@ def _parametrize(pieces: Sequence[np.ndarray]):
         points.append(p[keep])
         params.append(ell[keep] + offset)
         offset += ell[-1] + 1.0
-    return points, params
+    sizes = [q.shape[0] for q in points]
+    P, S = np.concatenate(points), np.concatenate(params)
+    return P, S, np.split(P, np.cumsum(sizes)[:-1])
 
 
 def _pair(f, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -120,21 +128,25 @@ def _candidate_pairs(A: np.ndarray, B: np.ndarray, d: np.ndarray,
                      lens: np.ndarray, piece_id: np.ndarray,
                      slack: float) -> Tuple[np.ndarray, np.ndarray]:
     """Segment pairs (i, j), i < j, each once and in no set order, that
-    can cross or come within slack of each other; chain neighbours within
-    a piece (j = i + 1) are left out.
+    can cross or come within slack of each other.  Segment m runs from
+    A[m] to B[m] = A[m + 1], and piece_id[m] is its piece, or -1 for the
+    junction segment from one piece's last point to the next piece's
+    first.  Chain neighbours (j = i + 1) and every pair holding a junction
+    segment are left out, so two real segments of different pieces are
+    never neighbours.
 
     Level 0 holds the segments in index order; each block of level L + 1
     joins two of level L, and an odd count repeats its last block, which
     can only overstate that block's turning.  A block carries its bounding
     box, its shortest segment, the turning W at the vertices inside it and
     the turning U at the vertices after each of its segments.  A vertex
-    turns by the wrapped change of direction, and by pi between two pieces,
-    so a run across pieces never clears.  From the top block paired with
-    itself, each level drops the block pairs P <= Q whose boxes are more
-    than slack apart per coordinate, and the pairs with Q - P <= 1 whose
-    run of segments is cleared: it turns by theta < pi in total and
-    cos(theta/2) * (its shortest segment) > slack.  The rest split into
-    their 3 (P = Q) or 4 child pairs.
+    turns by the wrapped change of direction, and by pi on both sides of
+    a junction segment, so a run across pieces never clears.  From the top
+    block paired with itself, each level drops the block pairs P <= Q whose
+    boxes are more than slack apart per coordinate, and the pairs with
+    Q - P <= 1 whose run of segments is cleared: it turns by theta < pi in
+    total and cos(theta/2) * (its shortest segment) > slack.  The rest
+    split into their 3 (P = Q) or 4 child pairs.
 
     A cleared run is exact to drop: its directions lie within theta/2 of one
     unit vector u, so any points of its segments i and j >= i + 2 are at
@@ -143,7 +155,8 @@ def _candidate_pairs(A: np.ndarray, B: np.ndarray, d: np.ndarray,
     Level 0 is not stored: its U is filled in place in one buffer, level 1
     is built from U, A, B and lens (level 0's W is zero), and level 0's
     boxes are read from A and B only at the end, for the pairs that
-    survive, _PAIR_CHUNK pairs at a time.
+    survive, _PAIR_CHUNK pairs at a time; that pass drops the junction
+    pairs.
     """
     U = np.arctan2(d[:, 1], d[:, 0])
     np.subtract(U[1:], U[:-1], out=U[:-1])
@@ -182,7 +195,7 @@ def _candidate_pairs(A: np.ndarray, B: np.ndarray, d: np.ndarray,
     keep = np.empty(P.size, dtype=bool)
     for start in range(0, P.size, _PAIR_CHUNK):
         p, q = P[start:start + _PAIR_CHUNK], Q[start:start + _PAIR_CHUNK]
-        near = (p < q) & ((q - p > 1) | (piece_id[p] != piece_id[q]))
+        near = (p < q - 1) & (piece_id[p] >= 0) & (piece_id[q] >= 0)
         for c in (0, 1):
             ap, bp, aq, bq = A[p, c], B[p, c], A[q, c], B[q, c]
             near &= ((np.minimum(ap, bp) <= np.maximum(aq, bq) + slack)
@@ -204,8 +217,8 @@ def self_intersections(pieces: Sequence[np.ndarray]) -> EmbeddednessReport:
     raster of the thinned pieces, which runs after the sweep's arrays are
     freed.
     """
-    pieces, params = _parametrize(pieces)
-    crossings, uncertain = _sweep(pieces, params)
+    P, S, pieces = _parametrize(pieces)
+    crossings, uncertain = _sweep(P, S, [p.shape[0] for p in pieces])
     area, fill_cells = multiplicity_two_area(pieces)
     return EmbeddednessReport(self_intersections=crossings,
                               multiplicity_2_area=area,
@@ -214,17 +227,22 @@ def self_intersections(pieces: Sequence[np.ndarray]) -> EmbeddednessReport:
                               fill_cells=fill_cells)
 
 
-def _sweep(pieces: List[np.ndarray], params: List[np.ndarray]):
+def _sweep(P: np.ndarray, S: np.ndarray, sizes: Sequence[int]):
     """The sorted crossings and the sorted, distinct uncertain pairs of the
-    thinned pieces, as self_intersections reports them."""
-    A = np.vstack([p[:-1] for p in pieces])
-    B = np.vstack([p[1:] for p in pieces])
-    sA = np.concatenate([q[:-1] for q in params])
-    sB = np.concatenate([q[1:] for q in params])
-    piece_id = np.concatenate([np.full(p.shape[0] - 1, n) for n, p in enumerate(pieces)])
+    thinned points P with parameters S, as self_intersections reports them;
+    sizes are the point counts of the pieces in P, in order.
+
+    Segment m runs from P[m] to P[m + 1]: the segments are views of P.
+    The junction segment from the last point of one piece to the first
+    point of the next carries piece_id -1 and is never swept.
+    """
+    A, B = P[:-1], P[1:]
+    sA, sB = S[:-1], S[1:]
+    piece_id = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)[:-1]
+    piece_id[np.cumsum(sizes)[:-1] - 1] = -1
     d = B - A
     lens = np.hypot(d[:, 0], d[:, 1])
-    if not np.any(lens > 0.0):
+    if not np.any(lens[piece_id >= 0] > 0.0):
         raise GeometryError("degenerate polyline (zero-length segments only)")
     # twice the sweep's 10 * _EPS_GEOM gap, so that round-off in the boxes
     # and the turning cannot drop a pair the sweep reports
@@ -372,11 +390,24 @@ def multiplicity_two_area(pieces: Sequence[np.ndarray]) -> Tuple[float, np.ndarr
     # boolean mask would take them: full-grid float arrays cost 8 MB each at
     # grid = 1024
     i, j = np.nonzero((wind >= 2) | (wind <= -2))
-    r2 = c2[j] + c2[i]
-    lam2 = np.where(np.sqrt(r2) <= 1.0 - 2e-6, 4.0 / (1.0 - r2) ** 2, 0.0) * px * px
+    del wind
+    i, j = i.astype(np.int32), j.astype(np.int32)
+    # r2, 1 - r2, its square and 4 / (...) in one buffer: the same floats
+    # as np.where(sqrt(r2) <= r_cut, 4 / (1 - r2) ** 2, 0) * px * px
+    lam2 = c2[j]
+    lam2 += c2[i]
+    rim = np.sqrt(lam2) > 1.0 - 2e-6
+    np.subtract(1.0, lam2, out=lam2)
+    np.square(lam2, out=lam2)
+    np.divide(4.0, lam2, out=lam2)
+    lam2[rim] = 0.0
+    lam2 *= px
+    lam2 *= px
+    area = float(np.sum(lam2))
+    del lam2, rim
     side = _GRID // 4
     hits = np.bincount((i // 4) * side + j // 4, minlength=side * side)
-    return float(np.sum(lam2)), np.argwhere(hits.reshape(side, side) >= 8)
+    return area, np.argwhere(hits.reshape(side, side) >= 8)
 
 
 def report_json_dict(report: EmbeddednessReport, total_turning: float) -> dict:
@@ -486,12 +517,22 @@ def critical_catenoid_domain(mu: float, k: int = 2,
                              s_cap: float = DEFAULT_S_CAP):
     """Boundary of the conjugate disk domain for the critical catenoid data:
     fiber_domain at H = 1/2 with the exact theta' and d of the mu-helicoid,
-    over the full fiber.  Returns (curve, assembled, report)."""
-    from .helicoid import theta_prime_fn, vertex_base_distance
+    over the full fiber.  Returns (curve, assembled, report).
 
+    theta' = -sigma/(1 + sigma^2 s^2) is a spike of width 1/|sigma| at
+    s = 0; a step above 0.25/|sigma| cannot resolve it, and is refused.
+    """
+    from .helicoid import sigma, theta_prime_fn, vertex_base_distance
+
+    theta_prime = theta_prime_fn(mu)  # checks |mu| > 1/2, so sigma != 0
+    sg = abs(sigma(mu))
+    if step > 0.25 / sg:
+        raise GeometryError(f"step {step:g} cannot resolve theta' at mu={mu:g} "
+                            f"(|sigma| = {sg:.6g}); the largest step that does "
+                            f"is 0.25/|sigma| = {0.25 / sg!r}")
     # theta' is even in s and the initial tangent is vertical, so the s<0
     # half of the fiber is the x-axis mirror of the s>0 half; the dihedral
     # tiling restores it
-    return fiber_domain(theta_prime_fn(mu), 0.5, vertex_base_distance(mu),
+    return fiber_domain(theta_prime, 0.5, vertex_base_distance(mu),
                         math.pi / 2.0 if mu < 0 else -math.pi / 2.0,
                         math.inf, k, step, s_cap)

@@ -1,6 +1,8 @@
 """Command line surface: outputs, exit codes, config handling, determinism."""
 import argparse
+import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -10,6 +12,7 @@ import pytest
 
 import ektlab
 from ektlab import cli, solver
+from ektlab import helicoid as hc
 from ektlab.cli import main
 from ektlab.helicoid import t_mu
 
@@ -403,8 +406,58 @@ def test_mu_past_1e100_is_a_usage_error(tmp_path, capsys, no_work, argv, dest,
 def test_mu_at_1e100_keeps_its_outcome(tmp_path, capsys):
     assert run("helicoid", "--mu=1e100", "--out", str(tmp_path / "h")) == 1
     assert "need at least 5 profile samples" in capsys.readouterr().err
+    # no march step resolves theta' there: refused, where it once wrote a
+    # wrong "embedded" verdict
     assert run("figure", "catenoid-domains", "--mu=1e100",
-               "--out", str(tmp_path / "c")) == 0
+               "--out", str(tmp_path / "c")) == 1
+    assert "cannot resolve theta'" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("mu", ["4000", "-4000"])
+def test_catenoid_march_that_cannot_resolve_theta_prime_is_refused(tmp_path, capsys,
+                                                                   mu):
+    # |sigma| * step is about 2 at the default step: theta' is a spike of
+    # width 1/|sigma| that the march steps over
+    assert run("figure", "catenoid-domains", f"--mu={mu}",
+               "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: step 0.0005 cannot resolve theta'")
+    assert not (tmp_path / "o").exists()
+    # the step the message names is the largest one that runs
+    limit = float(err.split("0.25/|sigma| = ")[1])
+    assert limit == 0.25 / abs(hc.sigma(float(mu)))
+    assert run("figure", "catenoid-domains", f"--mu={mu}", "--step", repr(limit),
+               "--s-cap", "0.5", "--out", str(tmp_path / "o")) == 0
+    assert run("figure", "catenoid-domains", f"--mu={mu}",
+               "--step", repr(math.nextafter(limit, 1.0)), "--s-cap", "0.5",
+               "--out", str(tmp_path / "p")) == 1
+
+
+@pytest.mark.parametrize("mu", ["300", "-300"])
+def test_catenoid_march_at_a_sixth_of_the_spike_width_runs(tmp_path, mu):
+    # |sigma| * step = 0.15 at the default step
+    assert abs(hc.sigma(float(mu))) * 5e-4 == pytest.approx(0.15, abs=1e-3)
+    assert run("figure", "catenoid-domains", f"--mu={mu}", "--s-cap", "2",
+               "--out", str(tmp_path / "o")) == 0
+
+
+@pytest.mark.parametrize("step,json_sha,svg_sha", [
+    ("5e-4", "b89caebd96aace91bcc4584fff3b1beb9bf21fce0e33c94c4dac80213ce385d1",
+     "b1193f672e3705a4ce9486f159497716036d6de9014ad33a1f668bcb2935fe31"),
+    ("2e-3", "cef885c591b14840b2e8e73d8e7c078cefe2679e1d48c889ef8ff0e76827e118",
+     "664349f1f963ec8f64605e9096fa44162ac2211dfe66e66b9f883f2513f56169"),
+])
+def test_catenoid_figure_bytes_at_mu_3_are_unchanged(tmp_path, step, json_sha,
+                                                     svg_sha):
+    """The step check passes mu = +-3 at both steps, and both output files
+    keep the bytes they had before the check existed."""
+    out = tmp_path / "o"
+    assert run("figure", "catenoid-domains", "--mu", "3", "--mu", "-3",
+               "--step", step, "--out", str(out)) == 0
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in out.iterdir()} == {"catenoid_domains.json": json_sha,
+                                        "catenoid_domains.svg": svg_sha}
 
 
 # a flag value per option type, and what a config line gives the same option

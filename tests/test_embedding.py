@@ -231,7 +231,7 @@ def test_fill_cells_are_the_majority_blocks_of_the_area_raster():
     r = 0.5 + 0.3 * np.cos(3.0 * t)
     pieces = [np.column_stack([r * np.cos(t), r * np.sin(t)])]
     rep = self_intersections(pieces)
-    thinned, _ = emb._parametrize(pieces)
+    _, _, thinned = emb._parametrize(pieces)
     wind, _ = emb._winding_grid(emb._close_chains(thinned), emb._GRID)
     side = emb._GRID // 4
     blocks = (np.abs(wind) >= 2).reshape(side, 4, side, 4).sum(axis=(1, 3))
@@ -407,12 +407,12 @@ def _swept_pairs(monkeypatch):
 def _scalar_decisions(pieces):
     """The crossing and uncertain lists of self_intersections as its
     per-pair Python loop decided them, before that loop was vectorized."""
-    pieces, params = emb._parametrize(pieces)
-    A = np.vstack([p[:-1] for p in pieces])
-    B = np.vstack([p[1:] for p in pieces])
-    sA = np.concatenate([q[:-1] for q in params])
-    sB = np.concatenate([q[1:] for q in params])
-    piece_id = np.concatenate([np.full(p.shape[0] - 1, n) for n, p in enumerate(pieces)])
+    P, S, pieces = emb._parametrize(pieces)
+    A, B = P[:-1], P[1:]
+    sA, sB = S[:-1], S[1:]
+    # each piece's segments, then the junction to the next piece (-1)
+    piece_id = np.concatenate([np.append(np.full(p.shape[0] - 1, n), -1)
+                               for n, p in enumerate(pieces)])[:-1]
     d = B - A
     lens = np.hypot(d[:, 0], d[:, 1])
     eps = emb._EPS_GEOM
@@ -514,7 +514,9 @@ def test_pieces_that_continue_each_other_in_a_line(monkeypatch):
               np.column_stack([np.linspace(0.0, 0.8, 41), np.full(41, 0.1)])]
     swept = _swept_pairs(monkeypatch)
     rep = _assert_matches_all_pairs(pieces, monkeypatch)
-    assert (39, 40) in swept
+    # the last segment of the first piece and the first of the second;
+    # segment 40 is the zero-length junction between them
+    assert (39, 41) in swept
     assert rep.crossings == 0
     assert rep.uncertain == [(pytest.approx(0.8), pytest.approx(1.8))]
 
@@ -623,22 +625,80 @@ def test_candidate_search_on_one_to_five_segments(segments, split, monkeypatch):
     assert crossings[0] == [0, 0, 1, 2, 4][segments - 1]
 
 
-@pytest.mark.parametrize("curve,bound_mb", [("spiral", 48), ("double-rose", 72)])
+def _bar_and_sides(count, seed):
+    """count pieces: the first runs up a bar at x = 0 and steps left, the
+    others lie on alternate sides of the bar, the odd ones one segment
+    each, so the junction chord from each piece to the next crosses it."""
+    rng = np.random.default_rng(seed)
+    pieces = [np.array([[0.0, -0.8], [0.0, 0.8], [-0.4, 0.75]])]
+    for n in range(1, count):
+        m = 2 if n % 2 else int(rng.integers(3, 7))
+        side = 1.0 if n % 2 else -1.0
+        pieces.append(np.column_stack([side * rng.uniform(0.1, 0.7, m),
+                                       rng.uniform(-0.7, 0.7, m)]))
+    return pieces
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("count", [2, 3, 4, 5])
+def test_junction_chords_between_pieces_are_never_swept(count, seed, monkeypatch):
+    """The sweep's segments are views of all pieces' points in one array,
+    so the chord from one piece's last point to the next one's first is a
+    segment there too.  It crosses the bar, yet no candidate pair holds it,
+    and the verdicts match the all-pairs loop over the pieces."""
+    pieces = _bar_and_sides(count, seed)
+    joined, _, _ = _all_pairs_reference([np.vstack(pieces)])
+    held = []
+    search = emb._candidate_pairs
+
+    def recorded(A, B, d, lens, piece_id, slack):
+        first, second = search(A, B, d, lens, piece_id, slack)
+        held.append(np.concatenate([piece_id[first], piece_id[second]]))
+        return first, second
+
+    monkeypatch.setattr(emb, "_candidate_pairs", recorded)
+    rep = _assert_matches_all_pairs(pieces, monkeypatch)
+    # joined into one polyline, each junction chord crosses the bar
+    assert len(joined) >= rep.crossings + count - 1
+    assert len(held) == 2 and all(np.all(h >= 0) for h in held)
+
+
+@pytest.mark.parametrize("pieces", [
+    [np.array([[0.0, 0.0], [0.0, 0.0]]), np.array([[0.5, 0.5], [0.5, 0.5]])],
+    [np.zeros((3, 2)), np.full((2, 2), 0.3), np.full((4, 2), -0.6)],
+], ids=["two-pieces", "three-pieces"])
+def test_zero_length_pieces_joined_by_long_junctions_are_degenerate(pieces):
+    with pytest.raises(GeometryError, match="degenerate polyline"):
+        self_intersections(pieces)
+
+
+@pytest.mark.parametrize("curve,bound_mb", [("spiral", 30), ("double-rose", 72),
+                                            ("two-pieces", 54)])
 def test_self_intersections_memory_stays_bounded(curve, bound_mb):
-    """200,001 points: the sweep's arrays are gone before the raster, the
-    raster is int32, and level 0 of the pair search is read in slices."""
-    if curve == "spiral":  # 20 turns
+    """200,001 points a piece: the segments are views of one point array,
+    the sweep's arrays are gone before the raster, the raster is int32, the
+    covered cells' metric is built in one buffer, and level 0 of the pair
+    search is read in slices."""
+    def polar(r, t):
+        return np.column_stack([r * np.cos(t), r * np.sin(t)])
+
+    if curve == "spiral":  # 20 turns: 641,520 covered-twice raster cells
         t = np.linspace(0.0, 40.0 * math.pi, 200001)
-        r = 0.05 + 0.9 * t / t[-1]
-    else:  # traced twice: about 100k near-parallel pairs reach the sweep
+        pieces = [polar(0.05 + 0.9 * t / t[-1], t)]
+    elif curve == "double-rose":  # traced twice: about 100k near-parallel pairs reach the sweep
         t = np.linspace(0.0, 4.0 * math.pi, 200001)
-        r = 0.5 + 0.3 * np.cos(3.0 * t)
-    pieces = [np.column_stack([r * np.cos(t), r * np.sin(t)])]
+        pieces = [polar(0.5 + 0.3 * np.cos(3.0 * t), t)]
+    else:
+        # two open arcs from near the ideal circle to near it again, as the
+        # tiled catenoid curves run; they cross once, and about 331k of
+        # their samples survive the thinning
+        u = np.linspace(-1.0, 1.0, 200001)
+        pieces = [polar(0.3 + 0.699 * u * u, phi0 + 1.5 * u) for phi0 in (0.0, 2.0)]
     tracemalloc.start()
     try:
         rep = self_intersections(pieces)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.crossings == 0
+    assert rep.crossings == (1 if curve == "two-pieces" else 0)
     assert peak < bound_mb * 2 ** 20
