@@ -3,14 +3,15 @@
 Subcommands
     helicoid   profile one family member, write CSV/JSON (optionally OBJ)
     solve      one Jenkins-Serrin sweep, write solution CSV + report JSON
-    figure     regenerate a named figure (catenoid-domains, sweep-d,
-               noid-domain) deterministically
+    figure     regenerate a named figure deterministically: catenoid-domains,
+               sweep-d or noid-domain, each taking only the options it reads
     audit      run the module invariant suite, exit 1 on any failure
 
 Exit codes: 0 success, 1 numeric failure, 2 usage or I/O error.  Every file
 is written deterministically (repr floats, sorted JSON keys, no timestamps)
 so identical configs give byte-identical outputs at any worker count.  A
-config file of key=value lines overrides any flag of the active subcommand.
+config file of key=value lines overrides any flag of the active subcommand
+(for `figure`, of the named figure); a key that names none exits 2.
 Each numeric option's domain is declared once, in ``_DOMAINS``: a flag or a
 config value outside it exits 2 before any work starts.
 """
@@ -110,11 +111,11 @@ def _config_value(option: argparse.Action, text: str):
 
 def _options(args: argparse.Namespace,
              parser: argparse.ArgumentParser) -> dict:
-    """The active subcommand's options, keyed by dest."""
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in sub.choices[args.command]._actions
-            if a.dest != "help"}
+    """The chosen sub-parser's options (a figure's own), keyed by dest."""
+    for a in parser._actions:
+        if isinstance(a, argparse._SubParsersAction):
+            return _options(args, a.choices[getattr(args, a.dest)])
+    return {a.dest: a for a in parser._actions if a.dest != "help"}
 
 
 def _apply_config(args: argparse.Namespace,
@@ -364,9 +365,11 @@ def _figure_sweep_d(args: argparse.Namespace) -> int:
 
 
 def _figure_noid_domain(args: argparse.Namespace) -> int:
-    r_trunc = args.r_trunc if args.r_trunc is not None else 4.0
+    if args.H is None or not args.H < 0.5:
+        raise UsageError("noid-domain needs H in (0, 1/2) (bounded domain)")
     sols = solve_jenkins_serrin(math.inf, args.b, args.k, args.H,
-                                list(args.M), args.target_h, R_trunc=r_trunc)
+                                list(args.M), args.target_h,
+                                R_trunc=args.r_trunc)
     samples = boundary_theta_prime(sols[-1])
     s_vals, tp_vals = samples[:, 0], samples[:, 1]
     s_hi = min(float(s_vals.max()), abs(float(s_vals.min())))
@@ -379,7 +382,7 @@ def _figure_noid_domain(args: argparse.Namespace) -> int:
     b_star = interior_angle_threshold_b(args.k, args.H)
     params = {"figure": "noid-domain", "H": args.H, "k": args.k, "b": args.b,
               "M": list(args.M), "target_h": args.target_h,
-              "R_trunc": r_trunc, "step": args.step,
+              "R_trunc": args.r_trunc, "step": args.step,
               "gauge": "waist on +x axis at distance d_estimate"}
     out = _prepare_out(args.out)
     svg = os.path.join(out, "noid_domain.svg")
@@ -397,17 +400,6 @@ def _figure_noid_domain(args: argparse.Namespace) -> int:
           f"threshold b*={b_star:.6f} predicts "
           f"{'embedded' if args.b >= b_star else 'non-embedded'}  wrote {svg}")
     return 0
-
-
-_FIGURES = {"catenoid-domains": _figure_catenoid_domains,
-            "sweep-d": _figure_sweep_d,
-            "noid-domain": _figure_noid_domain}
-
-
-def cmd_figure(args: argparse.Namespace) -> int:
-    if args.name == "noid-domain" and not args.H < 0.5:
-        raise UsageError("noid-domain needs H in (0, 1/2) (bounded domain)")
-    return _FIGURES[args.name](args)
 
 
 # ------------------------------------------------------------------- audit
@@ -445,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="|v| bound when the profile is entire")
     p.add_argument("--obj", action="store_true",
                    help="also write an OBJ mesh of the ruled graph")
-    p.add_argument("--u-max", dest="u_max", type=float, default=2.0)
+    p.add_argument("--u-max", type=float, default=2.0)
     common(p)
     p.set_defaults(func=cmd_helicoid)
 
@@ -457,37 +449,48 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--H", type=float, required=True)
     p.add_argument("--M", type=float, action="append", default=None,
                    help="truncation schedule entry (repeatable)")
-    p.add_argument("--target-h", dest="target_h", type=float, default=0.05)
-    p.add_argument("--r-trunc", dest="r_trunc", type=float, default=None)
-    p.add_argument("--m-sign", dest="m_sign", type=int, choices=(1, -1),
-                   default=1)
+    p.add_argument("--target-h", type=float, default=0.05)
+    p.add_argument("--r-trunc", type=float, default=None)
+    p.add_argument("--m-sign", type=int, choices=(1, -1), default=1)
     common(p)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("figure", help="regenerate a named figure")
-    p.add_argument("name", choices=list(_FIGURES))
+    # options that more than one figure reads: the march's and the solve's
+    march = argparse.ArgumentParser(add_help=False)
+    march.add_argument("--step", type=float, default=DEFAULT_STEP)
+    march.add_argument("--s-cap", type=float, default=DEFAULT_S_CAP)
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--M", type=float, action="append", default=None,
+                       help="truncation schedule entry (repeatable)")
+    graph.add_argument("--target-h", type=float, default=0.02)
+
+    names = sub.add_parser("figure", help="regenerate a named figure"
+                           ).add_subparsers(dest="name", required=True)
+    p = names.add_parser("catenoid-domains", parents=[march],
+                         help="critical-catenoid domains, one panel per mu")
     p.add_argument("--mu", dest="mus", type=float, action="append",
-                   default=None, help="catenoid-domains panel (repeatable)")
-    p.add_argument("--k", type=int, default=2)
+                   default=None, help="panel (repeatable)")
+    p.set_defaults(func=_figure_catenoid_domains)
+    p = names.add_parser("sweep-d", parents=[graph], help="d(a, b) sweep")
     p.add_argument("--H", type=float, default=0.5)
-    p.add_argument("--b", type=float, default=2.0)
-    p.add_argument("--M", type=float, action="append", default=None)
-    p.add_argument("--a-grid", dest="a_grid", type=_float_list,
-                   default=[0.5, 1.0, 2.0])
-    p.add_argument("--b-grid", dest="b_grid", type=_float_list,
-                   default=[0.5, 1.0, 2.0])
-    p.add_argument("--target-h", dest="target_h", type=float, default=0.02)
-    p.add_argument("--r-trunc", dest="r_trunc", type=float, default=None)
-    p.add_argument("--step", type=float, default=DEFAULT_STEP)
-    p.add_argument("--s-cap", dest="s_cap", type=float, default=DEFAULT_S_CAP)
+    p.add_argument("--a-grid", type=_float_list, default=[0.5, 1.0, 2.0])
+    p.add_argument("--b-grid", type=_float_list, default=[0.5, 1.0, 2.0])
     p.add_argument("--workers", type=int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_figure)
+    p.set_defaults(func=_figure_sweep_d)
+    p = names.add_parser("noid-domain", parents=[graph, march],
+                         help="conjugate fiber domain of the (H, k)-noid")
+    p.add_argument("--H", type=float, default=None, help="in (0, 1/2)")
+    p.add_argument("--b", type=float, default=2.0)
+    p.add_argument("--r-trunc", type=float, default=4.0)
+    p.set_defaults(func=_figure_noid_domain)
+    for p in names.choices.values():
+        p.add_argument("--k", type=int, default=2)
+        common(p)
 
     p = sub.add_parser("audit", help="run the invariant suite")
-    p.add_argument("--fault-inject", dest="fault_inject", type=float,
-                   default=0.0, help="negative control: shift the member "
-                   "that helicoid-residuals-mu-quarter inverts by this much")
+    p.add_argument("--fault-inject", type=float, default=0.0,
+                   help="negative control: shift the member that "
+                   "helicoid-residuals-mu-quarter inverts by this much")
     common(p)
     p.set_defaults(func=cmd_audit)
     return parser

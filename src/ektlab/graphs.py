@@ -21,6 +21,7 @@ import numpy as np
 from .spaces import SpaceParams, conformal_factor_xy
 
 __all__ = [
+    "tilt",
     "graph_gradient",
     "mean_curvature_from_partials",
     "graph_mean_curvature",
@@ -33,15 +34,19 @@ PartialStack = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
 ClosedFormGraph = Callable[[np.ndarray, np.ndarray], PartialStack]
 
 
+def tilt(u_x, u_y, lam, x, y, tau: float):
+    """Frame components (alpha, beta) and W of the tilt at (x, y), lam = lambda."""
+    alpha = u_x / lam + tau * y
+    beta = u_y / lam - tau * x
+    return alpha, beta, np.sqrt(1.0 + alpha * alpha + beta * beta)
+
+
 def graph_gradient(x, y, u_x, u_y, params: SpaceParams):
-    """Frame components (alpha, beta) and W of a graph's tilt at (x, y)."""
+    """tilt at (x, y), with lambda computed there."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     lam = conformal_factor_xy(x, y, params.kappa)
-    alpha = u_x / lam + params.tau * y
-    beta = u_y / lam - params.tau * x
-    w = np.sqrt(1.0 + alpha * alpha + beta * beta)
-    return alpha, beta, w
+    return tilt(u_x, u_y, lam, x, y, params.tau)
 
 
 def mean_curvature_from_partials(x, y, u_x, u_y, u_xx, u_xy, u_yy,
@@ -58,15 +63,13 @@ def mean_curvature_from_partials(x, y, u_x, u_y, u_xx, u_xy, u_yy,
     lam_x = -lam * lam * kappa * x / 2.0
     lam_y = -lam * lam * kappa * y / 2.0
 
-    alpha = u_x / lam + tau * y
-    beta = u_y / lam - tau * x
+    alpha, beta, w = tilt(u_x, u_y, lam, x, y, tau)
     # d(1/lam)/dx = kappa x / 2, so alpha_x = u_xx/lam + u_x kappa x / 2 etc.
     alpha_x = u_xx / lam + u_x * kappa * x / 2.0
     alpha_y = u_xy / lam + u_x * kappa * y / 2.0 + tau
     beta_x = u_xy / lam + u_y * kappa * x / 2.0 - tau
     beta_y = u_yy / lam + u_y * kappa * y / 2.0
 
-    w = np.sqrt(1.0 + alpha * alpha + beta * beta)
     w_x = (alpha * alpha_x + beta * beta_x) / w
     w_y = (alpha * alpha_y + beta * beta_y) / w
 

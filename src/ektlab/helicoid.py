@@ -209,19 +209,16 @@ def _invert_psi(w: np.ndarray, mu: float, t: float) -> np.ndarray:
 
 
 def _profile_values(mu: float, t: float, v: np.ndarray) -> np.ndarray:
-    """f on an array of any shape, each sample solved on its own: closed
-    forms at mu in {0, +-1/2}; otherwise Halley on the closed-form Psi in
-    blocks of _BLOCK, so f(v) depends on v alone."""
+    """f on an array of any shape, each sample solved on its own: 0 at the
+    pole of c, mu = 1/2; else Halley on the closed-form Psi in blocks of
+    _BLOCK, so f(v) depends on v alone (at mu = 0 and -1/2 the integrand
+    is constant, 1 and 1/2, and the first iterate gives f = v and 2v)."""
     outside = ~(np.abs(v) < t)
     if np.any(outside):
         raise GeometryError(f"{np.count_nonzero(outside)} sample(s) outside "
                             f"the open domain |v| < t_mu = {t}")
-    if mu == 0.0:
-        return v.copy()
     if mu == 0.5:
         return np.zeros_like(v)
-    if mu == -0.5:
-        return 2.0 * v
     w = np.abs(v).ravel()
     x = np.empty_like(w)
     for i in range(0, w.size, _BLOCK):
@@ -254,7 +251,7 @@ def invert_profile(mu: float, v_grid: Sequence[float]) -> HelicoidProfile:
     """Solve g_mu(f) = v on a grid and assemble the profile record.
 
     Samples with |v| >= t_mu are rejected (the profile only exists on the
-    open interval).  mu in {0, +-1/2} short-circuit to their closed forms.
+    open interval).  mu = 1/2, the pole of c, short-circuits to f = 0.
     """
     v = np.asarray(v_grid, dtype=float)
     t = t_mu(mu)

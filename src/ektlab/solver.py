@@ -79,7 +79,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 from scipy.spatial import Delaunay, cKDTree
 
-from .graphs import graph_gradient
+from .graphs import graph_gradient, tilt
 from .spaces import (GeometryError, SpaceParams, build_triangle,
                      conformal_factor_xy, min_metric_distance)
 from .mesh import TAGS, TriangulatedDomain, triangulate
@@ -202,11 +202,7 @@ class _Assembly:
 
     def _tilted(self, u):
         gx, gy = self.element_gradients(u)
-        tau = self.params.tau
-        alpha = gx / self.lam + tau * self.qy
-        beta = gy / self.lam - tau * self.qx
-        w = np.sqrt(1.0 + alpha ** 2 + beta ** 2)
-        return alpha, beta, w
+        return tilt(gx, gy, self.lam, self.qx, self.qy, self.params.tau)
 
     def _held_tilt(self, u):
         """(alpha, beta, W) at u, held until the next array: an accepted
@@ -476,7 +472,7 @@ def _newton(asm: _Assembly, u0: np.ndarray, fixed: np.ndarray):
     u = u0.copy()
     energies = []
     lu, step_norm = None, 0.0
-    for it in range(_MAX_ITERS):
+    for it in range(_MAX_ITERS + 1):
         energy, g = asm.energy_grad(u)
         energies.append(energy)
         rhs = -g[free]
@@ -484,6 +480,10 @@ def _newton(asm: _Assembly, u0: np.ndarray, fixed: np.ndarray):
         if res < _TOL:
             asm.lu = lu
             return u, res, it, energies
+        if it == _MAX_ITERS:
+            raise SolverError(f"Newton did not reach tol={_TOL:g}",
+                              iteration=it, residual=res, energy=energy,
+                              step_norm=step_norm)
         last_norm = step_norm
         for fresh in ((True,) if lu is None else (False, True)):
             if fresh:
@@ -503,13 +503,6 @@ def _newton(asm: _Assembly, u0: np.ndarray, fixed: np.ndarray):
             raise SolverError("line search stalled; Hessian may be inconsistent",
                               iteration=it, residual=res, energy=energy,
                               step_norm=step_norm)
-    energy, g = asm.energy_grad(u)
-    res = float(np.linalg.norm(g[free]))
-    if res < _TOL:
-        asm.lu = lu
-        return u, res, _MAX_ITERS, energies
-    raise SolverError(f"Newton did not reach tol={_TOL:g}", iteration=_MAX_ITERS,
-                      residual=res, energy=energy, step_norm=step_norm)
 
 
 BoundaryValue = Union[float, Callable[[np.ndarray, np.ndarray], np.ndarray]]
@@ -813,19 +806,22 @@ def richardson_extrapolate(vals: Sequence[float]) -> float:
     return 2.0 * vals[-1] - vals[-2]
 
 
-def distance_d(solutions: Sequence[GraphSolution]) -> float:
-    """Richardson-refined integral of nu along the p0-p2 side over an
-    increasing M schedule; only the last two truncation levels are read."""
+def _refined(solutions: Sequence[GraphSolution], single) -> float:
+    """single over an increasing M schedule, Richardson-refined from the
+    last two truncation levels."""
     if not solutions:
         raise SolverError("empty solution sequence")
-    return richardson_extrapolate([distance_d_single(s) for s in solutions[-2:]])
+    return richardson_extrapolate([single(s) for s in solutions[-2:]])
+
+
+def distance_d(solutions: Sequence[GraphSolution]) -> float:
+    """Richardson-refined integral of nu along the p0-p2 side."""
+    return _refined(solutions, distance_d_single)
 
 
 def rho_estimate(solutions: Sequence[GraphSolution]) -> float:
     """distance_d for the p0-p1 side."""
-    if not solutions:
-        raise SolverError("empty solution sequence")
-    return richardson_extrapolate([rho_estimate_single(s) for s in solutions[-2:]])
+    return _refined(solutions, rho_estimate_single)
 
 
 def boundary_theta_prime(sol: GraphSolution) -> np.ndarray:

@@ -463,18 +463,21 @@ def test_catenoid_figure_bytes_at_mu_3_are_unchanged(tmp_path, step, json_sha,
 # a flag value per option type, and what a config line gives the same option
 _FLAG_SAMPLES = {float: "0.25", int: "3", cli._parse_side: "inf",
                  cli._float_list: "0.5 1.5", None: "x"}
-_REQUIRED = {"helicoid": ["--mu", "1"], "figure": ["sweep-d"], "audit": [],
-             "solve": ["--a", "1", "--b", "1", "--H", "0.5"]}
+_REQUIRED = {"helicoid": ["--mu", "1"], "audit": [],
+             "solve": ["--a", "1", "--b", "1", "--H", "0.5"],
+             "figure catenoid-domains": [], "figure sweep-d": [],
+             "figure noid-domain": ["--H", "0.4"]}
 
 
-def _all_options(parser):
-    """(subcommand, option) for every option of every subcommand."""
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    for command, sub_parser in sub.choices.items():
-        for act in sub_parser._actions:
-            if act.dest != "help":
-                yield command, act
+def _all_options(parser, command=()):
+    """(command, option) for every option of every command, where a figure
+    is a command of two words ("figure sweep-d") with options of its own."""
+    for act in parser._actions:
+        if isinstance(act, argparse._SubParsersAction):
+            for name, sub_parser in act.choices.items():
+                yield from _all_options(sub_parser, command + (name,))
+        elif act.dest != "help":
+            yield " ".join(command), act
 
 
 def test_every_option_is_a_config_key_that_parses_as_its_flag(tmp_path):
@@ -492,11 +495,9 @@ def test_every_option_is_a_config_key_that_parses_as_its_flag(tmp_path):
                      else _FLAG_SAMPLES[act.type])
             flag = act.option_strings[:1] + [value]
             line = value
-        # the figure name is positional: its flag is the bare value
-        argv = [command] + (_REQUIRED[command] if act.option_strings
-                            else []) + flag
+        argv = command.split() + _REQUIRED[command] + flag
         want = getattr(parser.parse_args(argv), act.dest)
-        args = parser.parse_args([command] + _REQUIRED[command])
+        args = parser.parse_args(command.split() + _REQUIRED[command])
         assert getattr(args, act.dest) != want
         cfg.write_text(f"{act.dest}={line}\n")
         args.config = str(cfg)
@@ -504,12 +505,18 @@ def test_every_option_is_a_config_key_that_parses_as_its_flag(tmp_path):
         got = getattr(args, act.dest)
         assert got == want and type(got) is type(want), (command, act.dest)
         checked += 1
-    assert checked == 36  # 8 helicoid, 10 solve, 15 figure, 3 audit options
+    # 8 helicoid, 10 solve, 3 audit options; catenoid-domains 6, sweep-d 9
+    # and noid-domain 10
+    assert checked == 46
 
 
-_NUMERIC = [(command, act.option_strings[0], act.dest)
-            for command, act in _all_options(cli._build_parser())
-            if act.type in (float, int, cli._parse_side, cli._float_list)]
+# (command, flag, dest) of every numeric option, each with the commands that
+# take it: one case checks a figure option on every figure that reads it
+_NUMERIC = {}
+for _command, _act in _all_options(cli._build_parser()):
+    if _act.type in (float, int, cli._parse_side, cli._float_list):
+        _NUMERIC.setdefault((_command.split()[0], _act.option_strings[0],
+                             _act.dest), []).append(_command)
 
 
 def test_every_numeric_option_has_one_declared_domain():
@@ -562,20 +569,19 @@ _ADMITTED = {"mu": {"0", "-1"}, "fault_inject": {"0", "-1"},
                          ids=[f"{c}-{d}" for c, _, d in _NUMERIC])
 def test_numeric_option_domain_is_checked_before_any_work(
         tmp_path, no_work, no_audit, command, flag, dest, value, via):
-    argv = [command] + _REQUIRED[command]
-    if via == "flag":
-        argv.append(f"{flag}={value}")  # "=" keeps "-inf" from reading as a flag
-    else:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{dest}={value}\n")
-        argv += ["--config", str(cfg)]
-    argv += ["--out", str(tmp_path / "o")]
-    if value in _ADMITTED.get(dest, ()):
-        with pytest.raises(AssertionError, match="work started"):
-            _exit_code(argv)
-    else:
-        assert _exit_code(argv) == 2
-        assert not (tmp_path / "o").exists()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{dest}={value}\n")
+    for full in _NUMERIC[command, flag, dest]:
+        argv = full.split() + _REQUIRED[full]
+        # "=" keeps "-inf" from reading as a flag
+        argv += [f"{flag}={value}"] if via == "flag" else ["--config", str(cfg)]
+        argv += ["--out", str(tmp_path / "o")]
+        if value in _ADMITTED.get(dest, ()):
+            with pytest.raises(AssertionError, match="work started"):
+                _exit_code(argv)
+        else:
+            assert _exit_code(argv) == 2, full
+            assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -620,6 +626,50 @@ def test_noid_domain_at_h_one_half_exits_2_before_making_out(tmp_path, capsys,
                "--out", str(tmp_path / "o")) == 2
     assert "noid-domain needs H in (0, 1/2)" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("argv,flag,key", [
+    (["catenoid-domains"], ["--H", "0.3"], "H=0.3"),
+    (["sweep-d"], ["--mu", "3"], "mus=3"),
+    (["noid-domain", "--H", "0.4"], ["--workers", "2"], "workers=2"),
+], ids=["catenoid-H", "sweep-d-mu", "noid-domain-workers"])
+def test_an_option_of_another_figure_exits_2_before_any_work(
+        tmp_path, no_work, argv, flag, key, via):
+    if via == "flag":
+        argv = argv + flag
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(key + "\n")
+        argv = argv + ["--config", str(cfg)]
+    assert _exit_code(["figure", *argv, "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_the_figure_name_is_not_a_config_key(tmp_path, capsys, no_work):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("name=sweep-d\n")
+    assert run("figure", "catenoid-domains", "--config", str(cfg),
+               "--out", str(tmp_path / "o")) == 2
+    assert "unknown key 'name'" in capsys.readouterr().err
+
+
+def test_noid_domain_takes_h_from_a_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("H=0.4\ntarget_h=0.1\n")
+    outs = {}
+    for label, argv in (("flags", ["--H", "0.4", "--target-h", "0.1"]),
+                        ("config", ["--config", str(cfg)])):
+        out = tmp_path / label
+        assert run("figure", "noid-domain", *argv, "--out", str(out)) == 0
+        outs[label] = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert outs["config"] == outs["flags"]
+    cfg.write_text("target_h=0.1\n")
+    capsys.readouterr()
+    assert run("figure", "noid-domain", "--config", str(cfg),
+               "--out", str(tmp_path / "none")) == 2
+    assert "noid-domain needs H in (0, 1/2)" in capsys.readouterr().err
+    assert not (tmp_path / "none").exists()
 
 
 def test_noid_domain_with_b_on_the_ideal_circle_fails_before_meshing(
@@ -721,6 +771,22 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("name,flags", [
+    ("catenoid-domains", "--step --s-cap --mu --k --out --config"),
+    ("sweep-d", "--M --target-h --H --a-grid --b-grid --workers --k --out "
+                "--config"),
+    ("noid-domain", "--M --target-h --step --s-cap --H --b --r-trunc --k "
+                    "--out --config"),
+], ids=["catenoid-domains", "sweep-d", "noid-domain"])
+def test_figure_help_lists_only_its_own_options(capsys, name, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", name, "--help"])
+    assert exc.value.code == 0
+    listed = [w.split()[0].rstrip(",") for w in capsys.readouterr().out
+              .split("options:")[1].splitlines() if w.strip().startswith("-")]
+    assert listed == ["-h"] + flags.split()
 
 
 @pytest.mark.parametrize("argv", [

@@ -156,6 +156,15 @@ def test_special_members():
     assert np.max(np.abs(inv2.f - 2 * v)) < 1e-12
 
 
+@pytest.mark.parametrize("mu,slope", [(0.0, 1.0), (-0.5, 2.0)])
+def test_constant_slope_members_invert_to_v_and_2v_bit_for_bit(mu, slope):
+    # the inversion's first iterate is exact where the integrand is constant
+    v = np.concatenate([hc.residual_grid(mu), np.linspace(-2e3, 2e3, 100001),
+                        [0.0, 1e-300, 5e-324, 1e100, -1e100, 2.0, -2.0]])
+    f = hc.invert_profile(mu, v).f
+    assert f.tobytes() == (slope * v).tobytes()
+
+
 def test_model_height_and_angle_function():
     mu = 1.0
     v = np.linspace(-1.2, 1.2, 401)

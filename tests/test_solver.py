@@ -789,6 +789,20 @@ def test_solver_error_carries_its_context(monkeypatch):
     assert "M=2.0" in str(err) and "iteration=0" in str(err)
 
 
+def test_newton_checks_the_iterate_its_last_step_reaches(monkeypatch):
+    dom = triangulate(build_triangle(1.0, 1.0, 2, 4 * 0.4 ** 2 - 1), 0.08)
+    solve = lambda: solve_dirichlet(dom, _js_data(4.0), SpaceParams.from_h(0.4))
+    n = solve().newton_iters
+    assert n > 2
+    monkeypatch.setattr(solver, "_MAX_ITERS", n)
+    assert solve().newton_iters == n
+    monkeypatch.setattr(solver, "_MAX_ITERS", n - 1)
+    with pytest.raises(SolverError, match="Newton did not reach") as info:
+        solve()
+    assert info.value.context["iteration"] == n - 1
+    assert info.value.context["residual"] >= 1e-9
+
+
 def test_solve_input_validation():
     with pytest.raises(SolverError):
         solve_jenkins_serrin(1.0, 1.0, 2, 0.7, [2.0], 0.05)
