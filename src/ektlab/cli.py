@@ -374,7 +374,8 @@ def _figure_noid_domain(args: argparse.Namespace) -> int:
     s_vals, tp_vals = samples[:, 0], samples[:, 1]
     s_hi = min(float(s_vals.max()), abs(float(s_vals.min())))
     if s_hi <= 0:
-        raise SolverError("theta' samples do not straddle the waist s=0")
+        raise SolverError("theta' samples do not straddle the waist s=0",
+                          s_min=float(s_vals.min()), s_max=float(s_vals.max()))
     d_est = distance_d(sols)
     curve, asm, rep = fiber_domain(
         lambda s: np.interp(s, s_vals, tp_vals), args.H, d_est,

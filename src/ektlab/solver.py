@@ -122,7 +122,6 @@ class GraphSolution:
     residual_norm: float
     newton_iters: int
     M: Optional[float] = None
-    cauchy_indicator: Optional[float] = None
     discretization_failure: bool = False
     # E at each Newton iterate: strictly decreasing, except within the
     # energy's round-off eps |E| near convergence
@@ -653,16 +652,11 @@ def _coarse_start(domain: TriangulatedDomain,
     return guess
 
 
-def _distance_to_tag(domain: TriangulatedDomain, tag: str) -> np.ndarray:
-    """Metric distance from every node to the nodes tagged tag, computed
-    once per mesh."""
-    def compute():
-        ref_idx = domain.nodes_with_tag(tag)
-        if ref_idx.size == 0:
-            raise SolverError(f"no nodes tagged {tag}")
-        return min_metric_distance(domain.nodes, domain.nodes[ref_idx],
-                                   domain.triangle.kappa)
-    return domain.cached("distance_to_" + tag, compute)
+def _far_side_distance(domain: TriangulatedDomain,
+                       pts: np.ndarray) -> np.ndarray:
+    """Metric distance from each of pts to the nearest far-side node."""
+    far = domain.nodes[domain.nodes_with_tag("side_p1p2")]
+    return min_metric_distance(pts, far, domain.triangle.kappa)
 
 
 def solve_jenkins_serrin(a: float, b: float, k: int, H: float,
@@ -680,10 +674,7 @@ def solve_jenkins_serrin(a: float, b: float, k: int, H: float,
     (_Assembly.tangent).  Newton corrects the prediction.
 
     H in [0, 1/2]; H = 0 runs the product-space minimal analogue (kappa = -1,
-    tau = 0).  Returns one GraphSolution per M; the last carries the Cauchy
-    divergence indicator max |u_{M_last} - u_{M_prev}| over the nodes whose
-    metric distance to the far side is at least half the largest such
-    distance (never empty, so it is None only for a single-M schedule).
+    tau = 0).  Returns one GraphSolution per M.
     """
     if not (0.0 <= H <= 0.5):
         raise SolverError("H must lie in [0, 1/2]")
@@ -692,9 +683,9 @@ def solve_jenkins_serrin(a: float, b: float, k: int, H: float,
     ms = [float(m) for m in M_schedule]
     if not ms or any(m <= 0 for m in ms) or any(y <= x for x, y in zip(ms, ms[1:])):
         raise SolverError("M_schedule must be positive and strictly increasing")
-    domain = triangulate(build_triangle(a, b, k, 4.0 * H * H - 1.0), target_h,
-                         R_trunc)
     params = SpaceParams.from_h(H)
+    domain = triangulate(build_triangle(a, b, k, params.kappa), target_h,
+                         R_trunc)
     # one assembly for the schedule: every M has the same mesh and free set
     asm = _Assembly(domain, params)
     # du/dM on the fixed nodes: the far side's data is m_sign M
@@ -720,11 +711,6 @@ def solve_jenkins_serrin(a: float, b: float, k: int, H: float,
         if m < ms[-1]:
             du_dm = asm.tangent(sol.u, v)
     asm.lu = None  # no tangent after the last M
-    if len(sols) >= 2:
-        far = _distance_to_tag(domain, "side_p1p2")
-        mask = far >= 0.5 * far.max()
-        sols[-1].cauchy_indicator = float(
-            np.max(np.abs(sols[-1].u[mask] - sols[-2].u[mask])))
     return sols
 
 
@@ -759,10 +745,7 @@ def _ray_profile(sol: GraphSolution, tag: str):
     weight = _boundary_mass(dom.nodes, edges)
     # the flux is garbage inside the mesh-width layer along the far side
     # (data jump M over one element); fall back to nodal values there
-    try:
-        far = _distance_to_tag(dom, "side_p1p2")[idx]
-    except SolverError:
-        far = np.full(len(idx), np.inf)
+    far = _far_side_distance(dom, dom.nodes[idx])
     # corners (p0; p2 or the truncation crossing) mix fluxes from two
     # boundary pieces, keep the nodal value there
     flux = ~((weight[idx] <= 0) | (far < 8.0 * dom.target_h))
@@ -858,8 +841,7 @@ def boundary_theta_prime(sol: GraphSolution) -> np.ndarray:
     far_idx = dom.nodes_with_tag("side_p1p2")
     far_pts = dom.nodes[far_idx]
     dist = np.hypot(*(far_pts - v).T)
-    near = far_pts[(dist > 1e-12)]
-    q = near[np.argmin(np.hypot(*(near - v).T))]
+    q = far_pts[np.argmin(np.where(dist > 1e-12, dist, np.inf))]
     d1 = (q - v) / np.hypot(*(q - v))
     a0 = math.atan2(d0[1], d0[0])
     a1 = math.atan2(d1[1], d1[0])
@@ -892,7 +874,8 @@ def boundary_theta_prime(sol: GraphSolution) -> np.ndarray:
         hi = max(s_seen) if s_seen else float("nan")
         raise SolverError(
             f"insufficient near-vertex resolution: only {len(s0s)} usable rays; "
-            f"sampled heights cover [{lo:.4g}, {hi:.4g}]")
+            f"sampled heights cover [{lo:.4g}, {hi:.4g}]",
+            target_h=h, nodes=dom.n_nodes, rays=_N_RAYS)
     s = np.array(s0s)
     th = np.array(th0s)
     tp = np.empty_like(s)
@@ -929,9 +912,20 @@ def _side_repr(v: float):
 
 def solution_report_dict(solutions: Sequence[GraphSolution]) -> dict:
     """Report of the last solve with the d and rho estimates of the sweep;
-    discretization_failure is true when u dropped as M grew anywhere in it."""
+    discretization_failure is true when u dropped as M grew anywhere in it.
+
+    cauchy_indicator is the Cauchy divergence indicator max |u_{M_last} -
+    u_{M_prev}| over the nodes whose metric distance to the far side is at
+    least half the largest such distance (never empty), or None for a
+    single solution.
+    """
     sol = solutions[-1]
     tri = sol.domain.triangle
+    cauchy = None
+    if len(solutions) >= 2:
+        far = _far_side_distance(sol.domain, sol.domain.nodes)
+        mask = far >= 0.5 * far.max()
+        cauchy = float(np.max(np.abs(sol.u[mask] - solutions[-2].u[mask])))
     return {
         "a": "inf" if tri.a_infinite else float(tri.a),
         "b": "inf" if tri.b_infinite else float(tri.b),
@@ -942,7 +936,7 @@ def solution_report_dict(solutions: Sequence[GraphSolution]) -> dict:
         "newton_iters": int(sol.newton_iters),
         "d_estimate": distance_d(solutions),
         "rho_estimate": rho_estimate(solutions),
-        "cauchy_indicator": sol.cauchy_indicator,
+        "cauchy_indicator": cauchy,
         "discretization_failure": any(s.discretization_failure
                                       for s in solutions),
     }

@@ -286,6 +286,18 @@ def test_noid_domain_bad_step_exits_2_before_solving(tmp_path, capsys,
     assert "--step must be positive" in capsys.readouterr().err
 
 
+def test_noid_domain_unresolved_vertex_names_the_mesh_width(tmp_path, capsys):
+    # at h = 0.5 no ray of the theta' probe lands inside the mesh: the
+    # message must say which mesh width to refine
+    out = tmp_path / "o"
+    assert run("figure", "noid-domain", "--H", "0.4", "--b", "2",
+               "--target-h", "0.5", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "insufficient near-vertex resolution" in err
+    assert "target_h=0.5" in err
+    assert not out.exists()
+
+
 @pytest.fixture
 def no_work(monkeypatch):
     """Every entry point into real work raises: a usage error must come first."""

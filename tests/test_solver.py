@@ -10,11 +10,10 @@ import scipy.sparse as sp
 from scipy.interpolate import LinearNDInterpolator, NearestNDInterpolator
 
 from ektlab import helicoid as hc
-from ektlab import mesh, solver
+from ektlab import cli, mesh, solver
 from ektlab.mesh import build_triangle, triangulate
 from ektlab.solver import (
     SolverError,
-    _distance_to_tag,
     boundary_theta_prime,
     distance_d,
     distance_d_single,
@@ -24,7 +23,8 @@ from ektlab.solver import (
     solve_dirichlet,
     solve_jenkins_serrin,
 )
-from ektlab.spaces import GeometryError, SpaceParams, conformal_factor_xy
+from ektlab.spaces import (GeometryError, SpaceParams, conformal_factor_xy,
+                           min_metric_distance)
 
 FLAT_HALF = SpaceParams(kappa=0.0, tau=0.5)
 ZERO = {t: 0.0 for t in ("side_p0p1", "side_p0p2", "side_p1p2")}
@@ -32,6 +32,20 @@ ZERO = {t: 0.0 for t in ("side_p0p1", "side_p0p2", "side_p1p2")}
 
 def flat_triangle(h):
     return triangulate(build_triangle(1.0, 1.0, 2, 0.0), h)
+
+
+def far_side_distance(dom, pts):
+    """Metric distance from each of pts to the nearest far-side node."""
+    far = dom.nodes[dom.nodes_with_tag("side_p1p2")]
+    return min_metric_distance(pts, far, dom.triangle.kappa)
+
+
+def leg_nodes(dom, tag):
+    """The nodes of the leg tagged tag plus p0, by metric radius."""
+    idx = dom.nodes_with_tag(tag)
+    origin = np.flatnonzero(dom.node_metric_radius < 1e-12)
+    idx = np.concatenate([idx, origin[~np.isin(origin, idx)]])
+    return idx[np.argsort(dom.node_metric_radius[idx])]
 
 
 @pytest.fixture(scope="module")
@@ -266,8 +280,9 @@ def test_warm_started_schedule_grows_with_cap(strip_solves):
     lo, hi = strip_solves[0], strip_solves[-1]
     assert np.min(hi.u - lo.u) > -1e-8
     assert np.max(hi.u - lo.u) > 1.0
-    assert hi.cauchy_indicator is not None
-    assert hi.cauchy_indicator >= 0.0
+    cauchy = solution_report_dict(strip_solves)["cauchy_indicator"]
+    assert cauchy is not None
+    assert cauchy >= 0.0
     assert not hi.discretization_failure
 
 
@@ -275,10 +290,12 @@ def test_cauchy_indicator_region(strip_solves):
     # max |u_8 - u_4| over the nodes whose distance to the far side is at
     # least half the largest node distance
     prev, last = strip_solves[-2], strip_solves[-1]
-    far = _distance_to_tag(last.domain, "side_p1p2")
+    far = far_side_distance(last.domain, last.domain.nodes)
     mask = far >= 0.5 * far.max()
     assert 0 < mask.sum() < last.domain.n_nodes
-    assert last.cauchy_indicator == np.max(np.abs(last.u - prev.u)[mask])
+    rep = solution_report_dict(strip_solves)
+    assert rep["cauchy_indicator"] == np.max(np.abs(last.u - prev.u)[mask])
+    assert solution_report_dict(strip_solves[-1:])["cauchy_indicator"] is None
 
 
 def test_report_dict_and_csv_schema(dual_sign_solves):
@@ -314,13 +331,10 @@ def test_flux_nu_matches_the_per_node_loop(dual_sign_solves):
     dom = sol.domain
     g = sol._gradients()[1]
     lam = solver.conformal_factor_xy(*dom.nodes.T, sol.params.kappa)
-    far_all = _distance_to_tag(dom, "side_p1p2")
+    far_all = far_side_distance(dom, dom.nodes)
     for tag in ("side_p0p1", "side_p0p2"):
         rads, got = solver._ray_profile(sol, tag)
-        idx = dom.nodes_with_tag(tag)
-        origin = np.flatnonzero(dom.node_metric_radius < 1e-12)
-        idx = np.concatenate([idx, origin[~np.isin(origin, idx)]])
-        idx = idx[np.argsort(dom.node_metric_radius[idx])]
+        idx = leg_nodes(dom, tag)
         edges = dom.boundary_edges()
         edges = edges[np.isin(edges, idx).all(axis=1)]
         weight = solver._boundary_mass(dom.nodes, edges)
@@ -339,12 +353,8 @@ def test_flux_nu_matches_the_per_node_loop(dual_sign_solves):
 
 
 def test_far_side_failure_is_not_hidden(dual_sign_solves, monkeypatch):
-    # only a missing far-side tag falls back to nodal nu; any other failure
-    # of the far-side distance must surface instead of changing d.  The
-    # shared fixture's mesh has its distance cached already, so probe the
-    # same solution on a fresh, uncached copy of that mesh
-    shared = dual_sign_solves[0][-1]
-    sol = dataclasses.replace(shared, domain=dataclasses.replace(shared.domain))
+    # a failure of the far-side distance must surface instead of changing d
+    sol = dual_sign_solves[0][-1]
 
     def out_of_memory(*args, **kwargs):
         raise MemoryError("dense distance table")
@@ -354,25 +364,49 @@ def test_far_side_failure_is_not_hidden(dual_sign_solves, monkeypatch):
         distance_d_single(sol)
 
 
-def test_far_side_distance_is_computed_once_per_mesh(dual_sign_solves,
-                                                    monkeypatch):
-    shared = dual_sign_solves[0][-1]
-    sol = dataclasses.replace(shared, domain=dataclasses.replace(shared.domain))
+def test_far_side_distance_is_measured_at_the_leg_nodes_only(dual_sign_solves,
+                                                            monkeypatch):
+    sol = dual_sign_solves[0][-1]
+    dom = sol.domain
     calls = []
     real = solver.min_metric_distance
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def recorded(pts, ref, kappa):
+        calls.append((pts, ref))
+        return real(pts, ref, kappa)
 
-    monkeypatch.setattr(solver, "min_metric_distance", counted)
-    d = distance_d_single(sol)
-    rho = solver.rho_estimate_single(sol)
-    far = _distance_to_tag(sol.domain, "side_p1p2")
-    assert len(calls) == 1
-    assert not far.flags.writeable
-    assert d == distance_d_single(shared)
-    assert rho == solver.rho_estimate_single(shared)
+    monkeypatch.setattr(solver, "min_metric_distance", recorded)
+    distance_d_single(sol)
+    solver.rho_estimate_single(sol)
+    far = dom.nodes[dom.nodes_with_tag("side_p1p2")]
+    assert len(calls) == 2
+    for (pts, ref), tag in zip(calls, ("side_p0p2", "side_p0p1")):
+        assert np.array_equal(pts, dom.nodes[leg_nodes(dom, tag)])
+        assert np.array_equal(ref, far)
+
+
+def test_sweep_never_measures_every_node(tmp_path, monkeypatch):
+    sizes, rows = [], []
+    real_solve = cli.solve_jenkins_serrin
+    real_distance = solver.min_metric_distance
+
+    def solve(*args, **kwargs):
+        sols = real_solve(*args, **kwargs)
+        sizes.append(sols[-1].domain.n_nodes)
+        return sols
+
+    def distance(pts, ref, kappa):
+        rows.append(len(pts))
+        return real_distance(pts, ref, kappa)
+
+    monkeypatch.setattr(cli, "solve_jenkins_serrin", solve)
+    monkeypatch.setattr(solver, "min_metric_distance", distance)
+    assert cli.main(["figure", "sweep-d", "--H", "0.4", "--target-h", "0.04",
+                     "--a-grid", "0.5 2", "--b-grid", "1",
+                     "--out", str(tmp_path / "o")]) == 0
+    assert len(sizes) == 2
+    assert len(rows) == 2 * 2 * 2  # one d integral per M, two M per point
+    assert max(rows) < min(sizes)
 
 
 def _js_data(m):
