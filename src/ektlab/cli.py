@@ -295,11 +295,11 @@ def _figure_catenoid_domains(args: argparse.Namespace) -> int:
     panels = []
     verdicts = {}
     for mu in mus:
-        curve, asm, rep = critical_catenoid_domain(mu, k=args.k,
-                                                   step=args.step,
-                                                   s_cap=args.s_cap)
-        panels.append((f"mu={mu:g}", asm.pieces, rep))
-        entry = report_json_dict(rep, curve.total_turning)
+        turning, drawn, rep = critical_catenoid_domain(mu, k=args.k,
+                                                       step=args.step,
+                                                       s_cap=args.s_cap)
+        panels.append((f"mu={mu:g}", drawn, rep))
+        entry = report_json_dict(rep, turning)
         entry["crossing_points"] = [list(c[2]) for c in rep.self_intersections]
         verdicts[f"{mu:g}"] = entry
     params = {"figure": "catenoid-domains", "mus": mus, "k": args.k,
@@ -377,7 +377,7 @@ def _figure_noid_domain(args: argparse.Namespace) -> int:
         raise SolverError("theta' samples do not straddle the waist s=0",
                           s_min=float(s_vals.min()), s_max=float(s_vals.max()))
     d_est = distance_d(sols)
-    curve, asm, rep = fiber_domain(
+    turning, drawn, rep = fiber_domain(
         lambda s: np.interp(s, s_vals, tp_vals), args.H, d_est,
         math.pi / 2.0, s_hi, args.k, args.step, args.s_cap)
     b_star = interior_angle_threshold_b(args.k, args.H)
@@ -387,8 +387,8 @@ def _figure_noid_domain(args: argparse.Namespace) -> int:
               "gauge": "waist on +x axis at distance d_estimate"}
     out = _prepare_out(args.out)
     svg = os.path.join(out, "noid_domain.svg")
-    write_domain_svg(svg, asm.pieces, rep, params)
-    payload = report_json_dict(rep, curve.total_turning)
+    write_domain_svg(svg, drawn, rep, params)
+    payload = report_json_dict(rep, turning)
     payload.update({"b": args.b, "b_star": b_star,
                     "threshold_predicts_embedded": args.b >= b_star,
                     "d_estimate": d_est,

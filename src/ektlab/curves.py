@@ -88,7 +88,6 @@ class PlanarCurve:
     y: np.ndarray
     kg_samples: np.ndarray
     truncated_reason: Optional[str] = None
-    total_turning: Optional[float] = None
 
     @property
     def points(self) -> np.ndarray:

@@ -3,7 +3,9 @@
 fiber_domain takes the rotation speed theta'(s) of a vertical fiber to the
 verdict on its conjugate curve: it marches kg = 2H - theta'(s) from the
 waist, tiles the curve by the dihedral group of order 2k (assemble_domain)
-and judges the tiled boundary (self_intersections).
+and judges the tiled boundary (self_intersections).  Of the march and the
+tiled chains it keeps only the total turning and the points a figure
+draws; the sweep frees each full chain once it has thinned it.
 
 Crossings are found by a vectorized sweep over candidate segment pairs.
 The thinned points of all pieces are one array, and segment m runs from
@@ -26,8 +28,8 @@ block of raster pixels of which at least 8 have |winding| >= 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,7 +92,7 @@ def _thin(ell: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _parametrize(pieces: Sequence[np.ndarray]):
+def _parametrize(pieces: Iterable[np.ndarray]):
     """The thinned points of all pieces as one (n, 2) array P, their
     per-sample parameters as one array S, and the thinned pieces as views
     P[a:b].  A parameter is the cumulative Euclidean chart length, with
@@ -101,8 +103,8 @@ def _parametrize(pieces: Sequence[np.ndarray]):
         p = np.asarray(p, dtype=float)
         if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 2:
             raise GeometryError("each piece needs at least two planar points")
-        bad = np.flatnonzero(~np.isfinite(p).all(axis=1))
-        if bad.size:
+        if not np.isfinite(p).all():
+            bad = np.flatnonzero(~np.isfinite(p).all(axis=1))
             raise GeometryError(f"piece {n} has a non-finite point at "
                                 f"sample {bad[0]}")
         ell = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(p, axis=0).T))])
@@ -204,9 +206,10 @@ def _candidate_pairs(A: np.ndarray, B: np.ndarray, d: np.ndarray,
     return P[keep], Q[keep]
 
 
-def self_intersections(pieces: Sequence[np.ndarray]) -> EmbeddednessReport:
+def self_intersections(pieces: Iterable[np.ndarray]) -> EmbeddednessReport:
     """Report transverse crossings and the doubly covered hyperbolic area
-    of polyline pieces, each an (n, 2) array of chart points.
+    of polyline pieces, each an (n, 2) array of chart points.  The pieces
+    are read once, in order, and none is held past its thinning.
 
     Samples closer than _MIN_SEG in chart length are thinned first.  A
     crossing carries the parameters of its two points: the cumulative chart
@@ -419,6 +422,18 @@ def report_json_dict(report: EmbeddednessReport, total_turning: float) -> dict:
     }
 
 
+def _drawn(piece: np.ndarray) -> np.ndarray:
+    """The points of a piece that a panel strokes: every
+    max(1, n // 4000)-th of its n points, and the last.  Cutting a cut
+    piece returns it unchanged; a strided cut is a copy, not a view."""
+    p = np.asarray(piece, dtype=float)
+    stride = p.shape[0] // 4000
+    if stride <= 1:
+        return p
+    q = p[::stride]
+    return q.copy() if np.array_equal(q[-1], p[-1]) else np.vstack([q, p[-1]])
+
+
 def _panel_markup(pieces: Sequence[np.ndarray], fill_cells: np.ndarray,
                   dx: float, label: Optional[str]) -> List[str]:
     """Markup of one disk panel (fill, ideal circle, strokes) shifted by dx."""
@@ -430,22 +445,16 @@ def _panel_markup(pieces: Sequence[np.ndarray], fill_cells: np.ndarray,
     def to_px(pts):
         return (pts[:, 0] * 0.95 + 1.0) * half + dx, (1.0 - pts[:, 1] * 0.95) * half
 
-    out = []
-    for i, j in fill_cells:
-        cx = (centers[j] * 0.95 + 1.0) * half + dx - cell_px / 2.0
-        cy = (1.0 - centers[i] * 0.95) * half - cell_px / 2.0
-        out.append(f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{cell_px:.2f}" '
-                   f'height="{cell_px:.2f}" fill="#b0b0b0" stroke="none"/>')
+    cxs = (centers[fill_cells[:, 1]] * 0.95 + 1.0) * half + dx - cell_px / 2.0
+    cys = (1.0 - centers[fill_cells[:, 0]] * 0.95) * half - cell_px / 2.0
+    out = [f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{cell_px:.2f}" '
+           f'height="{cell_px:.2f}" fill="#b0b0b0" stroke="none"/>'
+           for cx, cy in zip(cxs.tolist(), cys.tolist())]
     out.append(f'<circle cx="{half + dx}" cy="{half}" r="{0.95 * half}" fill="none" '
                'stroke="black" stroke-width="1"/>')
     for p in pieces:
-        p = np.asarray(p, dtype=float)
-        stride = max(1, p.shape[0] // 4000)
-        q = p[::stride] if stride > 1 else p
-        if not np.array_equal(q[-1], p[-1]):
-            q = np.vstack([q, p[-1]])
-        xs, ys = to_px(q)
-        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        xs, ys = to_px(_drawn(p))
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs.tolist(), ys.tolist()))
         out.append(f'<polyline points="{pts}" fill="none" stroke="#1040a0" '
                    'stroke-width="1.2"/>')
     if label is not None:
@@ -497,19 +506,24 @@ def fiber_domain(theta_prime: Callable[[np.ndarray], np.ndarray], H: float,
     (tanh(d/2), 0) with chart tangent angle phi0, tile the curve by the
     dihedral group of order 2k and judge it.
 
-    s_end = inf runs to the ideal boundary or to arclength s_cap.  The
-    curve's total_turning is the trapezoid of theta' over its samples.
-    Returns (curve, assembled, report).
+    s_end = inf runs to the ideal boundary or to arclength s_cap.  Returns
+    (total_turning, drawn, report): the trapezoid of theta' over the
+    curve's samples, the tiled chains cut to what a panel draws (_drawn),
+    and the self_intersections report of the full chains.  The curve dies
+    once tiled, and the sweep pops the chains from this function's own
+    list, so each dies once it is thinned.
     """
     if not 0.0 <= H <= 0.5:
         raise GeometryError("H must lie in [0, 1/2]")
     curve = integrate_prescribed_curvature(
         lambda s: 2.0 * H - theta_prime(s), (0.0, s_end),
         (math.tanh(d / 2.0), 0.0), phi0, step=step, s_cap=s_cap)
-    curve = replace(curve, total_turning=float(
-        np.trapezoid(2.0 * H - curve.kg_samples, curve.s)))
-    assembled = assemble_domain(curve, k)
-    return curve, assembled, self_intersections(assembled.pieces)
+    total_turning = float(np.trapezoid(2.0 * H - curve.kg_samples, curve.s))
+    chains = assemble_domain(curve, k).pieces
+    del curve
+    drawn = [_drawn(p) for p in chains]
+    report = self_intersections(chains.pop(0) for _ in range(len(chains)))
+    return total_turning, drawn, report
 
 
 def critical_catenoid_domain(mu: float, k: int = 2,
@@ -517,7 +531,7 @@ def critical_catenoid_domain(mu: float, k: int = 2,
                              s_cap: float = DEFAULT_S_CAP):
     """Boundary of the conjugate disk domain for the critical catenoid data:
     fiber_domain at H = 1/2 with the exact theta' and d of the mu-helicoid,
-    over the full fiber.  Returns (curve, assembled, report).
+    over the full fiber.  Returns (total_turning, drawn, report).
 
     theta' = -sigma/(1 + sigma^2 s^2) is a spike of width 1/|sigma| at
     s = 0; a step above 0.25/|sigma| cannot resolve it, and is refused.

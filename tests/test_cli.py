@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -470,6 +471,27 @@ def test_catenoid_figure_bytes_at_mu_3_are_unchanged(tmp_path, step, json_sha,
     assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
             for f in out.iterdir()} == {"catenoid_domains.json": json_sha,
                                         "catenoid_domains.svg": svg_sha}
+
+
+def _traced_peak_mib(*argv):
+    tracemalloc.start()
+    try:
+        assert run(*argv) == 0
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_catenoid_figure_keeps_only_what_it_draws(tmp_path):
+    """At the default step a panel holds its drawn points, not its 240,001-
+    point chains, and the march's samples die before the sweep: one panel
+    peaks below 26 MiB, and a second panel adds under 1 MiB."""
+    one = _traced_peak_mib("figure", "catenoid-domains", "--mu", "3",
+                           "--out", str(tmp_path / "one"))
+    two = _traced_peak_mib("figure", "catenoid-domains",
+                           "--out", str(tmp_path / "two"))
+    assert one < 26.0
+    assert two < one + 1.0
 
 
 # a flag value per option type, and what a config line gives the same option

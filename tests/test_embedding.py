@@ -7,7 +7,8 @@ import pytest
 
 from ektlab import embedding as emb
 from ektlab import helicoid as hc
-from ektlab.curves import DEFAULT_S_CAP, DEFAULT_STEP
+from ektlab.curves import (DEFAULT_S_CAP, DEFAULT_STEP, assemble_domain,
+                           integrate_prescribed_curvature)
 from ektlab.embedding import (critical_catenoid_domain, fiber_domain,
                               multiplicity_two_area, report_json_dict,
                               self_intersections, write_domain_panels_svg,
@@ -184,7 +185,7 @@ def test_strip_fiber_with_probed_data_matches_the_exact_verdict(solved_strip):
 @pytest.mark.parametrize("mu,embedded,crossings", [(-3.0, True, 0),
                                                    (3.0, False, 2)])
 def test_critical_catenoid_domain_verdicts(mu, embedded, crossings):
-    curve, assembled, rep = critical_catenoid_domain(mu, k=2, step=2e-3)
+    _, _, rep = critical_catenoid_domain(mu, k=2, step=2e-3)
     assert rep.embedded is embedded
     assert rep.crossings == crossings
     if not embedded:
@@ -282,6 +283,70 @@ def test_svg_writers_are_deterministic(tmp_path, monkeypatch):
     assert 'width="600"' in body
     assert body.count("<circle") == 2
     assert ">left<" in body and ">right<" in body
+
+
+def _scalar_panel_markup(pieces, fill_cells, dx, label):
+    """_panel_markup as its per-cell and per-point loop wrote it, before
+    the coordinates were computed as arrays."""
+    half = emb._PANEL_PX / 2.0
+    side = emb._GRID // 4
+    centers = -1.0 + (np.arange(side) + 0.5) * (2.0 / side)
+    cell_px = 0.95 * emb._PANEL_PX / side
+
+    def to_px(pts):
+        return (pts[:, 0] * 0.95 + 1.0) * half + dx, (1.0 - pts[:, 1] * 0.95) * half
+
+    out = []
+    for i, j in fill_cells:
+        cx = (centers[j] * 0.95 + 1.0) * half + dx - cell_px / 2.0
+        cy = (1.0 - centers[i] * 0.95) * half - cell_px / 2.0
+        out.append(f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{cell_px:.2f}" '
+                   f'height="{cell_px:.2f}" fill="#b0b0b0" stroke="none"/>')
+    out.append(f'<circle cx="{half + dx}" cy="{half}" r="{0.95 * half}" fill="none" '
+               'stroke="black" stroke-width="1"/>')
+    for p in pieces:
+        p = np.asarray(p, dtype=float)
+        stride = max(1, p.shape[0] // 4000)
+        q = p[::stride] if stride > 1 else p
+        if not np.array_equal(q[-1], p[-1]):
+            q = np.vstack([q, p[-1]])
+        xs, ys = to_px(q)
+        pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+        out.append(f'<polyline points="{pts}" fill="none" stroke="#1040a0" '
+                   'stroke-width="1.2"/>')
+    if label is not None:
+        out.append(f'<text x="{half + dx:.2f}" y="{emb._PANEL_PX - 6}" '
+                   'font-family="monospace" font-size="14" '
+                   f'text-anchor="middle">{label}</text>')
+    return out
+
+
+@pytest.mark.parametrize("n", [3999, 4000, 8001, 240001])
+def test_panel_markup_matches_the_scalar_loop(n):
+    rng = np.random.default_rng(n)
+    t = np.linspace(0.0, 4.0 * math.pi, n)
+    piece = np.column_stack([0.9 * np.cos(t), 0.9 * np.sin(1.5 * t)])
+    piece += rng.normal(scale=1e-3, size=piece.shape)
+    side = emb._GRID // 4
+    for cells, dx, label in [(np.zeros((0, 2), dtype=np.int64), 0.0, None),
+                             (rng.integers(0, side, size=(500, 2)), 720.0, "mu=3")]:
+        got = emb._panel_markup([piece, piece[::-1]], cells, dx, label)
+        assert got == _scalar_panel_markup([piece, piece[::-1]], cells, dx, label)
+        # a panel drawn from the drawn points is the same panel
+        drawn = [emb._drawn(piece), emb._drawn(piece[::-1])]
+        assert emb._panel_markup(drawn, cells, dx, label) == got
+
+
+def test_drawn_points_are_a_fixed_point_and_own_their_memory():
+    """Cutting a cut piece changes nothing, at every stride boundary."""
+    for stride in range(1, 61):
+        for n in {max(2, 4000 * stride - 1), 4000 * stride, 4000 * stride + 1,
+                  4000 * (stride + 1) - 1}:
+            p = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
+            q = emb._drawn(p)
+            assert np.array_equal(emb._drawn(q), q)
+            assert np.array_equal(q[-1], p[-1])
+            assert q is p or not np.shares_memory(q, p)
 
 
 def _all_pairs_reference(pieces, eps_geom=1e-9):
@@ -536,9 +601,15 @@ def test_crossing_within_eps_of_the_shorter_segments_end_is_uncertain(monkeypatc
 def test_smooth_boundary_sends_few_pairs_to_the_sweep(monkeypatch):
     """Chain-local pairs of a long smooth curve never reach the sweep: on
     the mu = 3 boundary only the pairs near its two crossings do."""
-    swept = _swept_pairs(monkeypatch)
-    _, assembled, rep = critical_catenoid_domain(3.0, k=2, step=2e-3, s_cap=20.0)
+    # the chains critical_catenoid_domain sweeps, tiled here from its march
+    curve = integrate_prescribed_curvature(
+        lambda s: 1.0 - hc.theta_prime_fn(3.0)(s), (0.0, math.inf),
+        (math.tanh(hc.vertex_base_distance(3.0) / 2.0), 0.0), -math.pi / 2.0,
+        step=2e-3, s_cap=20.0)
+    assembled = assemble_domain(curve, 2)
     assert sum(p.shape[0] - 1 for p in assembled.pieces) > 40000
+    swept = _swept_pairs(monkeypatch)
+    _, _, rep = critical_catenoid_domain(3.0, k=2, step=2e-3, s_cap=20.0)
     assert rep.crossings == 2
     assert 2 <= len(swept) <= 36
 
