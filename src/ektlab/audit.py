@@ -18,8 +18,8 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from . import curves, graphs, helicoid, lifts, solver
-from .spaces import (SpaceParams, conformal_factor,
+from . import curves, graphs, helicoid, solver
+from .spaces import (SpaceParams, conformal_factor_xy,
                      interior_angle_at_p2, interior_angle_threshold_b,
                      law_of_cosines, metric_distance)
 
@@ -36,16 +36,15 @@ class AuditRow:
     threshold: str
 
 
-def _check_conformal_factor() -> Tuple[float, bool]:
+def _check_conformal_factor_xy() -> Tuple[float, bool]:
     rng = np.random.default_rng(_SEED)
     worst = 0.0
     for kappa in (0.0, -0.75, -1.0):
-        params = SpaceParams(kappa=kappa, tau=0.5)
         lim = 0.9 * (2.0 / math.sqrt(-kappa)) if kappa < 0 else 3.0
         for _ in range(50):
             x, y = rng.uniform(-lim / 2, lim / 2, size=2)
             direct = 1.0 / (1.0 + kappa * (x * x + y * y) / 4.0)
-            worst = max(worst, abs(conformal_factor(x, y, params) - direct))
+            worst = max(worst, abs(conformal_factor_xy(x, y, kappa) - direct))
     return worst, worst < 1e-15
 
 
@@ -84,23 +83,6 @@ def _check_law_of_cosines() -> Tuple[float, bool]:
     flat = math.sqrt(a * a + b * b - 2.0 * a * b * math.cos(math.pi / 3))
     near = law_of_cosines(a, b, 3, -1e-4)
     worst = max(worst, abs(near - flat))
-    return worst, worst < 1e-6
-
-
-def _check_holonomy() -> Tuple[float, bool]:
-    params = SpaceParams(kappa=0.0, tau=0.5)
-    worst = 0.0
-    for r in (0.5, 1.0, 2.0):
-        gap = lifts.holonomy_gap(lifts.circle_path(r), params)
-        worst = max(worst, abs(gap - math.pi * r * r))
-    gap_cw = lifts.holonomy_gap(lifts.circle_path(1.0, clockwise=True), params)
-    worst = max(worst, abs(gap_cw + math.pi))
-    square = np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0),
-                       (1.0, 1.0)])
-    # the lift is exact on straight chords, so the corners alone suffice
-    gap_sq = lifts.holonomy_gap(square, params)
-    area = lifts.enclosed_area(square, params)
-    worst = max(worst, abs(gap_sq - 2.0 * params.tau * area))
     return worst, worst < 1e-6
 
 
@@ -243,10 +225,9 @@ def _check_solver_roundtrip() -> Tuple[float, bool]:
 
 
 _CHECKS: List[Tuple[str, str, Callable[..., Tuple[float, bool]]]] = [
-    ("conformal-factor-closed-form", "< 1e-15", _check_conformal_factor),
+    ("conformal-factor-closed-form", "< 1e-15", _check_conformal_factor_xy),
     ("closed-form-graph-residuals", "< 1e-8", _check_closed_form_graphs),
     ("law-of-cosines-properties", "< 1e-6", _check_law_of_cosines),
-    ("holonomy-gap-vs-area", "< 1e-6", _check_holonomy),
     ("interior-angle-threshold", "< 1e-10", _check_angle_threshold),
     ("helicoid-oddness", "< 1e-12", _check_helicoid_oddness),
     ("half-period-monotonicity", "margin > 0", _check_half_period),

@@ -25,7 +25,6 @@ __all__ = [
     "GeometryError",
     "SpaceParams",
     "GeodesicTriangle",
-    "conformal_factor",
     "conformal_factor_xy",
     "law_of_cosines",
     "build_triangle",
@@ -57,18 +56,6 @@ class SpaceParams:
         if not 0.0 <= h <= 0.5:
             raise GeometryError(f"H must lie in [0, 1/2], got {h}")
         return cls(kappa=4.0 * h * h - 1.0, tau=h)
-
-
-def conformal_factor(x: float, y: float, params: SpaceParams) -> float:
-    """Conformal factor lambda at the chart point (x, y); rejects points off
-    the disk and non-finite points."""
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise GeometryError(f"non-finite chart point ({x}, {y})")
-    with np.errstate(divide="ignore"):
-        lam = float(conformal_factor_xy(x, y, params.kappa))
-    if lam <= 0.0 or math.isinf(lam):
-        raise GeometryError("point outside the model disk (conformal factor <= 0)")
-    return lam
 
 
 def conformal_factor_xy(x, y, kappa: float):

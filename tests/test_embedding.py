@@ -743,8 +743,9 @@ def test_zero_length_pieces_joined_by_long_junctions_are_degenerate(pieces):
         self_intersections(pieces)
 
 
-@pytest.mark.parametrize("curve,bound_mb", [("spiral", 30), ("double-rose", 72),
-                                            ("two-pieces", 54)])
+@pytest.mark.parametrize("curve,bound_mb", [("spiral", 26), ("double-rose", 66),
+                                            ("two-pieces", 52)],
+                         ids=["spiral", "double-rose", "two-pieces"])
 def test_self_intersections_memory_stays_bounded(curve, bound_mb):
     """200,001 points a piece: the segments are views of one point array,
     the sweep's arrays are gone before the raster, the raster is int32, the

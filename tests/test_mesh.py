@@ -234,6 +234,19 @@ def test_a_node_in_no_element_is_refused(monkeypatch):
     assert f"node at ({x:.6f}, {y:.6f})" in str(err.value)
 
 
+@pytest.mark.xfail(strict=True, raises=GeometryError, reason=(
+    "_arc samples the far side at chart spacing h/4, which near the ideal "
+    "circle leaves its samples up to 5.8 metric units apart (158 of them at "
+    "R_trunc = 15): the leg node (3.325767, 0) lies 0.0016 from the true far "
+    "side but 2.06 from the nearest sample, so _clear_of keeps it and every "
+    "Delaunay triangle around it lies past the far side"))
+@pytest.mark.parametrize("r_trunc", [13.0, 15.0, 16.0])
+def test_an_ideal_triangle_meshes_at_large_truncation(r_trunc):
+    # R_trunc = 12.75 still meshes; every R_trunc tried from 13 on is refused
+    dom = triangulate(build_triangle(math.inf, 2.0, 2, -0.36), 0.1, r_trunc)
+    assert dom.node_metric_radius.max() <= r_trunc + 1e-9
+
+
 def test_bad_target_h_rejected():
     tri = build_triangle(1.0, 1.0, 2, -0.75)
     with pytest.raises(GeometryError):

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from ektlab import spaces
 from ektlab.spaces import (GeometryError, SpaceParams,
-                           build_triangle, chart_radius, conformal_factor,
+                           build_triangle, chart_radius,
                            conformal_factor_xy, interior_angle_at_p2,
                            law_of_cosines, metric_radius, min_metric_distance)
 
-NIL = SpaceParams(kappa=0.0, tau=0.5)
 H2R = SpaceParams(kappa=-1.0, tau=0.0)
 
 
@@ -27,23 +26,9 @@ def test_space_params_from_h_ties_kappa_and_tau():
 
 def test_conformal_factor_matches_formula_and_flat_limit():
     for kappa in (-1.0, -0.75, 0.0):
-        params = SpaceParams(kappa=kappa, tau=0.0)
-        lam = conformal_factor(0.3, -0.4, params)
+        lam = conformal_factor_xy(0.3, -0.4, kappa)
         assert lam == 1.0 / (1.0 + kappa * 0.25 / 4.0)
-    assert conformal_factor(0.3, -0.4, NIL) == 1.0
-
-
-def test_conformal_factor_rejects_points_off_the_disk():
-    with pytest.raises(GeometryError):
-        conformal_factor(2.5, 0.0, H2R)
-
-
-@pytest.mark.parametrize("x, y, params", [
-    (math.nan, 0.0, H2R), (0.0, math.nan, NIL),
-    (math.inf, 0.0, NIL), (0.0, -math.inf, NIL)])
-def test_conformal_factor_rejects_non_finite_points(x, y, params):
-    with pytest.raises(GeometryError, match="non-finite"):
-        conformal_factor(x, y, params)
+    assert conformal_factor_xy(0.3, -0.4, 0.0) == 1.0
 
 
 def test_conformal_factor_xy_vectorizes():
