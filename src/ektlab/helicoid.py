@@ -24,8 +24,7 @@ Sign conventions in this chart: the sampled profile column h = (v - f)/2
 follows the published parametrization and feeds sigma = lim h'/(1+h^2)
 = (1+2mu)^2/(4mu), while the height field that actually satisfies the
 minimal-graph equation is z = u * (f(v) - v)/2 = -u h(v); the latter is
-exposed as model_height and backs every cross check against the graph
-operator, the strip solver, and the exported meshes.
+exposed as model_height and backs the strip solver test and the OBJ export.
 """
 from __future__ import annotations
 
@@ -49,7 +48,6 @@ __all__ = [
     "residual_grid",
     "minimality_residual",
     "first_integral_residual",
-    "angle_function",
     "sigma",
     "theta_prime",
     "theta_prime_fn",
@@ -322,22 +320,6 @@ def theta_prime_fn(mu: float) -> Callable[[np.ndarray], np.ndarray]:
 def theta_prime(s, mu: float):
     """Normal rotation speed -sigma/(1 + sigma^2 s^2) along the vertex fiber."""
     out = theta_prime_fn(mu)(np.asarray(s, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
-def angle_function(u, v, profile: HelicoidProfile):
-    """Angle function 2 / sqrt(u^2 (1-2h')^2 + (2h+v)^2 + 4), in (0, 1].
-
-    u and v broadcast together, and every v is inverted in one batch (floats
-    in, a float out).  h' is evaluated analytically through h' = (1 - f')/2
-    and the conserved slope law, never by differencing the samples.
-    """
-    u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-    f = profile.f_many(v)
-    fp = 0.0 if profile.mu == 0.5 else _f_prime_rhs(f, c_of_mu(profile.mu))
-    h = (v - f) / 2.0
-    hp = (1.0 - fp) / 2.0
-    out = 2.0 / np.sqrt(u * u * (1.0 - 2.0 * hp) ** 2 + (2.0 * h + v) ** 2 + 4.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -79,7 +79,6 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 from scipy.spatial import Delaunay, cKDTree
 
-from .graphs import graph_gradient, tilt
 from .spaces import (GeometryError, SpaceParams, build_triangle,
                      conformal_factor_xy, min_metric_distance)
 from .mesh import TAGS, TriangulatedDomain, triangulate
@@ -112,6 +111,13 @@ class SolverError(RuntimeError):
         self.context = context
         detail = ", ".join(f"{k}={v!r}" for k, v in context.items())
         super().__init__(f"{message} ({detail})" if context else message)
+
+
+def _tilt(u_x, u_y, lam, x, y, tau: float):
+    """Frame components (alpha, beta) and W of the tilt at (x, y), lam = lambda."""
+    alpha = u_x / lam + tau * y
+    beta = u_y / lam - tau * x
+    return alpha, beta, np.sqrt(1.0 + alpha * alpha + beta * beta)
 
 
 @dataclass
@@ -149,7 +155,8 @@ class GraphSolution:
         """Per-node angle function nu = 1/W from the nodal gradients."""
         g = self._gradients()[0]
         x, y = self.domain.nodes.T
-        _, _, w = graph_gradient(x, y, g[:, 0], g[:, 1], self.params)
+        lam = conformal_factor_xy(x, y, self.params.kappa)
+        _, _, w = _tilt(g[:, 0], g[:, 1], lam, x, y, self.params.tau)
         return 1.0 / w
 
 
@@ -201,7 +208,7 @@ class _Assembly:
 
     def _tilted(self, u):
         gx, gy = self.element_gradients(u)
-        return tilt(gx, gy, self.lam, self.qx, self.qy, self.params.tau)
+        return _tilt(gx, gy, self.lam, self.qx, self.qy, self.params.tau)
 
     def _held_tilt(self, u):
         """(alpha, beta, W) at u, held until the next array: an accepted

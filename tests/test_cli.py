@@ -212,9 +212,9 @@ def test_audit_clean_run(tmp_path):
     out = tmp_path / "o"
     assert run("audit", "--out", str(out)) == 0
     text = (out / "audit.txt").read_text()
-    assert text.count("PASS") == 14
+    assert text.count("PASS") == 12
     assert "FAIL" not in text
-    assert "all 14 checks passed" in text
+    assert "all 12 checks passed" in text
 
 
 def test_audit_fault_injection_flips_one_row(tmp_path):

@@ -34,6 +34,20 @@ REFERENCE_IMPLEMENTATIONS = {
 }
 
 
+# definitions that only the audit calls: each is an independent route to a
+# quantity that program code computes, and its row checks that code
+AUDIT_REFERENCES = {
+    "curves.kg_critical":
+        "1 - theta' in closed form: checks helicoid.theta_prime, and drives "
+        "the march of the integrator-order row",
+    "helicoid.g_mu":
+        "the profile quadrature by adaptive integration: checks invert_profile",
+    "spaces.interior_angle_at_p2":
+        "the angle at p2 by the law of cosines: checks "
+        "interior_angle_threshold_b, the noid figure's b*",
+}
+
+
 def test_every_module_is_listed():
     assert {"cli", "embedding", "helicoid", "solver", "spaces"} <= set(MODULES)
 
@@ -66,9 +80,9 @@ def test_every_import_is_used_or_exported(name):
     assert sorted(imported - used - exported) == []
 
 
-def _definitions_without_consumer():
-    """module.name of each top-level function or class of the package that
-    no code of the package references outside the definition itself."""
+def _definition_consumers():
+    """module.name of each top-level function or class of the package, with
+    the set of modules whose code references it outside the definition."""
     trees = {name: ast.parse(inspect.getsource(
         importlib.import_module(f"ektlab.{name}"))) for name in MODULES}
     refs = []
@@ -78,24 +92,30 @@ def _definitions_without_consumer():
                 refs.append((name, node.lineno, node.id))
             elif isinstance(node, ast.Attribute):
                 refs.append((name, node.lineno, node.attr))
-    missing = set()
+    consumers = {}
     for name, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                continue
-            if not any(ref == node.name and not (
-                    mod == name and node.lineno <= line <= node.end_lineno)
-                    for mod, line, ref in refs):
-                missing.add(f"{name}.{node.name}")
-    return missing
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                consumers[f"{name}.{node.name}"] = {
+                    mod for mod, line, ref in refs if ref == node.name and not (
+                        mod == name and node.lineno <= line <= node.end_lineno)}
+    return consumers
 
 
 def test_every_definition_has_a_program_consumer():
-    missing = _definitions_without_consumer()
+    missing = {d for d, mods in _definition_consumers().items() if not mods}
     assert sorted(missing - {ENTRY_POINT} - set(REFERENCE_IMPLEMENTATIONS)) == []
     # an entry whose definition gained a consumer or was deleted leaves the dict
     assert set(REFERENCE_IMPLEMENTATIONS) <= missing
+
+
+def test_audit_only_definitions_are_declared_references():
+    """Code that only an audit row calls checks program code; code that an
+    audit row merely exercises has no caller and goes."""
+    audit_only = {d for d, mods in _definition_consumers().items()
+                  if mods == {"audit"} and not d.startswith("audit.")}
+    assert sorted(audit_only) == sorted(AUDIT_REFERENCES)
 
 
 def _optional_parameters_without_caller():

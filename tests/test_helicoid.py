@@ -165,41 +165,13 @@ def test_constant_slope_members_invert_to_v_and_2v_bit_for_bit(mu, slope):
     assert f.tobytes() == (slope * v).tobytes()
 
 
-def test_model_height_and_angle_function():
+def test_model_height():
     mu = 1.0
     v = np.linspace(-1.2, 1.2, 401)
     prof = hc.invert_profile(mu, v)
     # model height is the ruled graph u (f(v) - v)/2
     z = hc.model_height(2.0, 0.7, prof)
     assert z == pytest.approx(2.0 * (float(prof.f_many(0.7)) - 0.7) / 2.0)
-    # sample-convention form 2/sqrt(u^2 (1-2h')^2 + (2h + v)^2 + 4)
-    f = float(prof.f_many(0.3))
-    fp = float(hc._f_prime_rhs(f, hc.c_of_mu(mu)))
-    h, hp = (0.3 - f) / 2.0, (1.0 - fp) / 2.0
-    assert hc.angle_function(1.1, 0.3, prof) == pytest.approx(
-        2.0 / math.sqrt(1.1**2 * (1 - 2 * hp) ** 2 + (2 * h + 0.3) ** 2 + 4))
-    # vertical at the axis
-    assert hc.angle_function(0.0, 0.0, prof) == 1.0
-
-
-@pytest.mark.parametrize("mu", [-3.0, -0.8, 0.0, 0.5, 1.0])
-def test_angle_function_on_a_grid_matches_per_point_calls(mu):
-    lim = 0.9 * min(hc.t_mu(mu), 3.0)
-    prof = hc.invert_profile(mu, np.linspace(-lim, lim, 5))
-    u, v = np.meshgrid(np.linspace(-3.0, 3.0, 13), np.linspace(-lim, lim, 17))
-    grid = hc.angle_function(u, v, prof)
-    assert grid.shape == u.shape
-    each = np.array([[hc.angle_function(float(a), float(b), prof)
-                      for a, b in zip(ur, vr)] for ur, vr in zip(u, v)])
-    assert np.array_equal(grid, each)
-    # a scalar call is the per-point formula, to the bit
-    for a, b in zip(u.ravel()[::7], v.ravel()[::7]):
-        a, b = float(a), float(b)
-        f = float(prof.f_many(b))
-        fp = 0.0 if mu == 0.5 else float(hc._f_prime_rhs(f, hc.c_of_mu(mu)))
-        h, hp = (b - f) / 2.0, (1.0 - fp) / 2.0
-        assert hc.angle_function(a, b, prof) == 2.0 / math.sqrt(
-            a * a * (1.0 - 2.0 * hp) ** 2 + (2.0 * h + b) ** 2 + 4.0)
 
 
 def test_half_period_monotonicity_both_branches():

@@ -275,6 +275,23 @@ def test_max_nu_sits_at_origin(dual_sign_solves):
     assert nu.max() <= 1.0
 
 
+@pytest.mark.parametrize("a,b,H,r_trunc", [
+    (1.0, 1.0, 0.4, None), (math.inf, 2.0, 0.4, 4.0),
+    (math.inf, 1.0, 0.5, 4.0), (1.0, 2.0, 0.0, None)])
+def test_nu_of_an_affine_graph_is_the_tilt_formula(a, b, H, r_trunc):
+    # u = 0.7 x - 0.3 y has the same chart gradient in every element, so
+    # the nodal average is that gradient and nu is exact at every node
+    dom = triangulate(build_triangle(a, b, 2, 4 * H * H - 1), 0.08, r_trunc)
+    params = SpaceParams.from_h(H)
+    x, y = dom.nodes.T
+    sol = solver.GraphSolution(dom, 0.7 * x - 0.3 * y, params, 0.0, 0)
+    lam = 1.0 / (1.0 + params.kappa * (x * x + y * y) / 4.0)
+    alpha = 0.7 / lam + params.tau * y
+    beta = -0.3 / lam - params.tau * x
+    want = 1.0 / np.sqrt(1.0 + alpha * alpha + beta * beta)
+    assert np.max(np.abs(sol.nu() - want)) <= 1e-13
+
+
 def test_warm_started_schedule_grows_with_cap(strip_solves):
     assert len(strip_solves) == 3
     lo, hi = strip_solves[0], strip_solves[-1]
