@@ -30,13 +30,14 @@ into the frames as a blocked prefix product.
 assemble_domain tiles a curve by the dihedral group of order 2k.  Image
 endpoints within chart distance 1e-8 are joined, that relation is closed
 transitively by boolean matrix products, and a junction of exactly two
-endpoints joins their images.
+endpoints joins their images.  Each chain is allocated once and its images
+are written straight into it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,19 +80,23 @@ def distance_to_geodesic_diameter(x, y, axis_angle: float = 0.0):
 class PlanarCurve:
     """Unit-speed sampled curve in the unit disk.
 
-    The arrays hold arclength and point per sample; kg_samples holds the
-    prescribed curvature at each sample, kg(s).
+    The arrays hold arclength and point per sample, points as one (n, 2)
+    array whose columns x and y are views; kg_samples holds the prescribed
+    curvature at each sample, kg(s).
     """
 
     s: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
+    points: np.ndarray
     kg_samples: np.ndarray
     truncated_reason: Optional[str] = None
 
     @property
-    def points(self) -> np.ndarray:
-        return np.column_stack([self.x, self.y])
+    def x(self) -> np.ndarray:
+        return self.points[:, 0]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.points[:, 1]
 
 
 def _initial_frame(point: Tuple[float, float], angle: float) -> np.ndarray:
@@ -271,8 +276,8 @@ def integrate_prescribed_curvature(kg: Callable[[np.ndarray], np.ndarray],
         done += m
         if reason is not None or m < n:
             break
-    xy = np.concatenate(xy_parts)
-    return PlanarCurve(s=np.concatenate(s_parts), x=xy[:, 0], y=xy[:, 1],
+    return PlanarCurve(s=np.concatenate(s_parts),
+                       points=np.concatenate(xy_parts),
                        kg_samples=np.concatenate(kg_parts),
                        truncated_reason=reason)
 
@@ -314,33 +319,50 @@ def assemble_domain(fundamental_curve: PlanarCurve, k: int) -> AssembledBoundary
     reflection across the x-axis; the fundamental curve must start on one of
     the k mirror rays (or at the origin).  Coincident images are deduplicated
     and chains are merged at simple (degree-2) junctions.
+
+    An image is the product points @ M.T, with M the rotation R, or
+    R diag(1, -1) for a mirrored image: negating a factor negates a product
+    exactly, so those are the floats of the mirrored points times R.T.  The
+    chains are planned from the images' end points, read off full products,
+    since BLAS need not round a two-row product as it rounds the same rows
+    of a long one.  Only images whose end points match are compared point
+    for point.  One image buffer serves those products and stages the
+    images a chain runs backwards; the others go straight into their
+    chains.
     """
     if k < 2 or int(k) != k:
         raise GeometryError("k must be an integer >= 2")
-    pts = fundamental_curve.points
+    pts = np.ascontiguousarray(fundamental_curve.points, dtype=float)
     x0, y0 = pts[0]
     r0 = math.hypot(x0, y0)
     if r0 > 1e-12:
         ang = math.atan2(y0, x0) % (math.pi / k)
         if min(ang, math.pi / k - ang) * r0 > 1e-8:
             raise GeometryError("fundamental curve must start on a symmetry ray")
-    images = []
+    image = np.empty_like(pts)
+    maps, ends = [], []
     for j in range(k):
         rot = 2.0 * math.pi * j / k
         cr, sr = math.cos(rot), math.sin(rot)
         R = np.array([[cr, -sr], [sr, cr]])
-        for mirror in (False, True):
-            p = pts.copy()
-            if mirror:
-                p[:, 1] = -p[:, 1]
-            p = p @ R.T
+        for M in (R, R * [1.0, -1.0]):
+            end = np.matmul(pts, M.T, out=image)[[0, -1]]
             # coinciding images share their end points, so only a match
             # there compares every point
-            if any(_same_points(p[[0, -1]], q[[0, -1]]) and _same_points(p, q)
-                   for q in images):
+            if any(_same_points(end, e) and _same_points(pts @ M.T, pts @ N.T)
+                   for e, N in zip(ends, maps)):
                 continue
-            images.append(p)
-    merged = _merge_chains(images)
+            maps.append(M)
+            ends.append(end)
+
+    def write(i, out, forward):
+        if forward:
+            np.matmul(pts, maps[i].T, out=out)
+        else:
+            out[:] = np.matmul(pts, maps[i].T, out=image)[::-1]
+
+    merged = _merge_chains(np.concatenate(ends), [pts.shape[0]] * len(maps),
+                           write)
     gaps = []
     closed = len(merged) > 0
     for chain in merged:
@@ -352,14 +374,20 @@ def assemble_domain(fundamental_curve: PlanarCurve, k: int) -> AssembledBoundary
                              max_gap=max(gaps) if gaps else None)
 
 
-def _merge_chains(images: List[np.ndarray]) -> List[np.ndarray]:
-    """Join pieces at shared endpoints, but only across degree-2 junctions.
+def _merge_chains(ends: np.ndarray, sizes: Sequence[int],
+                  write: Callable[[int, np.ndarray, bool], object]
+                  ) -> List[np.ndarray]:
+    """Join images at shared endpoints, but only across degree-2 junctions.
 
-    Endpoint 2i is the start of piece i and 2i + 1 its end.  The closure of
-    the 1e-8 relation keeps integrator-level jitter between symmetric
-    images from splitting a junction.
+    Image i has sizes[i] points, from ends[2i] to ends[2i + 1], and
+    write(i, out, forward) puts them into out, in order or reversed.  The
+    chains are planned from the end points alone.  The closure of the 1e-8
+    relation keeps integrator-level jitter between symmetric images from
+    splitting a junction.  Each chain is then allocated once and its
+    images written into their slices, so no list of images is held.
+    Consecutive slices share a row, the junction, and it keeps the point
+    of the earlier image: the images are written last to first.
     """
-    ends = np.array([p[e] for p in images for e in (0, -1)])
     diff = ends[:, None, :] - ends[None, :, :]
     joined = np.hypot(diff[..., 0], diff[..., 1]) <= 1e-8
     while True:
@@ -367,9 +395,9 @@ def _merge_chains(images: List[np.ndarray]) -> List[np.ndarray]:
         if np.array_equal(closure, joined):
             break
         joined = closure
-    used = [False] * len(images)
+    used = [False] * len(sizes)
     chains = []
-    for start in range(len(images)):
+    for start in range(len(sizes)):
         if used[start]:
             continue
         used[start] = True
@@ -389,9 +417,9 @@ def _merge_chains(images: List[np.ndarray]) -> List[np.ndarray]:
                 # head by one that ends there
                 seq.insert(len(seq) if tail else 0,
                            (mate // 2, (mate % 2 == 0) == tail))
-        arrs = []
-        for n_, (piece, forward) in enumerate(seq):
-            arr = images[piece] if forward else images[piece][::-1]
-            arrs.append(arr if n_ == 0 else arr[1:])
-        chains.append(np.vstack(arrs))
+        offsets = np.cumsum([0] + [sizes[piece] - 1 for piece, _ in seq])
+        chain = np.empty((offsets[-1] + 1, 2))
+        for (piece, forward), offset in zip(seq[::-1], offsets[-2::-1]):
+            write(piece, chain[offset:offset + sizes[piece]], forward)
+        chains.append(chain)
     return chains

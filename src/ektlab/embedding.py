@@ -14,14 +14,17 @@ segment from one piece's last point to the next piece's first is marked
 with piece_id -1 and never swept.  The candidates come from a top-down
 refinement of blocks of consecutive segments: block pairs whose bounding
 boxes are apart drop out, and so do runs of segments too straight for any
-two of them to meet; single segments are read only at the end, for the
-surviving pairs, in slices.  The sweep's arrays are freed before the
-raster is made, and the pieces it rasters are views of the same points.
+two of them to meet.  Only blocks of 8 segments and up are stored; the
+segments and the blocks of 2 and 4 are read from the points for the
+surviving pairs only, in slices, and no array of segment differences is
+held.  The sweep's arrays are freed before the raster is made, and the
+pieces it rasters are views of the same points.
 The raster's covered cells get their metric in one buffer.  Covered-twice
 regions are measured by winding-number rasterization: open chains are closed
-through arcs just inside the ideal circle, the segments that cross a
-scanline add signed crossings to an int32 raster, and pixels with
-|winding| >= 2 are summed with the hyperbolic density (2/(1-r^2))^2.  That
+through arcs just inside the ideal circle (pieces and arcs are not stacked
+into one array), the segments that cross a scanline add signed crossings
+to an int32 raster, and pixels with |winding| >= 2 are summed with the
+hyperbolic density (2/(1-r^2))^2.  That
 one raster per boundary also gives the SVG fill: a figure cell is a 4 x 4
 block of raster pixels of which at least 8 have |winding| >= 2.
 """
@@ -51,6 +54,7 @@ __all__ = [
 _EPS_GEOM = 1e-9
 _MIN_SEG = 1e-5      # chart length below which samples are thinned
 _PAIR_CHUNK = 1 << 18
+_SEARCH_CHUNK = 1 << 15   # segments or block pairs per slice of the pair search
 _GRID = 1024         # cells per side of the covered-twice raster
 _PANEL_PX = 720      # SVG panel side
 
@@ -107,14 +111,22 @@ def _parametrize(pieces: Iterable[np.ndarray]):
             bad = np.flatnonzero(~np.isfinite(p).all(axis=1))
             raise GeometryError(f"piece {n} has a non-finite point at "
                                 f"sample {bad[0]}")
-        ell = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(p, axis=0).T))])
+        # the chord lengths and their running sum in the one array ell
+        ell = np.empty(p.shape[0])
+        ell[0] = 0.0
+        np.subtract(p[1:, 0], p[:-1, 0], out=ell[1:])
+        np.hypot(ell[1:], np.diff(p[:, 1]), out=ell[1:])
+        np.cumsum(ell[1:], out=ell[1:])
         keep = _thin(ell)
-        points.append(p[keep])
         params.append(ell[keep] + offset)
         offset += ell[-1] + 1.0
+        del ell
+        points.append(p[keep])
+        del p  # the caller's chain dies here, once it is thinned
     sizes = [q.shape[0] for q in points]
-    P, S = np.concatenate(points), np.concatenate(params)
-    return P, S, np.split(P, np.cumsum(sizes)[:-1])
+    P = np.concatenate(points)
+    del points
+    return P, np.concatenate(params), np.split(P, np.cumsum(sizes)[:-1])
 
 
 def _pair(f, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -126,16 +138,71 @@ def _pair(f, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _candidate_pairs(A: np.ndarray, B: np.ndarray, d: np.ndarray,
-                     lens: np.ndarray, piece_id: np.ndarray,
+def _turning(P: np.ndarray, piece_id: np.ndarray) -> np.ndarray:
+    """The turning at the vertex after each segment of the points P: the
+    absolute wrapped change of direction, and pi next to a junction
+    segment and after the last segment.  The directions are read
+    _SEARCH_CHUNK segments at a time, so no array of differences is held."""
+    A, B = P[:-1], P[1:]
+    turn = np.empty(A.shape[0])
+    for start in range(0, turn.size, _SEARCH_CHUNK):
+        d = B[start:start + _SEARCH_CHUNK] - A[start:start + _SEARCH_CHUNK]
+        np.arctan2(d[:, 1], d[:, 0], out=turn[start:start + _SEARCH_CHUNK])
+    t = turn[:-1]
+    np.subtract(turn[1:], t, out=t)
+    t += np.pi
+    t %= 2.0 * np.pi
+    t -= np.pi
+    np.abs(turn, out=turn)
+    t[piece_id[1:] != piece_id[:-1]] = np.pi
+    turn[-1] = np.pi
+    return turn
+
+
+def _segments(P: np.ndarray, lens: np.ndarray, turn: np.ndarray, seg):
+    """Level 0 of the pair search for the segments seg, an index array or
+    a slice: their boxes lo and hi, lengths, zero turning inside and the
+    turning after each."""
+    a, b = P[:-1][seg], P[1:][seg]
+    U = turn[seg]
+    return np.minimum(a, b), np.maximum(a, b), lens[seg], np.zeros_like(U), U
+
+
+def _up(level):
+    """The next level of the pair search: block m joins blocks 2m and
+    2m + 1, or 2m twice if it is the last of an odd count, with
+    W = U[2m] + W[2m + 1] and U = U[2m] + U[2m + 1]."""
+    lo, hi, mn, W, U = level
+    return (_pair(np.minimum, lo, lo), _pair(np.maximum, hi, hi),
+            _pair(np.minimum, mn, mn), _pair(np.add, U, W), _pair(np.add, U, U))
+
+
+def _blocks(P: np.ndarray, lens: np.ndarray, turn: np.ndarray, level: int,
+            idx: np.ndarray):
+    """The blocks idx of the given level, built by _up from their
+    segments, gathered in the order the whole level pairs them, so the
+    sums are the same floats.  The second child of the last block of an
+    odd count is clamped to the first, which _pair pairs with itself."""
+    n = lens.size
+    seg = idx
+    for L in range(level, 0, -1):
+        last = -(-n >> (L - 1)) - 1   # the last block of level L - 1
+        seg = np.stack([2 * seg, np.minimum(2 * seg + 1, last)], axis=-1)
+    blocks = _segments(P, lens, turn, seg.ravel())
+    for _ in range(level):
+        blocks = _up(blocks)
+    return blocks
+
+
+def _candidate_pairs(P: np.ndarray, lens: np.ndarray, piece_id: np.ndarray,
                      slack: float) -> Tuple[np.ndarray, np.ndarray]:
     """Segment pairs (i, j), i < j, each once and in no set order, that
     can cross or come within slack of each other.  Segment m runs from
-    A[m] to B[m] = A[m + 1], and piece_id[m] is its piece, or -1 for the
-    junction segment from one piece's last point to the next piece's
-    first.  Chain neighbours (j = i + 1) and every pair holding a junction
-    segment are left out, so two real segments of different pieces are
-    never neighbours.
+    P[m] to P[m + 1], lens[m] is its length and piece_id[m] its piece, or
+    -1 for the junction segment from one piece's last point to the next
+    piece's first.  Chain neighbours (j = i + 1) and every pair holding a
+    junction segment are left out, so two real segments of different
+    pieces are never neighbours.
 
     Level 0 holds the segments in index order; each block of level L + 1
     joins two of level L, and an odd count repeats its last block, which
@@ -144,66 +211,78 @@ def _candidate_pairs(A: np.ndarray, B: np.ndarray, d: np.ndarray,
     the turning U at the vertices after each of its segments.  A vertex
     turns by the wrapped change of direction, and by pi on both sides of
     a junction segment, so a run across pieces never clears.  From the top
-    block paired with itself, each level drops the block pairs P <= Q whose
+    block paired with itself, each level drops the block pairs I <= J whose
     boxes are more than slack apart per coordinate, and the pairs with
-    Q - P <= 1 whose run of segments is cleared: it turns by theta < pi in
+    J - I <= 1 whose run of segments is cleared: it turns by theta < pi in
     total and cos(theta/2) * (its shortest segment) > slack.  The rest
-    split into their 3 (P = Q) or 4 child pairs.
+    split into their 3 (I = J) or 4 child pairs.  At level 0 the box test
+    alone decides, and it drops the neighbours and the junction pairs.
 
     A cleared run is exact to drop: its directions lie within theta/2 of one
     unit vector u, so any points of its segments i and j >= i + 2 are at
     least cos(theta/2) * sum_{i<m<j} len_m > slack apart along u.
 
-    Level 0 is not stored: its U is filled in place in one buffer, level 1
-    is built from U, A, B and lens (level 0's W is zero), and level 0's
-    boxes are read from A and B only at the end, for the pairs that
-    survive, _PAIR_CHUNK pairs at a time; that pass drops the junction
-    pairs.
+    Only levels 3 and up are stored, level 3 built from the segments
+    _SEARCH_CHUNK of them at a time, and each is dropped once its pairs
+    are split.  Levels 0, 1 and 2 are built by _blocks from P, lens and
+    the turning, only for the pairs that reach them, in slices that read
+    _SEARCH_CHUNK segments a side; stored, levels 1 and 2 would be three
+    quarters of the pyramid.
     """
-    U = np.arctan2(d[:, 1], d[:, 0])
-    np.subtract(U[1:], U[:-1], out=U[:-1])
-    U[:-1] += np.pi
-    U[:-1] %= 2.0 * np.pi
-    U[:-1] -= np.pi
-    np.abs(U, out=U)
-    U[:-1][piece_id[1:] != piece_id[:-1]] = np.pi
-    U[-1] = np.pi
-    levels = [(np.minimum(_pair(np.minimum, A, A), _pair(np.minimum, B, B)),
-               np.maximum(_pair(np.maximum, A, A), _pair(np.maximum, B, B)),
-               _pair(np.minimum, lens, lens), U[0::2] + 0.0,
-               _pair(np.add, U, U))] if lens.size > 1 else []
-    while levels and levels[-1][2].size > 1:
-        lo, hi, mn, W, U = levels[-1]
-        levels.append((_pair(np.minimum, lo, lo), _pair(np.maximum, hi, hi),
-                       _pair(np.minimum, mn, mn), _pair(np.add, U, W),
-                       _pair(np.add, U, U)))
-    P = Q = np.zeros(1, dtype=np.int64)
-    for L in range(len(levels), 0, -1):
-        lo, hi, mn, W, U = levels[L - 1]
-        near = np.all((lo[P] <= hi[Q] + slack) & (lo[Q] <= hi[P] + slack), axis=1)
-        P, Q = P[near], Q[near]
-        theta = np.where(P == Q, W[P], U[P] + W[Q])
-        cleared = ((Q - P <= 1) & (theta < np.pi)
-                   & (np.cos(theta / 2.0) * np.minimum(mn[P], mn[Q]) > slack))
-        P, Q = P[~cleared], Q[~cleared]
-        same = P == Q
-        # (2P, 2P), (2P, 2P + 1), (2P + 1, 2P + 1) for P = Q; all four else
-        P = np.concatenate([(2 * P[same, None] + [0, 0, 1]).ravel(),
-                            (2 * P[~same, None] + [0, 0, 1, 1]).ravel()])
-        Q = np.concatenate([(2 * Q[same, None] + [0, 1, 1]).ravel(),
-                            (2 * Q[~same, None] + [0, 1, 0, 1]).ravel()])
-        inside = Q < (levels[L - 2][2].size if L > 1 else lens.size)
-        P, Q = P[inside], Q[inside]
-    keep = np.empty(P.size, dtype=bool)
-    for start in range(0, P.size, _PAIR_CHUNK):
-        p, q = P[start:start + _PAIR_CHUNK], Q[start:start + _PAIR_CHUNK]
-        near = (p < q - 1) & (piece_id[p] >= 0) & (piece_id[q] >= 0)
-        for c in (0, 1):
-            ap, bp, aq, bq = A[p, c], B[p, c], A[q, c], B[q, c]
-            near &= ((np.minimum(ap, bp) <= np.maximum(aq, bq) + slack)
-                     & (np.minimum(aq, bq) <= np.maximum(ap, bp) + slack))
-        keep[start:start + _PAIR_CHUNK] = near
-    return P[keep], Q[keep]
+    n = lens.size
+    turn = _turning(P, piece_id)
+    top = (n - 1).bit_length()   # the level with a single block
+    stored = {}
+    if top >= 3:
+        count = -(-n >> 3)
+        level = (np.empty((count, 2)), np.empty((count, 2)), np.empty(count),
+                 np.empty(count), np.empty(count))
+        # a slice starts at a multiple of 8 segments, so its blocks pair as
+        # the whole level's do
+        for start in range(0, n, _SEARCH_CHUNK):
+            part = _segments(P, lens, turn, slice(start, start + _SEARCH_CHUNK))
+            for _ in range(3):
+                part = _up(part)
+            for into, block in zip(level, part):
+                into[start >> 3:(start >> 3) + block.shape[0]] = block
+        stored[3] = level
+        for L in range(4, top + 1):
+            stored[L] = _up(stored[L - 1])
+
+    def blocks(L, idx):
+        if L in stored:
+            return [a[idx] for a in stored[L]]
+        return _blocks(P, lens, turn, L, idx)
+
+    I = J = np.zeros(1, dtype=np.int64)
+    for L in range(top, -1, -1):
+        keep = np.empty(I.size, dtype=bool)
+        # a slice of pairs reads at most _SEARCH_CHUNK segments a side
+        step = _SEARCH_CHUNK if L in stored else _SEARCH_CHUNK >> L
+        for start in range(0, I.size, step):
+            i, j = I[start:start + step], J[start:start + step]
+            lo_i, hi_i, mn_i, W_i, U_i = blocks(L, i)
+            lo_j, hi_j, mn_j, W_j, _ = blocks(L, j)
+            near = np.all((lo_i <= hi_j + slack) & (lo_j <= hi_i + slack), axis=1)
+            if L == 0:
+                near &= (i < j - 1) & (piece_id[i] >= 0) & (piece_id[j] >= 0)
+            else:
+                theta = np.where(i == j, W_i, U_i + W_j)
+                near &= ~((j - i <= 1) & (theta < np.pi)
+                          & (np.cos(theta / 2.0) * np.minimum(mn_i, mn_j) > slack))
+            keep[start:start + step] = near
+        I, J = I[keep], J[keep]
+        if L == 0:
+            return I, J
+        stored.pop(L, None)   # no pair reads this level again
+        same = I == J
+        # (2I, 2I), (2I, 2I + 1), (2I + 1, 2I + 1) for I = J; all four else
+        I = np.concatenate([(2 * I[same, None] + [0, 0, 1]).ravel(),
+                            (2 * I[~same, None] + [0, 0, 1, 1]).ravel()])
+        J = np.concatenate([(2 * J[same, None] + [0, 1, 1]).ravel(),
+                            (2 * J[~same, None] + [0, 1, 0, 1]).ravel()])
+        inside = J < -(-n >> (L - 1))
+        I, J = I[inside], J[inside]
 
 
 def self_intersections(pieces: Iterable[np.ndarray]) -> EmbeddednessReport:
@@ -217,11 +296,13 @@ def self_intersections(pieces: Iterable[np.ndarray]) -> EmbeddednessReport:
     before.  Near-tangential configurations (parameter or perpendicular
     clearance within _EPS_GEOM) are listed as uncertain instead of decided.
     The area and the figure's fill cells come from one multiplicity_two_area
-    raster of the thinned pieces, which runs after the sweep's arrays are
-    freed.
+    raster of the thinned pieces, which runs after the sweep's arrays and
+    the parameters are freed.  The uncertain pairs are kept as one array
+    until they are distinct and sorted, and become tuples once.
     """
     P, S, pieces = _parametrize(pieces)
     crossings, uncertain = _sweep(P, S, [p.shape[0] for p in pieces])
+    del S
     area, fill_cells = multiplicity_two_area(pieces)
     return EmbeddednessReport(self_intersections=crossings,
                               multiplicity_2_area=area,
@@ -235,26 +316,30 @@ def _sweep(P: np.ndarray, S: np.ndarray, sizes: Sequence[int]):
     thinned points P with parameters S, as self_intersections reports them;
     sizes are the point counts of the pieces in P, in order.
 
-    Segment m runs from P[m] to P[m + 1]: the segments are views of P.
-    The junction segment from the last point of one piece to the first
-    point of the next carries piece_id -1 and is never swept.
+    Segment m runs from P[m] to P[m + 1]: the segments are views of P,
+    and their differences are formed per slice, of the segments for their
+    lengths and of the candidate pairs for the sweep.  The junction segment
+    from the last point of one piece to the first point of the next
+    carries piece_id -1 and is never swept.
     """
     A, B = P[:-1], P[1:]
     sA, sB = S[:-1], S[1:]
     piece_id = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)[:-1]
     piece_id[np.cumsum(sizes)[:-1] - 1] = -1
-    d = B - A
-    lens = np.hypot(d[:, 0], d[:, 1])
+    lens = np.empty(A.shape[0])
+    for start in range(0, lens.size, _SEARCH_CHUNK):
+        d = B[start:start + _SEARCH_CHUNK] - A[start:start + _SEARCH_CHUNK]
+        np.hypot(d[:, 0], d[:, 1], out=lens[start:start + _SEARCH_CHUNK])
     if not np.any(lens[piece_id >= 0] > 0.0):
         raise GeometryError("degenerate polyline (zero-length segments only)")
     # twice the sweep's 10 * _EPS_GEOM gap, so that round-off in the boxes
     # and the turning cannot drop a pair the sweep reports
-    first, second = _candidate_pairs(A, B, d, lens, piece_id, 20 * _EPS_GEOM)
+    first, second = _candidate_pairs(P, lens, piece_id, 20 * _EPS_GEOM)
     crossings, uncertain = [], []
     # fixed-size slices of the pair list bound the sweep's temporaries
     for start in range(0, first.size, _PAIR_CHUNK):
         pi_, pj_ = first[start:start + _PAIR_CHUNK], second[start:start + _PAIR_CHUNK]
-        a1, d1, a2, d2 = A[pi_], d[pi_], A[pj_], d[pj_]
+        a1, d1, a2, d2 = A[pi_], B[pi_] - A[pi_], A[pj_], B[pj_] - A[pj_]
         denom = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
         rhs = a2 - a1
         near_par = np.abs(denom) <= _EPS_GEOM * np.maximum(lens[pi_] * lens[pj_], 1e-300)
@@ -279,16 +364,23 @@ def _sweep(P: np.ndarray, S: np.ndarray, sizes: Sequence[int]):
         x, y = (a1[hit[sure]] + t[sure, None] * d1[hit[sure]]).T
         crossings.extend(zip(lo[sure].tolist(), hi[sure].tolist(),
                              zip(x.tolist(), y.tolist())))
-        uncertain.extend(zip(lo[unsure].tolist(), hi[unsure].tolist()))
-    return sorted(crossings), sorted(set(uncertain))
+        uncertain.append(np.column_stack([lo[unsure], hi[unsure]]))
+    # np.unique's rows are distinct and in the lexicographic order of
+    # sorted(set(...)) over the same pairs as tuples
+    uncertain = np.unique(np.concatenate(uncertain or [np.empty((0, 2))]), axis=0)
+    return sorted(crossings), list(map(tuple, uncertain.tolist()))
 
 
 def _close_chains(pieces: List[np.ndarray]) -> List[np.ndarray]:
-    """Close open chains through arcs just inside the ideal circle.
+    """Close open chains through arcs just inside the ideal circle, as
+    polylines whose segments together are those of the closed loops.
 
     Open ends are assumed to sit near the boundary circle (diverging
     symmetry curves); ends are joined in counterclockwise order, which is
-    the non-crossing pairing for boundaries of immersed disks.
+    the non-crossing pairing for boundaries of immersed disks.  A loop of
+    pieces and arcs is not stacked into one array: each piece and arc is a
+    polyline of its own, and so is the two-point segment from each one's
+    last point to the next one's first.
     """
     loops = []
     open_pieces = []
@@ -329,7 +421,9 @@ def _close_chains(pieces: List[np.ndarray]) -> List[np.ndarray]:
             used[i] = True
             chain.append(_ideal_arc(cur_end, q[0], gap))
             chain.append(q)
-        loops.append(np.vstack(chain))
+        for a, b in zip(chain[:-1], chain[1:]):
+            loops += [a, np.array([a[-1], b[0]])]
+        loops.append(chain[-1])
     return loops
 
 
@@ -346,6 +440,7 @@ def _ideal_arc(p_from: np.ndarray, p_to: np.ndarray, gap: float) -> np.ndarray:
 def _winding_grid(loops: Sequence[np.ndarray], grid: int):
     """Winding number of the loops at every pixel center of a grid x grid
     raster of [-1, 1]^2 (rows are y), and the pixel-center coordinates.
+    A loop may come as several polylines: the count is a sum over segments.
 
     A loop segment crosses the scanlines with lo <= y < hi; each crossing
     event (row, x, +-1) counts for the pixels at or right of x.  The raster

@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,7 +267,8 @@ def test_assemble_domain_drops_coinciding_images(reverse):
         y = np.concatenate((0.3 * np.cos(a), -0.3 * np.cos(a[-2::-1])))
     else:
         x, y = 0.2 + 0.4 * t, np.zeros_like(t)
-    curve = PlanarCurve(s=t, x=x, y=y, kg_samples=np.zeros_like(t))
+    curve = PlanarCurve(s=t, points=np.column_stack([x, y]),
+                        kg_samples=np.zeros_like(t))
     asm = assemble_domain(curve, 2)
     # four images, two distinct; reversed, the two halves join to a circle
     assert asm.segment_count == 2 * (t.size - 1)
@@ -314,6 +316,16 @@ def merge_chains_reference(images):
     return chains
 
 
+def merge_chains(images):
+    """_merge_chains over the images' end points, writing each image into
+    its chain from the list."""
+    def write(i, out, forward):
+        out[:] = images[i] if forward else images[i][::-1]
+
+    return _merge_chains(np.array([p[e] for p in images for e in (0, -1)]),
+                         [p.shape[0] for p in images], write)
+
+
 def assert_same_chains(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -335,7 +347,7 @@ def test_merge_chains_matches_connected_components(seed):
             [np.cos(angle), np.sin(angle)])
         mid = rng.uniform(-0.5, 0.5, (rng.integers(1, 4), 2))
         images.append(np.vstack([ends[0] + jitter[0], mid, ends[1] + jitter[1]]))
-    assert_same_chains(_merge_chains(images), merge_chains_reference(images))
+    assert_same_chains(merge_chains(images), merge_chains_reference(images))
 
 
 def test_merge_chains_closes_the_junction_relation_transitively():
@@ -345,9 +357,87 @@ def test_merge_chains_closes_the_junction_relation_transitively():
              np.array([[1.6e-8, 0.0]])]
     images = [np.vstack([[0.1 * n, 0.3], tail]) for n, tail in
               enumerate(tails, 1)]
-    got = _merge_chains(images)
+    got = merge_chains(images)
     assert_same_chains(got, images)
     assert_same_chains(got, merge_chains_reference(images))
+
+
+def dihedral_images(curve, k):
+    """The distinct images of the curve under the dihedral group of order
+    2k, each the product of the mirrored or unmirrored points with R.T, as
+    assemble_domain formed them when it kept them in a list."""
+    images = []
+    for j in range(k):
+        rot = 2.0 * math.pi * j / k
+        R = np.array([[math.cos(rot), -math.sin(rot)],
+                      [math.sin(rot), math.cos(rot)]])
+        for mirror in (False, True):
+            p = curve.points.copy()
+            if mirror:
+                p[:, 1] = -p[:, 1]
+            p = p @ R.T
+            if not any(curves._same_points(p, q) for q in images):
+                images.append(p)
+    return images
+
+
+def _catenoid_curve(mu, step, s_cap):
+    """The fundamental curve of critical_catenoid_domain at mu."""
+    from ektlab.helicoid import theta_prime_fn
+    return integrate_prescribed_curvature(
+        lambda s: 1.0 - theta_prime_fn(mu)(s), (0.0, math.inf),
+        (math.tanh(vertex_base_distance(mu) / 2.0), 0.0),
+        -math.pi / 2.0 if mu > 0 else math.pi / 2.0, step=step, s_cap=s_cap)
+
+
+def _half_circle():
+    # the second half is the first mirrored: the curve is its own mirror
+    # image reversed
+    a = math.pi * np.linspace(0.0, 0.5, 101)
+    points = 0.3 * np.column_stack([np.concatenate((np.sin(a), np.sin(a[-2::-1]))),
+                                    np.concatenate((np.cos(a), -np.cos(a[-2::-1])))])
+    t = np.linspace(0.0, 1.0, 201)
+    return PlanarCurve(s=t, points=points, kg_samples=np.zeros_like(t))
+
+
+@pytest.mark.parametrize("case,k", [("catenoid", 2), ("catenoid", 3),
+                                    ("catenoid", 5), ("half-circle", 2),
+                                    ("circle-wedge", 5)])
+def test_assemble_domain_chains_are_the_stacked_images(case, k):
+    """Each chain, written image by image into one array, equals the
+    images stacked as the old image list stacked them, bit for bit: for the
+    mu = 3 catenoid curve at k = 2, 3 and 5, for a curve that is its own
+    mirror image reversed (the dedupe path) and for a closed circle."""
+    curve = {"catenoid": lambda: _catenoid_curve(3.0, 2e-3, 20.0),
+             "half-circle": _half_circle,
+             "circle-wedge": lambda: circle_arc(1.0, 1.0 / (2 * k), step=1e-3)}[case]()
+    images = dihedral_images(curve, k)
+    got = assemble_domain(curve, k).pieces
+    assert_same_chains(got, merge_chains_reference(images))
+    assert len(images) == (2 if case == "half-circle" else 2 * k)
+    if case == "catenoid" and k == 2:
+        # the first chain runs the mirror image backwards, into the curve
+        n = curve.points.shape[0]
+        assert np.array_equal(got[0][:n], images[1][::-1])
+        assert np.array_equal(got[0][n - 1:], images[0])
+
+
+def test_assemble_domain_keeps_no_image_list():
+    """Tiling the mu = 3 catenoid curve at the default step (120,001
+    points, chains of 7.7 MB) holds the chains and at most one image of
+    1.9 MB more: the images are written into the chains, not listed."""
+    curve = _catenoid_curve(3.0, DEFAULT_STEP, DEFAULT_S_CAP)
+    image_bytes = curve.points.nbytes
+    tracemalloc.start()
+    try:
+        asm = assemble_domain(curve, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chain_bytes = sum(p.nbytes for p in asm.pieces)
+    assert image_bytes == 120001 * 16
+    assert [p.shape for p in asm.pieces] == [(240001, 2)] * 2
+    assert peak < chain_bytes + 1.25 * image_bytes
 
 
 def test_origin_start_joins_no_image():
